@@ -3,11 +3,11 @@
 Layout of one step:
 
   * the nonlocal coupling a = f(c_right) - f(c_left) is resolved first by a
-    damped Picard iteration on the boundary traces,
+    secant iteration on the boundary traces (solve_coupling),
   * the advective part of the interface flux, J = -a c_upwind, is explicit
     first-order upwind (upwind side picked by the sign of a),
   * the diffusive part (c_{i+1} - c_i)/dist is backward Euler through one
-    tridiagonal solve,
+    tridiagonal solve (LAPACK dgtsv, solve_banded),
   * both boundary interface fluxes are identically zero.  That, and not the
     Robin traces, is what conserves mass: the committed update is assembled
     in flux form, so the telescoping sum is exact to roundoff.
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .grid import Grid1D
 from .problem import NonlinearitySpec, ProblemSpec, eval_f
@@ -109,14 +109,52 @@ def _f_at_trace(nl: NonlinearitySpec, s: float) -> float:
     return eval_f(nl, s)
 
 
+def solve_coupling(g, a: float, h0: float, hN: float, robin: bool, opts: StepOptions):
+    """Root of F(a) = a - g(a, robin_l, robin_r) from the committed value a.
+
+    g is the coupling integral at trial value a, with each end on its Robin
+    trace (robin_l, robin_r) or its cell value.  Once an iterate has
+    |a| h >= 1 at an end, that end stays in cell mode for the rest of the
+    iteration (the closure has no solution beyond the guard and the iteration
+    would otherwise cycle).
+
+    The first iterate is the damped step (a + g(a))/2, so a state that
+    already sits at its fixed point returns after one evaluation.  Later
+    iterates are secant steps on F, except for a damped step whenever a latch
+    flips (F itself changed), the secant slope is zero, or half of
+    picard_max_iters has gone by without convergence.  The iteration stops at
+    |a_new - a| <= picard_tol max(1, |a_new|).
+
+    Returns (a, guarded), guarded being True when an end left Robin mode.
+    Raises StepRejected after picard_max_iters evaluations of g.
+    """
+    robin_l = robin_r = robin
+    a_prev = F_prev = None
+    for k in range(opts.picard_max_iters):
+        flipped = False
+        if robin_l and abs(a) * h0 >= 1.0:
+            robin_l, flipped = False, True
+        if robin_r and abs(a) * hN >= 1.0:
+            robin_r, flipped = False, True
+        ga = g(a, robin_l, robin_r)
+        F = a - ga
+        if a_prev is None or flipped or F == F_prev or 2 * k > opts.picard_max_iters:
+            a_new = 0.5 * (a + ga)
+        else:
+            a_new = a - F * (a - a_prev) / (F - F_prev)
+        if abs(a_new - a) <= opts.picard_tol * max(1.0, abs(a_new)):
+            return a_new, robin and not (robin_l and robin_r)
+        a_prev, F_prev, a = a, F, a_new
+    raise StepRejected(f"coupling iteration on a did not converge (last a = {a:.6g})")
+
+
 def compute_a(problem: ProblemSpec, state: State, opts: StepOptions) -> float:
     """Self-consistent coupling a = f(c_right(a)) - f(c_left(a)).
 
-    picard mode runs the damped fixed-point iteration a <- a/2 + g(a)/2 from
-    the committed value; once an iterate trips the Robin guard at an end, that
-    end stays in cell mode for the rest of the iteration (the closure has no
-    solution beyond the guard and the iteration would otherwise cycle).
-    lagged mode is a single evaluation at a_guess = state.a.
+    picard mode solves for a with solve_coupling (a secant iteration with
+    damped fallback steps, bounded by picard_tol and picard_max_iters) from
+    the committed value.  lagged mode is a single evaluation at
+    a_guess = state.a.
 
     Raises StepRejected if the iteration does not reach picard_tol.
     """
@@ -125,33 +163,35 @@ def compute_a(problem: ProblemSpec, state: State, opts: StepOptions) -> float:
     cN = float(state.c[-1])
     h0 = float(state.grid.widths[0])
     hN = float(state.grid.widths[-1])
-    robin = opts.trace_mode == "robin"
 
     if opts.coupling_mode == "lagged":
         cl, cr, guarded = reconstruct_traces(state, state.a, opts)
         state.trace_guarded = guarded
         return _f_at_trace(nl, cr) - _f_at_trace(nl, cl)
 
-    a = state.a
-    robin_l = robin_r = robin
-    for _ in range(opts.picard_max_iters):
-        if robin_l and abs(a) * h0 >= 1.0:
-            robin_l = False
-        if robin_r and abs(a) * hN >= 1.0:
-            robin_r = False
-        g = _f_at_trace(nl, _trace_right(cN, hN, a, robin_r)) - _f_at_trace(
+    def g(a: float, robin_l: bool, robin_r: bool) -> float:
+        return _f_at_trace(nl, _trace_right(cN, hN, a, robin_r)) - _f_at_trace(
             nl, _trace_left(c0, h0, a, robin_l)
         )
-        a_new = 0.5 * (a + g)
-        if abs(a_new - a) <= opts.picard_tol * max(1.0, abs(a_new)):
-            state.trace_guarded = robin and not (robin_l and robin_r)
-            return a_new
-        a = a_new
-    raise StepRejected(f"picard iteration on a did not converge (last a = {a:.6g})")
+
+    a, state.trace_guarded = solve_coupling(g, state.a, h0, hN, opts.trace_mode == "robin", opts)
+    return a
+
+
+def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with sub-, main and super-diagonals
+    (dl, d, du) for b, an (n,) vector or an (n, k) array of k right-hand
+    sides, through LAPACK dgtsv.  All four arrays are overwritten; a
+    Fortran-ordered b is solved in place.  Raises StepRejected if dgtsv
+    reports a zero pivot or a bad argument."""
+    x, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)[3:]
+    if info != 0:
+        raise StepRejected(f"tridiagonal solve failed (dgtsv info = {info})")
+    return x
 
 
 def step(problem: ProblemSpec, state: State, dt: float, opts: StepOptions) -> State:
-    """One IMEX update.  Rejects (StepRejected) on Picard failure, on an
+    """One IMEX update.  Rejects (StepRejected) on coupling failure, on an
     advective CFL violation dt |a| > h_min, or on a degenerate solve."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -173,18 +213,13 @@ def step(problem: ProblemSpec, state: State, dt: float, opts: StepOptions) -> St
     # so steady profiles (zero flux differences) stay bitwise fixed points
     w = dt / d
     diag = np.ones(grid.N)
-    upper = np.zeros(grid.N)
-    lower = np.zeros(grid.N)
-    upper[1:] = -w / h[:-1]
-    lower[:-1] = -w / h[1:]
     diag[:-1] += w / h[:-1]
     diag[1:] += w / h[1:]
     G0 = (cstar[1:] - cstar[:-1]) / d
     rhs = np.zeros(grid.N)
     rhs[:-1] += (dt / h[:-1]) * G0
     rhs[1:] -= (dt / h[1:]) * G0
-    delta = solve_banded((1, 1), np.vstack([upper, diag, lower]), rhs,
-                         overwrite_ab=True, check_finite=False)
+    delta = solve_banded(-w / h[1:], diag, -w / h[:-1], rhs)
     if not np.all(np.isfinite(delta)):
         raise StepRejected("tridiagonal solve produced non-finite values")
 

@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .grid import GridCyl
 from .problem import NonlinearitySpec, ProblemSpec
-from .solver1d import StepOptions, StepRejected
+from .solver1d import StepOptions, StepRejected, solve_banded, solve_coupling
 
 
 @dataclass
@@ -58,9 +57,10 @@ def _f_np(nl: NonlinearitySpec, s: np.ndarray) -> np.ndarray:
 
 
 def compute_a_cyl(problem: ProblemSpec, state: StateCyl, opts: StepOptions) -> float:
-    """Damped Picard for a = sum_j vol_j [f(trace at x1=L) - f(trace at x1=0)].
+    """Self-consistent a = sum_j vol_j [f(trace at x1=L) - f(trace at x1=0)].
 
-    Traces use the same per-column Robin closure as the 1D solver, with the
+    Traces use the same per-column Robin closure as the 1D solver, and a is
+    solved for by the same iteration (solver1d.solve_coupling), with the
     guard latching an end into cell mode once |a| h/2 >= 0.5 there.
     """
     nl = problem.nonlinearity
@@ -84,19 +84,8 @@ def compute_a_cyl(problem: ProblemSpec, state: StateCyl, opts: StepOptions) -> f
         state.trace_guarded = robin and not (ok_l and ok_r)
         return coupling(a, ok_l, ok_r)
 
-    a = state.a
-    robin_l = robin_r = robin
-    for _ in range(opts.picard_max_iters):
-        if robin_l and abs(a) * h0 >= 1.0:
-            robin_l = False
-        if robin_r and abs(a) * hN >= 1.0:
-            robin_r = False
-        a_new = 0.5 * (a + coupling(a, robin_l, robin_r))
-        if abs(a_new - a) <= opts.picard_tol * max(1.0, abs(a_new)):
-            state.trace_guarded = robin and not (robin_l and robin_r)
-            return a_new
-        a = a_new
-    raise StepRejected(f"picard iteration on a did not converge (last a = {a:.6g})")
+    a, state.trace_guarded = solve_coupling(coupling, state.a, h0, hN, robin, opts)
+    return a
 
 
 def _implicit_tridiag(widths, dist, dt, rhs, face_weight=None):
@@ -110,10 +99,6 @@ def _implicit_tridiag(widths, dist, dt, rhs, face_weight=None):
     W = np.ones(n - 1) if face_weight is None else face_weight
     w = dt * W / dist
     diag = np.ones(n)
-    upper = np.zeros(n)
-    lower = np.zeros(n)
-    upper[1:] = -w / widths[:-1]
-    lower[:-1] = -w / widths[1:]
     diag[:-1] += w / widths[:-1]
     diag[1:] += w / widths[1:]
     # increment form: (I - dt D) delta = dt D rhs, so fields with zero flux
@@ -122,8 +107,9 @@ def _implicit_tridiag(widths, dist, dt, rhs, face_weight=None):
     b = np.zeros_like(rhs)
     b[:-1] += (dt / widths[:-1, None]) * G0
     b[1:] -= (dt / widths[1:, None]) * G0
-    delta = solve_banded((1, 1), np.vstack([upper, diag, lower]), b,
-                         overwrite_ab=True, check_finite=False)
+    # zeros_like keeps the layout of rhs, so the radial pass (rhs = c.T) hands
+    # dgtsv a Fortran-ordered b that it solves in place
+    delta = solve_banded(-w / widths[1:], diag, -w / widths[:-1], b)
     if not np.all(np.isfinite(delta)):
         raise StepRejected("tridiagonal solve produced non-finite values")
     y = rhs + delta

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
-from cellflux.grid import build_grid_1d, integrate
+from cellflux.grid import build_grid_1d, build_grid_cyl, integrate
 from cellflux.problem import DomainSpec, NonlinearitySpec, ProblemSpec
 from cellflux.runner import StopRule, run
 from cellflux.solver1d import (
@@ -14,6 +15,7 @@ from cellflux.solver1d import (
     compute_a,
     make_state,
     reconstruct_traces,
+    solve_banded,
     step,
 )
 
@@ -217,6 +219,58 @@ def test_adapt_dt_formula_and_shape():
         dt = adapt_dt(prob, s, opts)
         assert dt <= prev
         prev = dt
+
+
+
+def diffusion_bands(widths, dist, dt, face_weight):
+    """(dl, d, du) of the backward-Euler diffusion matrix the steppers build."""
+    w = dt * face_weight / dist
+    d = np.ones(len(widths))
+    d[:-1] += w / widths[:-1]
+    d[1:] += w / widths[1:]
+    return -w / widths[1:], d, -w / widths[:-1]
+
+
+def scipy_reference(dl, d, du, b):
+    ab = np.vstack([np.concatenate([[0.0], du]), d, np.concatenate([dl, [0.0]])])
+    return scipy.linalg.solve_banded((1, 1), ab, b)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_banded_bitwise_equal_to_scipy_on_graded_grids(seed):
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(2, 600))
+    g = build_grid_1d(float(rng.uniform(0.5, 2.0)), N, float(rng.uniform(1.0, 1.05)))
+    dt = 10.0 ** rng.uniform(-7, -2)
+    bands = diffusion_bands(g.widths, g.dist, dt, np.ones(N - 1))
+    b = rng.standard_normal(N)
+    expect = scipy_reference(*bands, b)
+    got = solve_banded(*(x.copy() for x in bands), b.copy())
+    assert got.shape == (N,)
+    assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_banded_bitwise_multi_rhs_radial_in_place(seed):
+    # the cylinder's radial pass: Nr-point systems, one per axial row, with a
+    # Fortran-ordered (Nr, N) right-hand side (the transpose of a C array)
+    rng = np.random.default_rng(100 + seed)
+    Nx, Nr = int(rng.integers(2, 300)), int(rng.integers(2, 40))
+    g = build_grid_cyl(1.0, float(rng.uniform(0.5, 2.0)), int(rng.integers(2, 5)), Nx, Nr,
+                       float(rng.uniform(1.0, 1.05)))
+    rdist = g.rho_centers[1:] - g.rho_centers[:-1]
+    bands = diffusion_bands(g.vol, rdist, 10.0 ** rng.uniform(-7, -2), g.face_area)
+    b = rng.standard_normal((Nx, Nr)).T
+    expect = scipy_reference(*bands, b)
+    got = solve_banded(*(x.copy() for x in bands), b)
+    assert got.shape == (Nr, Nx)
+    assert np.array_equal(got, expect)
+    assert np.shares_memory(got, b)  # solved in place, no copy
+
+
+def test_solve_banded_singular_system_rejects_step():
+    with pytest.raises(StepRejected):
+        solve_banded(np.zeros(3), np.zeros(4), np.zeros(3), np.ones(4))
 
 
 # --- multi-step behavior against independent oracles ----------------------
