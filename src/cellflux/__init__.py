@@ -19,7 +19,7 @@ from .problem import (
 )
 from .runner import StopRule, Trajectory, run
 from .solver1d import State, StepOptions, adapt_dt, compute_a, make_state, reconstruct_traces, step
-from .solver_cyl import StateCyl, adapt_dt_cyl, axial_marginal, compute_a_cyl, make_state_cyl, step_cyl
+from .solver_cyl import adapt_dt_cyl, axial_marginal, compute_a_cyl, step_cyl
 from .steady import SteadyState1D, find_steady, lm_norm_of_rate, mass_of_rate, steady_residual
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "ProblemSpec",
     "RunReport",
     "State",
-    "StateCyl",
     "StepOptions",
     "StopRule",
     "SteadyState1D",
@@ -51,7 +50,6 @@ __all__ = [
     "integrate",
     "lm_norm_of_rate",
     "make_state",
-    "make_state_cyl",
     "mass_of_rate",
     "nondimensionalize",
     "reconstruct_traces",

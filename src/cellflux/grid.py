@@ -36,6 +36,10 @@ class Grid1D:
     def h_min(self) -> float:
         return float(self.widths[0] if self.r >= 1.0 else self.widths.min())
 
+    @property
+    def shape(self) -> tuple:
+        return (self.N,)
+
 
 def build_grid_1d(L: float, N: int, r: float = 1.0) -> Grid1D:
     if N < 2:
@@ -77,10 +81,20 @@ class GridCyl:
     rho_widths: np.ndarray
     vol: np.ndarray  # radial volume weight per cell
     face_area: np.ndarray = field(repr=False)  # sigma_{n-2} rho^{n-2} at the Nr-1 interior faces
+    rho_dist: np.ndarray = field(repr=False)  # radial center-to-center gaps, Nr-1 interior faces
 
     @property
     def ball_volume(self) -> float:
         return float(self.vol.sum())
+
+    @property
+    def h_min(self) -> float:
+        """Smallest axial width, the advective CFL length."""
+        return self.axial.h_min
+
+    @property
+    def shape(self) -> tuple:
+        return (self.axial.N, self.Nr)
 
 
 def build_grid_cyl(
@@ -97,31 +111,28 @@ def build_grid_cyl(
     sigma = sphere_area(n - 2)
     # exact antiderivative of rho^(n-2): rho^(n-1)/(n-1)
     vol = sigma * (rho_if[1:] ** (n - 1) - rho_if[:-1] ** (n - 1)) / (n - 1)
+    rho_centers = 0.5 * (rho_if[:-1] + rho_if[1:])
     return GridCyl(
         axial=axial,
         R=R,
         n=n,
         Nr=Nr,
         rho_interfaces=_freeze(rho_if),
-        rho_centers=_freeze(0.5 * (rho_if[:-1] + rho_if[1:])),
+        rho_centers=_freeze(rho_centers),
         rho_widths=_freeze(np.diff(rho_if)),
         vol=_freeze(vol),
         face_area=_freeze(sigma * rho_if[1:-1] ** (n - 2)),
+        rho_dist=_freeze(rho_centers[1:] - rho_centers[:-1]),
     )
 
 
 def integrate(grid, field) -> float:
     """Integral of a cellwise-constant field over the domain; exact up to roundoff."""
+    if not isinstance(grid, (Grid1D, GridCyl)):
+        raise TypeError(f"not a grid: {type(grid)!r}")
     field = np.asarray(field)
+    if field.shape != grid.shape:
+        raise ValueError(f"field shape {field.shape} does not match grid {grid.shape}")
     if isinstance(grid, Grid1D):
-        if field.shape != (grid.N,):
-            raise ValueError(f"field shape {field.shape} does not match grid ({grid.N},)")
         return float(np.sum(field * grid.widths))
-    if isinstance(grid, GridCyl):
-        nx = grid.axial.N
-        if field.shape != (nx, grid.Nr):
-            raise ValueError(
-                f"field shape {field.shape} does not match grid ({nx}, {grid.Nr})"
-            )
-        return float(grid.axial.widths @ field @ grid.vol)
-    raise TypeError(f"not a grid: {type(grid)!r}")
+    return float(grid.axial.widths @ field @ grid.vol)

@@ -6,7 +6,8 @@ run writes three artifacts into its output directory:
 
   timeseries.csv   one row per sampled FunctionalRecord (RFC 4180, 17
                    significant digits, '.' decimal separator)
-  snapshots.csv    cellwise fields at the requested times plus the final one
+  snapshots.csv    cellwise fields at t = 0 and at the first sample at or
+                   after each requested snapshot time
   report.json      RunReport + threshold constants + the echoed config
 
 Identical configs produce byte-identical CSV files: the dt sequence, the
@@ -76,7 +77,6 @@ class RunConfig:
     initial: InitialConfig
     step: StepOptions
     stop: StopRule
-    p_list: tuple = (2.0,)
     seed: int = 0
     snapshot_times: tuple = ()
     out_dir: str = "out/run"
@@ -93,22 +93,20 @@ def build_initial(cfg: InitialConfig, grid, domain: DomainSpec, seed: int = 0) -
     cyl = isinstance(grid, GridCyl)
     ax = grid.axial if cyl else grid
     L = domain.L
+    shape = grid.shape
 
     if cfg.family == "custom":
         if cfg.values is None:
             raise ConfigError("custom initial data requires 'values'")
         c = np.asarray(cfg.values, dtype=float)
-        want = (ax.N, grid.Nr) if cyl else (ax.N,)
-        if c.shape != want:
-            raise ConfigError(f"custom values shape {c.shape} does not match grid {want}")
+        if c.shape != shape:
+            raise ConfigError(f"custom values shape {c.shape} does not match grid {shape}")
         return c.copy()
 
     if cfg.family == "constant":
         if cfg.mass is None:
             raise ConfigError("constant initial data requires 'mass'")
-        val = cfg.mass / domain.volume
-        shape = (ax.N, grid.Nr) if cyl else (ax.N,)
-        return np.full(shape, val)
+        return np.full(shape, cfg.mass / domain.volume)
 
     if cfg.family == "cosine":
         if cfg.mean is None:
@@ -159,7 +157,6 @@ _SCHEMA = {
         "nonlinearity": {"kind", "m", "level", "alpha"},
         "domain": {"geometry", "L", "R", "n"},
         "chi": None,
-        "a_frac": None,
     },
     "grid": {"N", "r", "Nr"},
     "initial": {
@@ -167,8 +164,8 @@ _SCHEMA = {
         "radial_amp", "noise_amp", "values",
     },
     "step": {
-        "coupling_mode", "trace_mode", "picard_tol", "picard_max_iters",
-        "cfl", "dt_max", "dt_min", "blowup_linf_threshold", "c_bu",
+        "trace_mode", "picard_tol", "picard_max_iters", "cfl", "dt_max",
+        "dt_min", "blowup_linf_threshold", "c_bu",
     },
     "stop": {"t_end", "converged_tol", "sample_every", "store_fields_every"},
     "p_list": None,
@@ -215,10 +212,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         R=dom_doc.get("R"),
         n=dom_doc.get("n"),
     )
-    problem = ProblemSpec(
-        nonlinearity=nl, domain=dom,
-        chi=prob.get("chi", 1.0), a_frac=prob.get("a_frac", 1.0),
-    )
+    problem = ProblemSpec(nonlinearity=nl, domain=dom, chi=prob.get("chi", 1.0))
     grid = GridConfig(**doc.get("grid", {}))
     initial = InitialConfig(**doc.get("initial", {}))
     step = StepOptions(**doc.get("step", {}))
@@ -231,7 +225,6 @@ def config_from_dict(doc: dict) -> RunConfig:
         initial=initial,
         step=step,
         stop=stop,
-        p_list=tuple(doc.get("p_list", (2.0,))),
         seed=doc.get("seed", 0),
         snapshot_times=tuple(doc.get("snapshot_times", ())),
         out_dir=doc.get("out_dir", "out/run"),
@@ -253,7 +246,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "nonlinearity": asdict(cfg.problem.nonlinearity),
             "domain": asdict(cfg.problem.domain),
             "chi": cfg.problem.chi,
-            "a_frac": cfg.problem.a_frac,
         },
         "grid": asdict(cfg.grid),
         "initial": asdict(cfg.initial),
@@ -264,7 +256,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "sample_every": cfg.stop.sample_every,
             "store_fields_every": cfg.stop.store_fields_every,
         },
-        "p_list": list(cfg.p_list),
+        "p_list": list(cfg.stop.p_list),
         "seed": cfg.seed,
         "snapshot_times": list(cfg.snapshot_times),
         "out_dir": cfg.out_dir,
@@ -356,8 +348,9 @@ def run_config(cfg: RunConfig):
 def run_scenario(cfg: RunConfig, out_dir: str | None = None):
     """Execute a config and write timeseries.csv, snapshots.csv, report.json.
 
-    Returns the RunReport.  Snapshots are taken at the first sample at or
-    after each requested time, plus the final state.
+    Returns the RunReport.  snapshots.csv holds the initial data and the
+    field at the first sample at or after each requested time; a requested
+    time the run never reaches gets no row.
     """
     grid = cfg.grid.build(cfg.problem.domain)
     c0 = build_initial(cfg.initial, grid, cfg.problem.domain, cfg.seed)

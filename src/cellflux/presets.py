@@ -23,13 +23,9 @@ from .runner import BLOWUP, BOUNDED, CONVERGED
 PI2 = math.pi**2
 
 
-def _cfg(**kw) -> dict:
-    return kw
-
-
 _PRESETS: dict[str, dict] = {
     # m = 1, mass below critical: global existence and convergence to the mean
-    "critical_below": _cfg(
+    "critical_below": dict(
         problem={"nonlinearity": {"kind": "signed_power", "m": 1.0}},
         grid={"N": 512},
         initial={"family": "concentration", "mass": 0.9, "k": 4.0},
@@ -39,7 +35,7 @@ _PRESETS: dict[str, dict] = {
     ),
     # m = 1, supercritical mass, concentrated monotone data: finite-time
     # blow-up within the explicit moment bound
-    "critical_above": _cfg(
+    "critical_above": dict(
         problem={"nonlinearity": {"kind": "signed_power", "m": 1.0}},
         grid={"N": 512, "r": 1.012},
         initial={"family": "concentration", "mass": 1.5, "k": 4.0},
@@ -49,7 +45,7 @@ _PRESETS: dict[str, dict] = {
     ),
     # m = 1, M = 2, first moment 0.4: detection must beat the closed-form
     # upper bound 1/3 (with 10% slack)
-    "moment_bound": _cfg(
+    "moment_bound": dict(
         problem={"nonlinearity": {"kind": "signed_power", "m": 1.0}},
         grid={"N": 512, "r": 1.01},
         initial={"family": "concentration", "mass": 2.0, "k": 1.25},
@@ -58,7 +54,7 @@ _PRESETS: dict[str, dict] = {
         out_dir="out/moment_bound",
     ),
     # subquadratic growth: global for arbitrarily large mass
-    "subquadratic": _cfg(
+    "subquadratic": dict(
         problem={"nonlinearity": {"kind": "sublinear_power", "m": 0.5}},
         grid={"N": 256},
         initial={"family": "concentration", "mass": 50.0, "k": 16.0},
@@ -67,7 +63,7 @@ _PRESETS: dict[str, dict] = {
         out_dir="out/subquadratic",
     ),
     # absorbing coupling f = -c: global and convergent for any mass
-    "absorbing_m1": _cfg(
+    "absorbing_m1": dict(
         problem={"nonlinearity": {"kind": "negative_power", "m": 1.0}},
         grid={"N": 512},
         initial={"family": "concentration", "mass": 2.0, "k": 4.0},
@@ -75,7 +71,7 @@ _PRESETS: dict[str, dict] = {
         stop={"t_end": 5.0, "converged_tol": 1e-6, "sample_every": 5},
         out_dir="out/absorbing_m1",
     ),
-    "absorbing_m2": _cfg(
+    "absorbing_m2": dict(
         problem={"nonlinearity": {"kind": "negative_power", "m": 2.0}},
         grid={"N": 512},
         initial={"family": "concentration", "mass": 2.0, "k": 2.0},
@@ -85,7 +81,7 @@ _PRESETS: dict[str, dict] = {
     ),
     # m = 2 with small L2 data: the L2 norm is a Lyapunov functional and the
     # solution converges exponentially
-    "small_data_m2": _cfg(
+    "small_data_m2": dict(
         problem={"nonlinearity": {"kind": "signed_power", "m": 2.0}},
         grid={"N": 256},
         initial={"family": "cosine", "mean": 0.35, "amp": 0.2},
@@ -97,7 +93,7 @@ _PRESETS: dict[str, dict] = {
     # explicit small-first-moment condition
     # cell traces here: the Robin closure's fixed point degenerates once
     # |a| h/2 nears 1/(m+1), which for m = 2 sits inside the fit range
-    "superlinear_blowup": _cfg(
+    "superlinear_blowup": dict(
         problem={"nonlinearity": {"kind": "signed_power", "m": 2.0}},
         grid={"N": 512, "r": 1.01},
         initial={"family": "concentration", "mass": 1.0, "k": 4.5},
@@ -109,7 +105,7 @@ _PRESETS: dict[str, dict] = {
         out_dir="out/superlinear_blowup",
     ),
     # entropy is nonincreasing for m = 1 whenever M <= 1
-    "entropy_low_mass": _cfg(
+    "entropy_low_mass": dict(
         problem={"nonlinearity": {"kind": "signed_power", "m": 1.0}},
         grid={"N": 512},
         initial={"family": "concentration", "mass": 0.5, "k": 4.0},
@@ -117,7 +113,7 @@ _PRESETS: dict[str, dict] = {
         stop={"t_end": 8.0, "converged_tol": 1e-5, "sample_every": 5},
         out_dir="out/entropy_low_mass",
     ),
-    "critical_mass_exact": _cfg(
+    "critical_mass_exact": dict(
         problem={"nonlinearity": {"kind": "signed_power", "m": 1.0}},
         grid={"N": 512},
         initial={"family": "concentration", "mass": 1.0, "k": 4.0},
@@ -127,7 +123,7 @@ _PRESETS: dict[str, dict] = {
     ),
     # vanishing coupling (saturating with tiny level): a pure heat run whose
     # decay rate is the first Neumann eigenvalue pi^2/L^2
-    "heat_decay": _cfg(
+    "heat_decay": dict(
         problem={"nonlinearity": {"kind": "saturating", "level": 1e-30, "alpha": 1.0}},
         grid={"N": 256},
         initial={"family": "cosine", "mean": 1.0, "amp": 0.1},
@@ -138,7 +134,7 @@ _PRESETS: dict[str, dict] = {
     # genuinely coupled m = 1 run with mirror-symmetric data: a vanishes by
     # symmetry and the mode decays at the heat rate of its own wavelength,
     # (2 pi / L)^2
-    "sym_cosine_m1": _cfg(
+    "sym_cosine_m1": dict(
         problem={"nonlinearity": {"kind": "signed_power", "m": 1.0}},
         grid={"N": 256},
         initial={"family": "cosine", "mean": 1.0, "amp": 0.1, "modes": 2},
@@ -148,7 +144,7 @@ _PRESETS: dict[str, dict] = {
     ),
     # cylinder with unit cross-section and rho-independent data: must shadow
     # the 1D run (checked stepwise by its gate)
-    "cyl_reduction": _cfg(
+    "cyl_reduction": dict(
         problem={
             "nonlinearity": {"kind": "signed_power", "m": 1.0},
             "domain": {"geometry": "cylinder", "L": 1.0, "R": 0.5, "n": 2},
@@ -160,7 +156,7 @@ _PRESETS: dict[str, dict] = {
         out_dir="out/cyl_reduction",
     ),
     # axisymmetric cylinder blow-up with the axial-marginal profile bound
-    "cyl_blowup": _cfg(
+    "cyl_blowup": dict(
         problem={
             "nonlinearity": {"kind": "signed_power", "m": 1.0},
             "domain": {"geometry": "cylinder", "L": 1.0, "R": 1.0, "n": 3},
@@ -172,7 +168,7 @@ _PRESETS: dict[str, dict] = {
         out_dir="out/cyl_blowup",
     ),
     # sweep base config for the critical-mass bisection (use with `sweep`)
-    "sweep_critical": _cfg(
+    "sweep_critical": dict(
         problem={"nonlinearity": {"kind": "signed_power", "m": 1.0}},
         grid={"N": 512, "r": 1.002},
         initial={"family": "concentration", "mass": 1.0, "k": 8.0},
@@ -292,7 +288,7 @@ def _gate_cyl_reduction(traj, rep, cfg, msgs) -> bool:
     c0c = build_initial(cfg.initial, grid_c, cfg.problem.domain, cfg.seed)
     grid_1 = build_grid_1d(cfg.problem.domain.L, cfg.grid.N, cfg.grid.r)
     prob_1 = _interval_twin(cfg)
-    s2 = solver_cyl.make_state_cyl(grid_c, c0c)
+    s2 = solver1d.make_state(grid_c, c0c)
     s1 = solver1d.make_state(grid_1, c0c[:, 0].copy())
     worst = 0.0
     for _ in range(1000):

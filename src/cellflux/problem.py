@@ -117,22 +117,19 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Full model: f, the domain, and the velocity-report parameters.
+    """Full model: f, the domain, and the velocity-report factor.
 
-    chi and a_frac enter only the reported cell velocity u(t); the simulated
-    dynamics is the nondimensionalized equation and never sees them.
+    chi enters only the reported cell velocity u = -chi a/|Omega|; the
+    simulated dynamics is the nondimensionalized equation and never sees it.
     """
 
     nonlinearity: NonlinearitySpec
     domain: DomainSpec
     chi: float = 1.0
-    a_frac: float = 1.0
 
     def __post_init__(self):
         if self.chi < 0:
             raise ConfigError(f"chi must be >= 0, got {self.chi}")
-        if not 0.0 <= self.a_frac <= 1.0:
-            raise ConfigError(f"a_frac must lie in [0, 1], got {self.a_frac}")
 
     @property
     def m(self) -> float:

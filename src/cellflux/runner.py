@@ -77,15 +77,14 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
       BOUNDED            reached t_end without either
       NUMERICAL_FAILURE  non-finite field or negativity beyond tolerance
     """
+    if not isinstance(grid, (Grid1D, GridCyl)):
+        raise TypeError(f"not a grid: {type(grid)!r}")
     cyl = isinstance(grid, GridCyl)
+    state = solver1d.make_state(grid, c0)
     if cyl:
-        state = solver_cyl.make_state_cyl(grid, c0)
         stepper, adapter = solver_cyl.step_cyl, solver_cyl.adapt_dt_cyl
         x1 = grid.axial.centers[:, None]
     else:
-        if not isinstance(grid, Grid1D):
-            raise TypeError(f"not a grid: {type(grid)!r}")
-        state = solver1d.make_state(grid, c0)
         stepper, adapter = solver1d.step, solver1d.adapt_dt
         x1 = grid.centers
 

@@ -4,13 +4,18 @@ Layout of one step:
 
   * the nonlocal coupling a = f(c_right) - f(c_left) is resolved first by a
     secant iteration on the boundary traces (solve_coupling),
-  * the advective part of the interface flux, J = -a c_upwind, is explicit
-    first-order upwind (upwind side picked by the sign of a),
-  * the diffusive part (c_{i+1} - c_i)/dist is backward Euler through one
-    tridiagonal solve (LAPACK dgtsv, solve_banded),
+  * then one pass of the advect-and-diffuse kernel (_advect_diffuse) along
+    the axis: explicit first-order upwind advection, J = -a c_upwind (upwind
+    side picked by the sign of a), and backward-Euler diffusion
+    (c_{i+1} - c_i)/dist through one tridiagonal solve (LAPACK dgtsv,
+    solve_banded),
   * both boundary interface fluxes are identically zero.  That, and not the
     Robin traces, is what conserves mass: the committed update is assembled
     in flux form, so the telescoping sum is exact to roundoff.
+
+The kernel works along axis 0 of an (N,) or (N, k) array with optional face
+weights, so the cylinder stepper (solver_cyl) runs it once axially and once
+radially.  State, make_state and adapt_dt serve both geometries.
 
 Robin boundary traces solve the one-sided closure c_x = a c and feed only the
 computation of a; they never enter the flux.
@@ -24,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .grid import Grid1D
+from .grid import Grid1D, GridCyl
 from .problem import NonlinearitySpec, ProblemSpec, eval_f
 
 
@@ -34,7 +39,6 @@ class StepRejected(RuntimeError):
 
 @dataclass
 class StepOptions:
-    coupling_mode: str = "picard"  # picard | lagged
     trace_mode: str = "robin"  # robin | cell
     picard_tol: float = 1e-12
     picard_max_iters: int = 100
@@ -45,8 +49,6 @@ class StepOptions:
     c_bu: float = 0.1  # coefficient of the blow-up clamp c_bu/(1 + linf^2m)
 
     def __post_init__(self):
-        if self.coupling_mode not in ("picard", "lagged"):
-            raise ValueError(f"unknown coupling_mode {self.coupling_mode!r}")
         if self.trace_mode not in ("robin", "cell"):
             raise ValueError(f"unknown trace_mode {self.trace_mode!r}")
         if not 0.0 < self.cfl < 1.0:
@@ -57,9 +59,10 @@ class StepOptions:
 
 @dataclass
 class State:
-    """Cell-averaged concentration with the committed coupling value."""
+    """Cell averages on an interval, c[i], or a cylinder, c[i, j] over axial
+    index i and radial index j, with the committed coupling value."""
 
-    grid: Grid1D
+    grid: Grid1D | GridCyl
     c: np.ndarray
     t: float = 0.0
     a: float = 0.0
@@ -67,19 +70,20 @@ class State:
     trace_guarded: bool = False  # Robin closure fell back to cell mode this step
 
 
-def make_state(grid: Grid1D, c0) -> State:
+def make_state(grid: Grid1D | GridCyl, c0) -> State:
     c = np.array(c0, dtype=float)
-    if c.shape != (grid.N,):
-        raise ValueError(f"initial data shape {c.shape} does not match grid ({grid.N},)")
+    if c.shape != grid.shape:
+        raise ValueError(f"initial data shape {c.shape} does not match grid {grid.shape}")
     return State(grid=grid, c=c)
 
 
-def _trace_left(c0: float, h0: float, a: float, robin: bool) -> float:
-    # one-sided closure (c_1 - c_left)/(h_1/2) = a c_left
+def _trace_left(c0, h0: float, a: float, robin: bool):
+    # one-sided closure (c_1 - c_left)/(h_1/2) = a c_left; plain arithmetic,
+    # so c0 may be a float or an array of end-cap cells
     return c0 / (1.0 + 0.5 * a * h0) if robin else c0
 
 
-def _trace_right(cN: float, hN: float, a: float, robin: bool) -> float:
+def _trace_right(cN, hN: float, a: float, robin: bool):
     return cN / (1.0 - 0.5 * a * hN) if robin else cN
 
 
@@ -149,12 +153,9 @@ def solve_coupling(g, a: float, h0: float, hN: float, robin: bool, opts: StepOpt
 
 
 def compute_a(problem: ProblemSpec, state: State, opts: StepOptions) -> float:
-    """Self-consistent coupling a = f(c_right(a)) - f(c_left(a)).
-
-    picard mode solves for a with solve_coupling (a secant iteration with
-    damped fallback steps, bounded by picard_tol and picard_max_iters) from
-    the committed value.  lagged mode is a single evaluation at
-    a_guess = state.a.
+    """Self-consistent coupling a = f(c_right(a)) - f(c_left(a)), solved for
+    by solve_coupling (a secant iteration with damped fallback steps,
+    bounded by picard_tol and picard_max_iters) from the committed value.
 
     Raises StepRejected if the iteration does not reach picard_tol.
     """
@@ -163,11 +164,6 @@ def compute_a(problem: ProblemSpec, state: State, opts: StepOptions) -> float:
     cN = float(state.c[-1])
     h0 = float(state.grid.widths[0])
     hN = float(state.grid.widths[-1])
-
-    if opts.coupling_mode == "lagged":
-        cl, cr, guarded = reconstruct_traces(state, state.a, opts)
-        state.trace_guarded = guarded
-        return _f_at_trace(nl, cr) - _f_at_trace(nl, cl)
 
     def g(a: float, robin_l: bool, robin_r: bool) -> float:
         return _f_at_trace(nl, _trace_right(cN, hN, a, robin_r)) - _f_at_trace(
@@ -190,47 +186,73 @@ def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -
     return x
 
 
+def _advect_diffuse(c, dt, widths, dist, a=0.0, h_min=math.inf, face_weight=None):
+    """One conservative advect-and-diffuse pass along axis 0 of c, an (N,)
+    or (N, k) array of cell averages over cells of the given widths with
+    center gaps dist; returns the updated array.
+
+    Rejects (StepRejected) an advective CFL violation dt |a| > h_min, then
+    applies explicit upwind advection with speed a, then backward-Euler
+    diffusion with flux face_weight (c_{i+1} - c_i)/dist (face_weight
+    defaults to 1), committed in flux form so sum(widths * c) telescopes.
+    Both boundary faces carry no flux.
+    """
+    if dt * abs(a) > h_min:
+        raise StepRejected(f"advective CFL violated: dt*|a| = {dt * abs(a):.3g} > h_min")
+    col = np.s_[:] if c.ndim == 1 else np.s_[:, None]
+    d = dist[col]
+    W = None if face_weight is None else face_weight[col]
+    # dt/h of the cells left and right of each interior face
+    sl, sr = (dt / widths[:-1])[col], (dt / widths[1:])[col]
+
+    def face_flux(y):
+        G = y[1:] - y[:-1]
+        if W is not None:
+            G *= W
+        G /= d
+        return G
+
+    # zeros_like keeps the layout of c, so the cylinder's radial pass (c a
+    # transpose) hands dgtsv a Fortran-ordered b that it solves in place
+    b = np.zeros_like(c)
+    out = c.copy()
+    if a != 0.0:
+        # explicit upwind advection, interior faces only; J = -a c_up
+        J = -a * (c[:-1] if a >= 0.0 else c[1:])
+        out[:-1] += sl * J
+        out[1:] -= sr * J
+
+    # backward Euler in increment form, (I - dt D) delta = dt D c*, so fields
+    # with zero flux differences (constants along this axis) stay bitwise fixed
+    w = dt / dist if face_weight is None else dt * face_weight / dist
+    diag = np.ones(len(widths))
+    diag[:-1] += w / widths[:-1]
+    diag[1:] += w / widths[1:]
+    G = face_flux(out)
+    b[:-1] += sl * G
+    b[1:] -= sr * G
+    delta = solve_banded(-w / widths[1:], diag, -w / widths[:-1], b)
+    if not np.all(np.isfinite(delta)):
+        raise StepRejected("tridiagonal solve produced non-finite values")
+
+    # commit in flux form so mass telescopes exactly
+    G = face_flux(out + delta)
+    out[:-1] += sl * G
+    out[1:] -= sr * G
+    return out
+
+
 def step(problem: ProblemSpec, state: State, dt: float, opts: StepOptions) -> State:
     """One IMEX update.  Rejects (StepRejected) on coupling failure, on an
     advective CFL violation dt |a| > h_min, or on a degenerate solve."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
-    h = grid.widths
-    d = grid.dist
     a = compute_a(problem, state, opts)
-    if dt * abs(a) > grid.h_min:
-        raise StepRejected(f"advective CFL violated: dt*|a| = {dt * abs(a):.3g} > h_min")
-
-    c = state.c
-    # explicit upwind advection, interior faces only; J = -a c_up
-    J = -a * (c[:-1] if a >= 0.0 else c[1:])
-    cstar = c.copy()
-    cstar[:-1] += (dt / h[:-1]) * J
-    cstar[1:] -= (dt / h[1:]) * J
-
-    # backward Euler diffusion in increment form, (I - dt D) delta = dt D c*,
-    # so steady profiles (zero flux differences) stay bitwise fixed points
-    w = dt / d
-    diag = np.ones(grid.N)
-    diag[:-1] += w / h[:-1]
-    diag[1:] += w / h[1:]
-    G0 = (cstar[1:] - cstar[:-1]) / d
-    rhs = np.zeros(grid.N)
-    rhs[:-1] += (dt / h[:-1]) * G0
-    rhs[1:] -= (dt / h[1:]) * G0
-    delta = solve_banded(-w / h[1:], diag, -w / h[:-1], rhs)
-    if not np.all(np.isfinite(delta)):
-        raise StepRejected("tridiagonal solve produced non-finite values")
-
-    # commit in flux form so mass telescopes exactly
-    G = (cstar[1:] + delta[1:] - cstar[:-1] - delta[:-1]) / d
-    cstar[:-1] += (dt / h[:-1]) * G
-    cstar[1:] -= (dt / h[1:]) * G
-
+    c = _advect_diffuse(state.c, dt, grid.widths, grid.dist, a, grid.h_min)
     return replace(
         state,
-        c=cstar,
+        c=c,
         t=state.t + dt,
         a=a,
         step_count=state.step_count + 1,
@@ -239,7 +261,8 @@ def step(problem: ProblemSpec, state: State, dt: float, opts: StepOptions) -> St
 
 
 def adapt_dt(problem: ProblemSpec, state: State, opts: StepOptions) -> float:
-    """dt = min(dt_max, cfl h_min/|a|, c_bu/(1 + linf^2m)).
+    """dt = min(dt_max, cfl h_min/|a|, c_bu/(1 + linf^2m)), h_min being the
+    smallest axial width in either geometry.
 
     The last clamp tracks the blow-up timescale (T*-t) ~ linf^(-2m), so steps
     stay proportional to the remaining life of the solution.

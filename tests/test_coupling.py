@@ -71,17 +71,16 @@ def preset_states(name, n_steps, every):
     c0 = harness.build_initial(cfg.initial, grid, cfg.problem.domain, cfg.seed)
     cyl = cfg.problem.domain.geometry == "cylinder"
     if cyl:
-        make, comp, step, adapt = (solver_cyl.make_state_cyl, compute_a_cyl,
-                                   solver_cyl.step_cyl, solver_cyl.adapt_dt_cyl)
+        comp, step, adapt = compute_a_cyl, solver_cyl.step_cyl, solver_cyl.adapt_dt_cyl
     else:
-        make, comp, step, adapt = solver1d.make_state, compute_a, solver1d.step, solver1d.adapt_dt
+        comp, step, adapt = compute_a, solver1d.step, solver1d.adapt_dt
     prob, opts = cfg.problem, cfg.step
-    state = make(grid, c0)
+    state = make_state(grid, c0)
     state.a = comp(prob, state, opts)
     states = []
     for k in range(n_steps):
         if k % every == 0:
-            states.append(make(grid, state.c.copy()))
+            states.append(make_state(grid, state.c.copy()))
             states[-1].a = state.a
         state = step(prob, state, adapt(prob, state, opts), opts)
     return prob, opts, states

@@ -57,9 +57,7 @@ def test_record_constant_state_values():
 
 def test_record_cylinder_mass_and_velocity():
     g = build_grid_cyl(1.0, 1.0, 3, 8, 4)
-    from cellflux.solver_cyl import make_state_cyl
-
-    s = make_state_cyl(g, np.ones((8, 4)))
+    s = make_state(g, np.ones((8, 4)))
     s.a = -2.0
     p = ProblemSpec(
         nonlinearity=NonlinearitySpec(kind="signed_power", m=1.0),

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cellflux.harness import (
     SweepReport,
     build_initial,
     config_from_dict,
+    config_to_dict,
     load_config,
     run_config,
     run_scenario,
@@ -51,6 +53,11 @@ def test_config_rejects_unknown_key_with_name():
         config_from_dict(doc)
     with pytest.raises(ConfigError, match="slope_limiter"):
         config_from_dict({"step": {"slope_limiter": "minmod"}})
+    # keys of removed options are unknown like any other
+    with pytest.raises(ConfigError, match="coupling_mode"):
+        config_from_dict({"step": {"coupling_mode": "picard"}})
+    with pytest.raises(ConfigError, match="a_frac"):
+        config_from_dict({"problem": {"a_frac": 1.0}})
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -158,6 +165,16 @@ def test_run_scenario_writes_artifacts(tmp_path):
     raw = (out / "timeseries.csv").read_bytes()
     assert b"\r\n" in raw
     assert b"," in raw and b";" not in raw.splitlines()[0]
+
+
+def test_report_echoes_the_p_list_the_run_uses(tmp_path):
+    cfg = quick_config(tmp_path)
+    cfg = replace(cfg, stop=replace(cfg.stop, p_list=(3.0,)))
+    run_scenario(cfg)
+    out = tmp_path / "run"
+    assert json.loads((out / "report.json").read_text())["config"]["p_list"] == [3.0]
+    assert "lp_3" in (out / "timeseries.csv").read_text().splitlines()[0].split(",")
+    assert config_from_dict(config_to_dict(cfg)).stop.p_list == (3.0,)
 
 
 def test_run_scenario_deterministic_bytes(tmp_path):

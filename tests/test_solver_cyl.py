@@ -6,12 +6,11 @@ import pytest
 from cellflux import solver1d
 from cellflux.grid import build_grid_1d, build_grid_cyl, integrate
 from cellflux.problem import DomainSpec, NonlinearitySpec, ProblemSpec
-from cellflux.solver1d import StepOptions
+from cellflux.solver1d import StepOptions, make_state
 from cellflux.solver_cyl import (
     adapt_dt_cyl,
     axial_marginal,
     compute_a_cyl,
-    make_state_cyl,
     step_cyl,
 )
 
@@ -30,7 +29,7 @@ def axial_bump(grid1d, M, k):
 
 def test_constant_state_fixed_point_and_zero_a():
     g = build_grid_cyl(1.0, 1.0, 3, 16, 8)
-    s = make_state_cyl(g, np.full((16, 8), 2.0))
+    s = make_state(g, np.full((16, 8), 2.0))
     prob = cyl_problem(R=1.0, n=3)
     assert compute_a_cyl(prob, s, StepOptions()) == pytest.approx(0.0, abs=1e-13)
     out = step_cyl(prob, s, 1e-3, StepOptions())
@@ -41,7 +40,7 @@ def test_a_scales_with_cross_section_volume():
     # rho-independent state: a equals the 1D trace value times |B'_R|
     g = build_grid_cyl(1.0, 1.0, 3, 32, 8)
     prof = np.linspace(0.5, 0.1, 32)
-    s = make_state_cyl(g, np.tile(prof[:, None], (1, 8)))
+    s = make_state(g, np.tile(prof[:, None], (1, 8)))
     prob = cyl_problem(R=1.0, n=3)
     a2 = compute_a_cyl(prob, s, StepOptions())
 
@@ -67,7 +66,7 @@ def test_mass_conserved_monotone_and_axisymmetric_bound():
     c0 *= 0.8 / integrate(g, c0)
     prob = cyl_problem(R=1.0, n=3)
     opts = StepOptions(dt_max=1e-4)
-    s = make_state_cyl(g, c0)
+    s = make_state(g, c0)
     mass0 = integrate(g, s.c)
     M0 = float(np.max(axial_marginal(s)))
     x1 = g.axial.centers[:, None]
@@ -91,7 +90,7 @@ def test_rho_independent_matches_1d_per_step():
         nonlinearity=NonlinearitySpec(kind="signed_power", m=1.0),
         domain=DomainSpec(geometry="interval", L=1.0),
     )
-    s2 = make_state_cyl(g2, np.tile(prof[:, None], (1, 6)))
+    s2 = make_state(g2, np.tile(prof[:, None], (1, 6)))
     s1 = solver1d.make_state(g1, prof.copy())
     opts = StepOptions(dt_max=1e-4)
     for _ in range(200):
@@ -106,7 +105,7 @@ def test_x1_independent_data_reduces_to_radial_heat():
     # converging to the radial mean
     g = build_grid_cyl(1.0, 1.0, 3, 8, 24)
     radial = 1.0 + np.cos(math.pi * g.rho_centers / g.R)
-    s = make_state_cyl(g, np.tile(radial[None, :], (8, 1)))
+    s = make_state(g, np.tile(radial[None, :], (8, 1)))
     prob = cyl_problem(R=1.0, n=3)
     opts = StepOptions(dt_max=2e-4)
     mean = integrate(g, s.c) / (math.pi * 1.0)
@@ -119,9 +118,9 @@ def test_x1_independent_data_reduces_to_radial_heat():
 
 def test_axial_marginal_values():
     g = build_grid_cyl(2.0, 1.0, 3, 16, 4)
-    s = make_state_cyl(g, np.full((16, 4), 3.0))
+    s = make_state(g, np.full((16, 4), 3.0))
     assert np.allclose(axial_marginal(s), 6.0)  # C * L
     gpro = np.cos(g.axial.centers)[:, None] * (1.0 + g.rho_centers)[None, :]
-    s2 = make_state_cyl(g, gpro)
+    s2 = make_state(g, gpro)
     expect = float(np.sum(np.cos(g.axial.centers) * g.axial.widths)) * (1.0 + g.rho_centers)
     assert np.allclose(axial_marginal(s2), expect, rtol=1e-12)
