@@ -20,14 +20,15 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .grid import Grid1D, GridCyl, build_grid_1d, build_grid_cyl, integrate
-from .problem import ConfigError, DomainSpec, NonlinearitySpec, ProblemSpec
-from .runner import BLOWUP, BOUNDED, CONVERGED, NUMERICAL_FAILURE, StopRule, run
+from .problem import ConfigError, DomainSpec, ProblemSpec
+from .runner import BLOWUP, NUMERICAL_FAILURE, StopRule, run
 from .solver1d import StepOptions
 
 OUT_ROOT_ENV = "CELLFLUX_OUT_ROOT"
@@ -72,11 +73,11 @@ class InitialConfig:
 
 @dataclass
 class RunConfig:
-    problem: ProblemSpec
-    grid: GridConfig
-    initial: InitialConfig
-    step: StepOptions
-    stop: StopRule
+    problem: ProblemSpec = field(default_factory=ProblemSpec)
+    grid: GridConfig = field(default_factory=GridConfig)
+    initial: InitialConfig = field(default_factory=InitialConfig)
+    step: StepOptions = field(default_factory=StepOptions)
+    stop: StopRule = field(default_factory=StopRule)
     seed: int = 0
     snapshot_times: tuple = ()
     out_dir: str = "out/run"
@@ -152,44 +153,34 @@ def build_initial(cfg: InitialConfig, grid, domain: DomainSpec, seed: int = 0) -
 # JSON config parsing
 
 
-_SCHEMA = {
-    "problem": {
-        "nonlinearity": {"kind", "m", "level", "alpha"},
-        "domain": {"geometry", "L", "R", "n"},
-        "chi": None,
-    },
-    "grid": {"N", "r", "Nr"},
-    "initial": {
-        "family", "mass", "mean", "amp", "modes", "k", "width",
-        "radial_amp", "noise_amp", "values",
-    },
-    "step": {
-        "trace_mode", "picard_tol", "picard_max_iters", "cfl", "dt_max",
-        "dt_min", "blowup_linf_threshold", "c_bu",
-    },
-    "stop": {"t_end", "converged_tol", "sample_every", "store_fields_every"},
-    "p_list": None,
-    "seed": None,
-    "snapshot_times": None,
-    "out_dir": None,
-}
+def _tuple(val, name: str) -> tuple:
+    if not isinstance(val, (list, tuple)):
+        raise ConfigError(f"config key {name} must be a list")
+    return tuple(val)
 
 
-def _check_keys(doc: dict, schema, path: str):
-    for key in doc:
-        if key not in schema:
-            raise ConfigError(f"unknown config key {path}{key!r}")
-        sub = schema[key]
-        if isinstance(sub, (set, dict)):
-            val = doc[key]
+def _read(cls, doc: dict, path: str = ""):
+    """Instantiate the config dataclass `cls` from its JSON object.
+
+    The keys are the dataclass fields and a missing key takes the field
+    default.  A dataclass-typed field is read from a nested object, and a
+    tuple-typed field from a list.
+    """
+    types = get_type_hints(cls)
+    kw = {}
+    for key, val in doc.items():
+        name = f"{path}{key!r}"
+        if key not in types or (cls, key) == (StopRule, "p_list"):  # top-level key
+            raise ConfigError(f"unknown config key {name}")
+        kind = types[key]
+        if is_dataclass(kind):
             if not isinstance(val, dict):
-                raise ConfigError(f"config key {path}{key!r} must be an object")
-            if isinstance(sub, set):
-                for k2 in val:
-                    if k2 not in sub:
-                        raise ConfigError(f"unknown config key {path}{key}.{k2!r}")
-            else:
-                _check_keys(val, sub, f"{path}{key}.")
+                raise ConfigError(f"config key {name} must be an object")
+            val = _read(kind, val, f"{path}{key}.")
+        elif tuple in (kind, *get_args(kind)) and not isinstance(val, kind):
+            val = _tuple(val, name)
+        kw[key] = val
+    return cls(**kw)
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -197,38 +188,10 @@ def config_from_dict(doc: dict) -> RunConfig:
     are rejected with their name."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(doc, _SCHEMA, "")
-    prob = doc.get("problem", {})
-    nl = NonlinearitySpec(
-        kind=prob.get("nonlinearity", {}).get("kind", "signed_power"),
-        m=prob.get("nonlinearity", {}).get("m", 1.0),
-        level=prob.get("nonlinearity", {}).get("level", 1.0),
-        alpha=prob.get("nonlinearity", {}).get("alpha", 1.0),
-    )
-    dom_doc = prob.get("domain", {})
-    dom = DomainSpec(
-        geometry=dom_doc.get("geometry", "interval"),
-        L=dom_doc.get("L", 1.0),
-        R=dom_doc.get("R"),
-        n=dom_doc.get("n"),
-    )
-    problem = ProblemSpec(nonlinearity=nl, domain=dom, chi=prob.get("chi", 1.0))
-    grid = GridConfig(**doc.get("grid", {}))
-    initial = InitialConfig(**doc.get("initial", {}))
-    step = StepOptions(**doc.get("step", {}))
-    stop_doc = dict(doc.get("stop", {}))
-    stop_doc.setdefault("t_end", 1.0)
-    stop = StopRule(**stop_doc, p_list=tuple(doc.get("p_list", (2.0,))))
-    return RunConfig(
-        problem=problem,
-        grid=grid,
-        initial=initial,
-        step=step,
-        stop=stop,
-        seed=doc.get("seed", 0),
-        snapshot_times=tuple(doc.get("snapshot_times", ())),
-        out_dir=doc.get("out_dir", "out/run"),
-    )
+    cfg = _read(RunConfig, {k: v for k, v in doc.items() if k != "p_list"})
+    if "p_list" in doc:  # stop.p_list is spelled as the top-level key p_list
+        cfg.stop = replace(cfg.stop, p_list=_tuple(doc["p_list"], "'p_list'"))
+    return cfg
 
 
 def load_config(path) -> RunConfig:
@@ -240,27 +203,18 @@ def load_config(path) -> RunConfig:
     return config_from_dict(doc)
 
 
+def _json_object(pairs) -> dict:
+    # asdict's dict_factory: tuple fields are written as JSON lists
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in pairs}
+
+
 def config_to_dict(cfg: RunConfig) -> dict:
-    doc = {
-        "problem": {
-            "nonlinearity": asdict(cfg.problem.nonlinearity),
-            "domain": asdict(cfg.problem.domain),
-            "chi": cfg.problem.chi,
-        },
-        "grid": asdict(cfg.grid),
-        "initial": asdict(cfg.initial),
-        "step": asdict(cfg.step),
-        "stop": {
-            "t_end": cfg.stop.t_end,
-            "converged_tol": cfg.stop.converged_tol,
-            "sample_every": cfg.stop.sample_every,
-            "store_fields_every": cfg.stop.store_fields_every,
-        },
-        "p_list": list(cfg.stop.p_list),
-        "seed": cfg.seed,
-        "snapshot_times": list(cfg.snapshot_times),
-        "out_dir": cfg.out_dir,
-    }
+    """The JSON document of cfg, with stop.p_list as the top-level p_list."""
+    doc = {}
+    for key, val in asdict(cfg, dict_factory=_json_object).items():
+        doc[key] = val
+        if key == "stop":
+            doc["p_list"] = val.pop("p_list")
     return doc
 
 

@@ -14,8 +14,6 @@ import math
 
 import numpy as np
 
-from .diagnostics import fit_decay
-from .grid import integrate
 from .harness import RunConfig, config_from_dict, run_config
 from .problem import ConfigError
 from .runner import BLOWUP, BOUNDED, CONVERGED
@@ -280,7 +278,6 @@ def _gate_sym_cosine(traj, rep, cfg, msgs) -> bool:
 def _gate_cyl_reduction(traj, rep, cfg, msgs) -> bool:
     # stepwise shadowing of the 1D run is checked directly on the solvers
     from .harness import build_initial
-    from .runner import StopRule as _SR
     from . import solver1d, solver_cyl
     from .grid import build_grid_1d
 

@@ -11,7 +11,7 @@ arithmetic on the model parameters; nothing here touches a mesh or a solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 KINDS = ("signed_power", "negative_power", "sublinear_power", "saturating")
 GEOMETRIES = ("interval", "cylinder")
@@ -48,7 +48,7 @@ class NonlinearitySpec:
       saturating      f(s) = level*s/(s+alpha)
     """
 
-    kind: str
+    kind: str = "signed_power"
     m: float = 1.0
     level: float = 1.0
     alpha: float = 1.0
@@ -87,8 +87,8 @@ def eval_f(spec: NonlinearitySpec, s: float) -> float:
 class DomainSpec:
     """Interval (0, L) or finite cylinder (0, L) x B'_R in ambient dimension n."""
 
-    geometry: str
-    L: float
+    geometry: str = "interval"
+    L: float = 1.0
     R: float | None = None
     n: int | None = None
 
@@ -123,8 +123,8 @@ class ProblemSpec:
     simulated dynamics is the nondimensionalized equation and never sees it.
     """
 
-    nonlinearity: NonlinearitySpec
-    domain: DomainSpec
+    nonlinearity: NonlinearitySpec = field(default_factory=NonlinearitySpec)
+    domain: DomainSpec = field(default_factory=DomainSpec)
     chi: float = 1.0
 
     def __post_init__(self):

@@ -9,13 +9,12 @@ field snapshots are kept only when asked, so long runs stay cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import solver1d, solver_cyl
 from .diagnostics import (
-    FunctionalRecord,
     RunReport,
     decay_tail,
     dissipation_residuals,
@@ -26,7 +25,7 @@ from .diagnostics import (
     record,
 )
 from .grid import Grid1D, GridCyl, integrate
-from .problem import ProblemSpec, thresholds
+from .problem import ConfigError, ProblemSpec, thresholds
 from .solver1d import StepOptions, StepRejected
 from .solver_cyl import axial_marginal
 
@@ -42,11 +41,19 @@ _NEG_TOL = 1e-12  # allowed undershoot relative to linf before declaring failure
 class StopRule:
     """When to stop and what to sample along the way."""
 
-    t_end: float
+    t_end: float = 1.0
     converged_tol: float = 0.0  # 0 disables the convergence exit
     sample_every: int = 1
     store_fields_every: int = 0  # in units of samples; 0 keeps no fields
-    p_list: tuple = (2.0,)
+    p_list: tuple = (2.0,)  # the config document spells it as the top-level key p_list
+
+    def __post_init__(self):
+        if self.sample_every < 1:
+            raise ConfigError(f"sample_every must be >= 1, got {self.sample_every}")
+        if self.store_fields_every < 0:
+            raise ConfigError(f"store_fields_every must be >= 0, got {self.store_fields_every}")
+        if not self.p_list:  # the dissipation residuals use p_list[0]
+            raise ConfigError("p_list must name at least one exponent")
 
 
 @dataclass
@@ -238,16 +245,7 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
     phi0 = recs[0].phi
     p = default_lyapunov_p(problem.m)
     thr = thresholds(problem, mass0, phi0, p if p is not None else 0.0, M0=M0)
-    rep.thresholds = {
-        "N0": thr.N0,
-        "critical_mass_m1": thr.critical_mass_m1,
-        "half_moment_bound": thr.half_moment_bound,
-        "ell": thr.ell,
-        "K": thr.K,
-        "Tstar_upper_bound": thr.Tstar_upper_bound,
-        "K0_lyapunov": thr.K0_lyapunov,
-        "small_data_radius": thr.small_data_radius,
-    }
+    rep.thresholds = asdict(thr)
     rep.half_moment_ok = phi0 < thr.half_moment_bound
     if T_detect is not None and math.isfinite(thr.Tstar_upper_bound):
         rep.tstar_bound_ratio = T_detect / thr.Tstar_upper_bound

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .grid import Grid1D, GridCyl
-from .problem import NonlinearitySpec, ProblemSpec, eval_f
+from .problem import ConfigError, NonlinearitySpec, ProblemSpec, eval_f
 
 
 class StepRejected(RuntimeError):
@@ -50,11 +50,11 @@ class StepOptions:
 
     def __post_init__(self):
         if self.trace_mode not in ("robin", "cell"):
-            raise ValueError(f"unknown trace_mode {self.trace_mode!r}")
+            raise ConfigError(f"unknown trace_mode {self.trace_mode!r}")
         if not 0.0 < self.cfl < 1.0:
-            raise ValueError(f"cfl must lie in (0, 1), got {self.cfl}")
+            raise ConfigError(f"cfl must lie in (0, 1), got {self.cfl}")
         if not self.dt_min < self.dt_max:
-            raise ValueError("dt_min must be smaller than dt_max")
+            raise ConfigError("dt_min must be smaller than dt_max")
 
 
 @dataclass

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from cellflux.grid import build_grid_1d, build_grid_cyl, integrate
 from cellflux.harness import (
     InitialConfig,
+    RunConfig,
     SweepReport,
     build_initial,
     config_from_dict,
@@ -19,6 +21,7 @@ from cellflux.harness import (
     run_scenario,
     sweep,
 )
+from cellflux.presets import list_presets, preset_config
 from cellflux.problem import ConfigError, DomainSpec
 from cellflux.runner import BOUNDED, CONVERGED
 
@@ -39,6 +42,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.step.blowup_linf_threshold == 1e8
     assert cfg.stop.t_end == 1.0
     assert cfg.grid.N == 128
+    assert config_from_dict({}) == RunConfig()
 
 
 def test_config_rejects_negative_length():
@@ -58,6 +62,34 @@ def test_config_rejects_unknown_key_with_name():
         config_from_dict({"step": {"coupling_mode": "picard"}})
     with pytest.raises(ConfigError, match="a_frac"):
         config_from_dict({"problem": {"a_frac": 1.0}})
+    # p_list is a top-level key only
+    with pytest.raises(ConfigError, match="p_list"):
+        config_from_dict({"stop": {"p_list": [2.0]}})
+
+
+@pytest.mark.parametrize(
+    "extra,key",
+    [
+        ({"stop": {"sample_every": 0}}, "sample_every"),
+        ({"stop": {"store_fields_every": -1}}, "store_fields_every"),
+        ({"p_list": [], "stop": {"store_fields_every": 1}}, "p_list"),
+    ],
+)
+def test_config_rejects_stop_values_that_crash_the_run(extra, key):
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict({**MINIMAL, **extra})
+
+
+CONFIG_ECHO = json.loads((Path(__file__).parent / "data" / "config_echo.json").read_text())
+
+
+@pytest.mark.parametrize("name", list_presets())
+def test_preset_config_echo_is_unchanged_and_round_trips(name):
+    # echoes recorded before the schema was derived from the dataclasses;
+    # string equality, so the key order counts
+    cfg = preset_config(name)
+    assert json.dumps(config_to_dict(cfg)) == CONFIG_ECHO[name]
+    assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -312,6 +344,18 @@ def test_cli_run_and_exit_codes(tmp_path):
 
     r = cli("run", "--config", str(tmp_path / "missing.json"))
     assert r.returncode == 2
+
+    # malformed values are config errors too, named on stderr
+    for i, (extra, key) in enumerate([
+        ({"step": {"cfl": 2.0}}, "cfl"),
+        ({"p_list": 2.0}, "p_list"),
+        ({"snapshot_times": 0.5}, "snapshot_times"),
+    ]):
+        bad = tmp_path / f"malformed{i}.json"
+        bad.write_text(json.dumps({**doc, **extra}))
+        r = cli("run", "--config", str(bad))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error: ") and key in r.stderr
 
     # a detected blow-up is a classified physical outcome: exit 0
     blow = tmp_path / "blow.json"
