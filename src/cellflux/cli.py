@@ -1,10 +1,13 @@
 """Command-line interface.
 
-    cellflux run --config cfg.json [--out DIR]
-    cellflux sweep --config cfg.json --param M --bracket 0.9,1.4 --refine 8 [--out DIR]
+    cellflux run --config cfg.json|PRESET [--out DIR]
+    cellflux sweep --config cfg.json|PRESET --param M --bracket 0.9,1.4 --refine 8 [--out DIR]
     cellflux steady --m 2 --L 1 --mass 0.5
-    cellflux check --preset NAME
+    cellflux check [--preset NAME]
     cellflux list-presets
+
+--config takes a JSON file, or a preset name when no file of that name
+exists.  check without --preset checks every gated preset in turn.
 
 Exit codes: 0 for any classified physical outcome (CONVERGED, BOUNDED,
 BLOWUP) and for passing checks; 1 for a failing check gate; 2 for config
@@ -15,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import time
 
 from . import presets
 from .harness import load_config, run_scenario, sweep, write_sweep_report
@@ -24,8 +29,15 @@ from .runner import NUMERICAL_FAILURE
 from .steady import DEGENERATE_FAMILY, find_steady
 
 
+def _load(config: str):
+    """The config file at `config`, or the preset of that name if no such file exists."""
+    if not os.path.exists(config) and config in presets.list_presets():
+        return presets.preset_config(config)
+    return load_config(config)
+
+
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load(args.config)
     rep = run_scenario(cfg, out_dir=args.out)
     print(f"outcome: {rep.outcome} ({rep.reason}) after {rep.steps} steps, t = {rep.t_final:.6g}")
     print(f"mass drift: {rep.mass_drift_max:.3e}")
@@ -33,13 +45,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load(args.config)
     lo, hi = (float(v) for v in args.bracket.split(","))
     rep = sweep(cfg, args.param, (lo, hi), args.refine)
     if args.out:
         write_sweep_report(rep, args.out)
     for v, out in rep.probes:
         print(f"  {args.param} = {v:.6g}: {out}")
+    for v, out in rep.refined_probes:
+        print(f"  {args.param} = {v:.6g} at 2x resolution: {out}")
     if rep.non_monotone and rep.threshold_estimate != rep.threshold_estimate:
         print("endpoints classify identically; no bisection performed")
         return 0
@@ -67,11 +81,18 @@ def _cmd_steady(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    ok, msgs = presets.check_preset(args.preset)
-    for m in msgs:
-        print(f"  {m}")
-    print(f"{args.preset}: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    names = [args.preset] if args.preset else [
+        n for n in presets.list_presets() if n in presets._GATES
+    ]
+    all_ok = True
+    for name in names:
+        t0 = time.perf_counter()
+        ok, msgs = presets.check_preset(name)
+        for m in msgs:
+            print(f"  {m}")
+        print(f"{name}: {'PASS' if ok else 'FAIL'} ({time.perf_counter() - t0:.1f} s)")
+        all_ok = all_ok and ok
+    return 0 if all_ok else 1
 
 
 def _cmd_list(_args) -> int:
@@ -104,8 +125,8 @@ def main(argv=None) -> int:
     p.add_argument("--mass", type=float, required=True)
     p.set_defaults(fn=_cmd_steady)
 
-    p = sub.add_parser("check", help="run one preset and assert its gate")
-    p.add_argument("--preset", required=True)
+    p = sub.add_parser("check", help="run a preset (default: every gated one) and assert its gate")
+    p.add_argument("--preset")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("list-presets", help="list preset names")
@@ -114,7 +135,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, DomainError, FileNotFoundError) as e:
+    except (ConfigError, DomainError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -159,12 +159,27 @@ def _tuple(val, name: str) -> tuple:
     return tuple(val)
 
 
+# the JSON values a scalar field accepts; a bool is none of them, though
+# Python counts it as an int
+_SCALAR_TYPES = {int: int, float: (int, float), str: str}
+
+
+def _check_scalar(kind, val, name: str) -> None:
+    opts = get_args(kind) or (kind,)
+    if val is None and type(None) in opts:
+        return
+    for t in opts:
+        if t in _SCALAR_TYPES and (isinstance(val, bool) or not isinstance(val, _SCALAR_TYPES[t])):
+            raise ConfigError(f"config key {name} must be {t.__name__}, got {type(val).__name__}")
+
+
 def _read(cls, doc: dict, path: str = ""):
     """Instantiate the config dataclass `cls` from its JSON object.
 
     The keys are the dataclass fields and a missing key takes the field
-    default.  A dataclass-typed field is read from a nested object, and a
-    tuple-typed field from a list.
+    default.  A dataclass-typed field is read from a nested object, a
+    tuple-typed field from a list, and an int, float or str field must hold
+    a value of that JSON type (None where the hint is Optional).
     """
     types = get_type_hints(cls)
     kw = {}
@@ -179,6 +194,8 @@ def _read(cls, doc: dict, path: str = ""):
             val = _read(kind, val, f"{path}{key}.")
         elif tuple in (kind, *get_args(kind)) and not isinstance(val, kind):
             val = _tuple(val, name)
+        else:
+            _check_scalar(kind, val, name)
         kw[key] = val
     return cls(**kw)
 

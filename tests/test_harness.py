@@ -1,13 +1,17 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from cellflux import cli as cellflux_cli
+from cellflux import presets
 from cellflux.grid import build_grid_1d, build_grid_cyl, integrate
 from cellflux.harness import (
     InitialConfig,
@@ -345,11 +349,18 @@ def test_cli_run_and_exit_codes(tmp_path):
     r = cli("run", "--config", str(tmp_path / "missing.json"))
     assert r.returncode == 2
 
+    r = cli("run", "--config", str(tmp_path))  # a directory
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+
     # malformed values are config errors too, named on stderr
     for i, (extra, key) in enumerate([
         ({"step": {"cfl": 2.0}}, "cfl"),
         ({"p_list": 2.0}, "p_list"),
         ({"snapshot_times": 0.5}, "snapshot_times"),
+        ({"grid": {"N": "64"}}, "grid.'N'"),
+        ({"problem": {"domain": {"L": "x"}}}, "domain.'L'"),
+        ({"grid": {"N": True}}, "grid.'N'"),
     ]):
         bad = tmp_path / f"malformed{i}.json"
         bad.write_text(json.dumps({**doc, **extra}))
@@ -381,3 +392,83 @@ def test_cli_steady_and_list():
     r = cli("list-presets")
     assert r.returncode == 0
     assert "moment_bound" in r.stdout
+
+
+GATED = [n for n in list_presets() if n != "sweep_critical"]
+
+
+@pytest.mark.parametrize("failing", [None, "heat_decay"])
+def test_cli_check_without_preset_checks_every_gated_preset(monkeypatch, capsys, failing):
+    seen = []
+
+    def check_preset(name):
+        seen.append(name)
+        return name != failing, [f"detail of {name}"]
+
+    monkeypatch.setattr(presets, "check_preset", check_preset)
+    assert cellflux_cli.main(["check"]) == (0 if failing is None else 1)
+    assert seen == GATED and len(seen) == 14
+    out = capsys.readouterr().out
+    assert "  detail of cyl_blowup\ncyl_blowup: PASS (" in out
+    if failing:
+        assert f"\n{failing}: FAIL (" in out
+
+
+def test_cli_config_takes_a_preset_name_unless_a_file_has_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfgs = []
+
+    def run_scenario(cfg, out_dir=None):
+        cfgs.append(cfg)
+        return SimpleNamespace(outcome=CONVERGED, reason="", steps=1, t_final=0.0,
+                               mass_drift_max=0.0)
+
+    monkeypatch.setattr(cellflux_cli, "run_scenario", run_scenario)
+    assert cellflux_cli.main(["run", "--config", "heat_decay"]) == 0
+    assert cfgs[-1] == preset_config("heat_decay")
+
+    (tmp_path / "heat_decay").write_text(json.dumps(MINIMAL))
+    assert cellflux_cli.main(["run", "--config", "heat_decay"]) == 0
+    assert cfgs[-1] == config_from_dict(MINIMAL)
+
+    assert cellflux_cli.main(["run", "--config", "no_such_preset"]) == 2
+    assert "no_such_preset" in capsys.readouterr().err
+    assert len(cfgs) == 2
+
+
+def test_cli_sweep_prints_the_probes_of_both_levels(monkeypatch, capsys):
+    calls = []
+
+    def fake_sweep(cfg, parameter, bracket, refinements):
+        calls.append((cfg, parameter, bracket, refinements))
+        probes = [(0.9, "BOUNDED"), (1.412, "BLOWUP"), (1.156, "BLOWUP")]
+        return SweepReport(parameter=parameter, bracket=bracket, probes=probes,
+                           threshold_estimate=1.028, half_width=0.128,
+                           refined_estimate=1.028, refined_probes=list(probes), drift=0.0)
+
+    monkeypatch.setattr(cellflux_cli, "sweep", fake_sweep)
+    argv = ["sweep", "--config", "sweep_critical", "--bracket", "0.9,1.412", "--refine", "1"]
+    assert cellflux_cli.main(argv) == 0
+    assert calls == [(preset_config("sweep_critical"), "M", (0.9, 1.412), 1)]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:6] == [
+        "  M = 0.9: BOUNDED",
+        "  M = 1.412: BLOWUP",
+        "  M = 1.156: BLOWUP",
+        "  M = 0.9 at 2x resolution: BOUNDED",
+        "  M = 1.412 at 2x resolution: BLOWUP",
+        "  M = 1.156 at 2x resolution: BLOWUP",
+    ]
+    assert lines[6].startswith("threshold estimate: 1.028")
+    assert lines[7].startswith("at 2x resolution:   1.028")
+
+
+def test_blowup_rate_study_script_runs_help():
+    root = Path(__file__).resolve().parents[1]
+    r = subprocess.run(
+        [sys.executable, str(root / "scripts" / "blowup_rate_study.py"), "--help"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert r.returncode == 0, r.stderr
+    assert "--preset" in r.stdout
