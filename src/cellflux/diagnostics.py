@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid1D, GridCyl, integrate
+from .grid import Grid1D, GridCyl, integrate, integrate_dot
 from .problem import ProblemSpec
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -67,11 +67,30 @@ class RunReport:
     thresholds: dict = field(default_factory=dict)
 
 
+@dataclass
+class Audit:
+    """Functionals of one field that the runner's per-step audit computes
+    once and record() reuses instead of recomputing."""
+
+    mass: float
+    entropy: float
+    linf: float
+    x1c: np.ndarray  # x1 c, the integrand of the first axial moment
+
+
+def axial_coordinate(grid) -> np.ndarray:
+    """Cell-center x1, shaped to broadcast against a field on the grid."""
+    return grid.axial.centers[:, None] if isinstance(grid, GridCyl) else grid.centers
+
+
 def entropy_of(grid, c) -> float:
-    """Integral of c log c with the integrand extended by 0 at c = 0."""
+    """Integral of c log c with the integrand extended by 0 at c = 0, by the
+    dot-product quadrature (integrate_dot)."""
     c = np.asarray(c)
+    if c.min() > 1e-300:  # the usual case: no cell needs the extension
+        return integrate_dot(grid, c * np.log(c))
     s = np.where(c > 1e-300, c * np.log(np.maximum(c, 1e-300)), 0.0)
-    return integrate(grid, s)
+    return integrate_dot(grid, s)
 
 
 def lp_norm(grid, c, p: float) -> float:
@@ -80,10 +99,7 @@ def lp_norm(grid, c, p: float) -> float:
 
 def first_moment(grid, c) -> float:
     """Integral of x1 c by cell-midpoint quadrature."""
-    c = np.asarray(c)
-    if isinstance(grid, GridCyl):
-        return integrate(grid, grid.axial.centers[:, None] * c)
-    return integrate(grid, grid.centers * c)
+    return integrate(grid, axial_coordinate(grid) * np.asarray(c))
 
 
 def record(
@@ -92,13 +108,24 @@ def record(
     dt: float,
     p_list=(2.0,),
     traces: tuple[float, float] | None = None,
+    audit: Audit | None = None,
 ) -> FunctionalRecord:
     """Sample all monitored functionals of a 1D or cylinder state.
 
     traces are the (c_left, c_right) boundary values used for the coupling;
-    for the cylinder the caller passes cross-section averages.
+    for the cylinder the caller passes cross-section averages.  audit is the
+    state's mass, entropy, linf and x1 c as the runner's per-step audit
+    already computed them; they are reused, not recomputed.  Without it they
+    are computed here by the same formulas.
     """
     grid, c = state.grid, state.c
+    if audit is None:
+        audit = Audit(
+            mass=integrate_dot(grid, c),
+            entropy=entropy_of(grid, c),
+            linf=float(np.max(np.abs(c))),
+            x1c=axial_coordinate(grid) * c,
+        )
     if traces is None:
         if isinstance(grid, GridCyl):
             B = grid.ball_volume
@@ -108,11 +135,11 @@ def record(
     return FunctionalRecord(
         t=state.t,
         dt=dt,
-        mass=integrate(grid, c),
-        entropy=entropy_of(grid, c),
+        mass=audit.mass,
+        entropy=audit.entropy,
         lp={p: lp_norm(grid, c, p) for p in p_list},
-        linf=float(np.max(np.abs(c))),
-        phi=first_moment(grid, c),
+        linf=audit.linf,
+        phi=integrate(grid, audit.x1c),
         a=state.a,
         u=-problem.chi * state.a / problem.domain.volume,
         c_left=traces[0],

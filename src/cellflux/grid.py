@@ -135,4 +135,14 @@ def integrate(grid, field) -> float:
         raise ValueError(f"field shape {field.shape} does not match grid {grid.shape}")
     if isinstance(grid, Grid1D):
         return float(np.sum(field * grid.widths))
-    return float(grid.axial.widths @ field @ grid.vol)
+    return integrate_dot(grid, field)
+
+
+def integrate_dot(grid, field) -> float:
+    """integrate without its checks, as dot products with the cell weights
+    (the axial widths, then on the cylinder the radial volumes).  On the
+    interval this sums in a different order from integrate's, so the two
+    differ in the last bits; on the cylinder they are one expression."""
+    if isinstance(grid, GridCyl):
+        return float(grid.axial.widths @ field @ grid.vol)
+    return float(grid.widths @ field)

@@ -2,8 +2,12 @@
 
 The loop owns adaptive stepping, step rejection, outcome classification, and
 the per-step audits (mass drift, positivity, monotonicity, profile bounds,
-per-step entropy change).  Per-sample functionals go into FunctionalRecords;
-field snapshots are kept only when asked, so long runs stay cheap.
+per-step entropy change).  The audit is one pass over each committed field:
+one max and one min (a NaN or inf shows in one of them, and linf is the
+larger of max and -min), mass and entropy as dot-product quadratures, and
+x1 c once.  adapt_dt takes the audit's linf, and each sample's
+FunctionalRecord reuses its mass, entropy, linf and x1 c.  Field snapshots
+are kept only when asked, so long runs stay cheap.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ import numpy as np
 
 from . import solver1d, solver_cyl
 from .diagnostics import (
+    Audit,
     RunReport,
+    axial_coordinate,
     decay_tail,
     dissipation_residuals,
     entropy_of,
@@ -24,7 +30,7 @@ from .diagnostics import (
     moment_residual,
     record,
 )
-from .grid import Grid1D, GridCyl, integrate
+from .grid import Grid1D, GridCyl, integrate_dot
 from .problem import ConfigError, ProblemSpec, thresholds
 from .solver1d import StepOptions, StepRejected
 from .solver_cyl import axial_marginal
@@ -90,12 +96,29 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
     state = solver1d.make_state(grid, c0)
     if cyl:
         stepper, adapter = solver_cyl.step_cyl, solver_cyl.adapt_dt_cyl
-        x1 = grid.axial.centers[:, None]
     else:
         stepper, adapter = solver1d.step, solver1d.adapt_dt
-        x1 = grid.centers
+    x1 = axial_coordinate(grid)
+    x1_pow = x1 ** (1.0 / problem.m)
 
-    mass0 = integrate(grid, state.c)
+    def audit(state):
+        """(Audit, min c, axial marginal or None) of the state's field.  The
+        cylinder's mass is the weighted sum of its axial marginal, so the
+        marginal bound costs no extra pass."""
+        c = state.c
+        cmax, cmin = float(c.max()), float(c.min())
+        if cyl:
+            marg = axial_marginal(state)
+            mass = float(marg @ grid.vol)
+        else:
+            marg, mass = None, integrate_dot(grid, c)
+        # max(cmax, -cmin) is max |c|, and NaN (both extremes are) or inf
+        # when c holds a NaN or an inf
+        au = Audit(mass=mass, entropy=entropy_of(grid, c), linf=max(cmax, -cmin), x1c=x1 * c)
+        return au, cmin, marg
+
+    au, cmin, marg = audit(state)
+    mass0 = au.mass
     if not mass0 > 0:
         raise ValueError("initial data must carry positive mass")
     mean = mass0 / problem.domain.volume
@@ -107,15 +130,14 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
         )
     except StepRejected:
         pass  # unresolvable closure at t = 0; the step loop will classify
-    linf0 = float(np.max(np.abs(state.c)))
-    monotone = _is_monotone_nonincreasing(state.c, linf0)
-    M0 = float(np.max(axial_marginal(state))) if cyl else None
-    inv_m = 1.0 / problem.m
+    linf = au.linf
+    monotone = _is_monotone_nonincreasing(state.c, linf)
+    M0 = float(np.max(marg)) if cyl else None
 
     traj = Trajectory()
     rep = RunReport(outcome=BOUNDED, t_final=0.0)
-    rep.min_c = float(np.min(state.c))
-    ent_prev = entropy_of(grid, state.c)
+    rep.min_c = cmin
+    ent_prev = au.entropy
     ent_inc_max = -math.inf
     mono_viol = -math.inf if monotone else None
     xc_max = -math.inf
@@ -126,27 +148,28 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
     samples = 0
 
     def sample(dt: float):
+        # au is the audit of the current state
         nonlocal samples
         traces = None
         if not cyl:
             cl, cr, _ = solver1d.reconstruct_traces(state, state.a, opts)
             traces = (cl, cr)
-        traj.records.append(record(state, problem, dt, stop.p_list, traces))
+        traj.records.append(record(state, problem, dt, stop.p_list, traces, au))
         if stop.store_fields_every and samples % stop.store_fields_every == 0:
             traj.fields.append((state.t, state.c.copy(), state.a))
-        xpow_series.append(float(np.max(x1**inv_m * state.c)))
+        xpow_series.append(float(np.max(x1_pow * state.c)))
         samples += 1
 
     sample(0.0)
     outcome, reason, T_detect = None, "", None
     last_dt = 0.0
-    if not np.all(np.isfinite(state.c)):
+    if not math.isfinite(linf):
         outcome, reason = NUMERICAL_FAILURE, "non-finite initial data"
-    elif rep.min_c < -_NEG_TOL * max(linf0, 1e-300):
+    elif rep.min_c < -_NEG_TOL * max(linf, 1e-300):
         outcome, reason = NUMERICAL_FAILURE, f"negativity beyond tolerance in initial data: {rep.min_c:.3e}"
 
     while outcome is None and state.t < stop.t_end - 1e-14:
-        dt = adapter(problem, state, opts)
+        dt = adapter(problem, state, opts, linf)
         if dt <= opts.dt_min:
             outcome, reason, T_detect = BLOWUP, "dt reached its floor", state.t
             break
@@ -165,26 +188,24 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
         state = new_state
         last_dt = dt
         c = state.c
-        if not np.all(np.isfinite(c)):
+        au, cmin, marg = audit(state)
+        linf = au.linf
+        if not math.isfinite(linf):
             outcome, reason = NUMERICAL_FAILURE, "non-finite field"
             break
-        linf = float(np.max(np.abs(c)))
-        cmin = float(np.min(c))
         rep.min_c = min(rep.min_c, cmin)
         if cmin < -_NEG_TOL * max(linf, 1e-300):
             outcome, reason = NUMERICAL_FAILURE, f"negativity beyond tolerance: {cmin:.3e}"
             break
 
-        drift = abs(integrate(grid, c) - mass0) / mass0
+        drift = abs(au.mass - mass0) / mass0
         rep.mass_drift_max = max(rep.mass_drift_max, drift)
-        ent = entropy_of(grid, c)
-        ent_inc_max = max(ent_inc_max, ent - ent_prev)
-        ent_prev = ent
+        ent_inc_max = max(ent_inc_max, au.entropy - ent_prev)
+        ent_prev = au.entropy
         if monotone:
             mono_viol = max(mono_viol, float(np.max(np.diff(c, axis=0))) / max(linf, 1e-300))
-        xc_max = max(xc_max, float(np.max(x1 * c)))
+        xc_max = max(xc_max, float(np.max(au.x1c)))
         if cyl:
-            marg = axial_marginal(state)
             marg_inc_max = max(marg_inc_max, float(np.max(marg)) - M0)
         a_sq += state.a**2 * dt
         n_guarded += state.trace_guarded

@@ -71,7 +71,10 @@ class State:
 
 
 def make_state(grid: Grid1D | GridCyl, c0) -> State:
-    c = np.array(c0, dtype=float)
+    # Fortran order: on the cylinder each axial line c[:, j] is contiguous,
+    # so the axial pass runs along long contiguous runs and the radial pass
+    # (on c.T) along contiguous rows; _advect_diffuse keeps the layout
+    c = np.array(c0, dtype=float, order="F")
     if c.shape != grid.shape:
         raise ValueError(f"initial data shape {c.shape} does not match grid {grid.shape}")
     return State(grid=grid, c=c)
@@ -212,10 +215,10 @@ def _advect_diffuse(c, dt, widths, dist, a=0.0, h_min=math.inf, face_weight=None
         G /= d
         return G
 
-    # zeros_like keeps the layout of c, so the cylinder's radial pass (c a
-    # transpose) hands dgtsv a Fortran-ordered b that it solves in place
+    # zeros_like and copy(order="K") keep the layout of c, so every pass
+    # works on arrays laid out as make_state laid out the field
     b = np.zeros_like(c)
-    out = c.copy()
+    out = c.copy(order="K")
     if a != 0.0:
         # explicit upwind advection, interior faces only; J = -a c_up
         J = -a * (c[:-1] if a >= 0.0 else c[1:])
@@ -260,14 +263,17 @@ def step(problem: ProblemSpec, state: State, dt: float, opts: StepOptions) -> St
     )
 
 
-def adapt_dt(problem: ProblemSpec, state: State, opts: StepOptions) -> float:
+def adapt_dt(problem: ProblemSpec, state: State, opts: StepOptions, linf: float | None = None) -> float:
     """dt = min(dt_max, cfl h_min/|a|, c_bu/(1 + linf^2m)), h_min being the
     smallest axial width in either geometry.
 
     The last clamp tracks the blow-up timescale (T*-t) ~ linf^(-2m), so steps
-    stay proportional to the remaining life of the solution.
+    stay proportional to the remaining life of the solution.  linf is the
+    state's max |c|; the runner passes the value its per-step audit already
+    has, and it is computed here when not given.
     """
-    linf = float(np.max(np.abs(state.c)))
+    if linf is None:
+        linf = float(np.max(np.abs(state.c)))
     try:
         pen = linf ** (2.0 * problem.m)
     except OverflowError:

@@ -1,0 +1,185 @@
+"""Differential test of the runner's one-pass per-step audit against the
+separate-pass formulas it replaced.
+
+The reference recomputes every audit from the states the run committed, one
+quantity per pass: isfinite, max |c|, min c, mass by `integrate`, entropy by
+the masked `np.where` integrand, x1 c and the axial marginal each on their
+own, and each sampled record from scratch.  The run must give bitwise the
+same t, dt, a and linf in every FunctionalRecord (the audit's linf is the one
+adapt_dt uses, so dt pins it), and the same mass, entropy, phi and lp to
+1e-13 relative: mass and entropy are now dot-product quadratures, which sum
+in another order.  The report's audit fields must agree to the same
+tolerance, relative to the quantity they are differences of.
+
+A second test drives the runner with a stepper that returns non-finite
+fields: NaN, +inf alone or -inf alone must each end as NUMERICAL_FAILURE
+with reason "non-finite field", never as BLOWUP or a negativity failure.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from cellflux import harness, presets, runner, solver1d, solver_cyl
+from cellflux.diagnostics import lp_norm
+from cellflux.grid import GridCyl, integrate
+
+REL = 1e-13
+
+# preset, stop-rule overrides giving a short run with at least 8 samples
+CASES = [
+    ("critical_mass_exact", {"t_end": 0.01}),
+    ("heat_decay", {"t_end": 0.01}),
+    ("cyl_blowup", {"t_end": 5e-5}),
+    ("cyl_reduction", {"t_end": 5e-3}),
+    ("absorbing_m2", {"t_end": 0.01}),  # m = 2: x1^(1/m) c differs from x1 c
+]
+
+
+def ref_entropy(grid, c):
+    s = np.where(c > 1e-300, c * np.log(np.maximum(c, 1e-300)), 0.0)
+    return integrate(grid, s)
+
+
+def ref_x1(grid):
+    return grid.axial.centers[:, None] if isinstance(grid, GridCyl) else grid.centers
+
+
+def ref_record(grid, c, p_list):
+    """The functionals record() computed before the audit was shared."""
+    return {
+        "mass": integrate(grid, c),
+        "entropy": ref_entropy(grid, c),
+        "lp": {p: lp_norm(grid, c, p) for p in p_list},
+        "linf": float(np.max(np.abs(c))),
+        "phi": integrate(grid, ref_x1(grid) * c),
+    }
+
+
+def ref_audit(grid, states, m):
+    """Report fields of the separate-pass audit over the committed states
+    (the initial state first)."""
+    cyl = isinstance(grid, GridCyl)
+    x1 = ref_x1(grid)
+    c0 = states[0].c
+    mass0 = integrate(grid, c0)
+    marg0 = np.sum(grid.axial.widths[:, None] * c0, axis=0) if cyl else None
+    M0 = float(np.max(marg0)) if cyl else None
+    monotone = float(np.max(np.diff(c0, axis=0))) <= 1e-12 * float(np.max(np.abs(c0)))
+    out = {"min_c": float(np.min(c0)), "mass_drift_max": 0.0}
+    ent_prev = ref_entropy(grid, c0)
+    ent_inc, mono, xc, marg_inc = [], [], [], []
+    for s in states[1:]:
+        c = s.c
+        assert np.all(np.isfinite(c))
+        linf = float(np.max(np.abs(c)))
+        out["min_c"] = min(out["min_c"], float(np.min(c)))
+        out["mass_drift_max"] = max(out["mass_drift_max"], abs(integrate(grid, c) - mass0) / mass0)
+        ent = ref_entropy(grid, c)
+        ent_inc.append(ent - ent_prev)
+        ent_prev = ent
+        if monotone:
+            mono.append(float(np.max(np.diff(c, axis=0))) / max(linf, 1e-300))
+        xc.append(float(np.max(x1 * c)))
+        if cyl:
+            marg_inc.append(float(np.max(np.sum(grid.axial.widths[:, None] * c, axis=0))) - M0)
+    out["entropy_step_increase_max"] = max(ent_inc)
+    out["monotone_violation_max"] = max(mono) if monotone else None
+    out["xc_max_ratio"] = max(xc) / mass0
+    out["x1c_max_ratio"] = max(xc) / M0 if cyl else None
+    out["marginal_increase_max"] = max(marg_inc) if cyl else None
+    return out, mass0, M0
+
+
+def capture_states(monkeypatch):
+    """Wrap both steppers so every committed state and the dt it was asked
+    for are kept; returns the list they go into."""
+    committed = []
+    for mod, name in ((solver1d, "step"), (solver_cyl, "step_cyl")):
+        fn = getattr(mod, name)
+
+        def wrapper(problem, state, dt, opts, fn=fn):
+            new = fn(problem, state, dt, opts)
+            committed.append((dt, new))
+            return new
+
+        monkeypatch.setattr(mod, name, wrapper)
+    return committed
+
+
+@pytest.mark.parametrize("name,stop", CASES)
+def test_one_pass_audit_matches_separate_passes(monkeypatch, name, stop):
+    cfg = presets.preset_config(name)
+    cfg = replace(cfg, stop=replace(cfg.stop, **stop))
+    prob, opts = cfg.problem, cfg.step
+    grid = cfg.grid.build(prob.domain)
+    c0 = harness.build_initial(cfg.initial, grid, prob.domain, cfg.seed)
+    committed = capture_states(monkeypatch)
+    traj, rep = runner.run(prob, grid, c0, opts, cfg.stop)
+    assert rep.outcome == "BOUNDED" and rep.steps == len(committed) >= 8
+
+    # the initial state as the runner saw it: c0 with its self-consistent a
+    state0 = solver1d.make_state(grid, c0)
+    state0.a = traj.records[0].a
+    states = [state0] + [s for _dt, s in committed]
+    dts = [0.0] + [dt for dt, _s in committed]
+    by_t = {s.t: (dt, s) for dt, s in zip(dts, states)}
+
+    # records: t, dt, a, linf bitwise; the quadratures to REL
+    assert len(traj.records) >= 8
+    for r in traj.records:
+        dt, s = by_t[r.t]
+        want = ref_record(grid, s.c, cfg.stop.p_list)
+        assert (r.t, r.dt, r.a, r.linf) == (s.t, dt, s.a, want["linf"])
+        for key in ("mass", "entropy", "phi"):
+            assert getattr(r, key) == pytest.approx(want[key], rel=REL, abs=0.0), key
+        for p, v in want["lp"].items():
+            assert r.lp[p] == pytest.approx(v, rel=REL, abs=0.0)
+
+    # dt of every step from the separate-pass linf (no rejections, no t_end clamp)
+    for prev, (dt, _s) in zip(states[:-1], committed):
+        linf = float(np.max(np.abs(prev.c)))
+        want = min(opts.dt_max, opts.cfl * grid.h_min / max(abs(prev.a), 1e-12),
+                   opts.c_bu / (1.0 + linf ** (2.0 * prob.m)))
+        assert dt == min(want, cfg.stop.t_end - prev.t)
+
+    want, mass0, M0 = ref_audit(grid, states, prob.m)
+    ent_scale = max(1.0, max(abs(r.entropy) for r in traj.records))
+    assert rep.min_c == want["min_c"]
+    assert rep.monotone_violation_max == want["monotone_violation_max"]
+    assert abs(rep.mass_drift_max - want["mass_drift_max"]) <= REL
+    assert abs(rep.entropy_step_increase_max - want["entropy_step_increase_max"]) <= REL * ent_scale
+    assert rep.xc_max_ratio == pytest.approx(want["xc_max_ratio"], rel=REL, abs=0.0)
+    if M0 is None:
+        assert rep.x1c_max_ratio is None and rep.marginal_increase_max is None
+    else:
+        assert rep.x1c_max_ratio == pytest.approx(want["x1c_max_ratio"], rel=REL, abs=0.0)
+        assert abs(rep.marginal_increase_max - want["marginal_increase_max"]) <= REL * M0
+
+    # x1^(1/m) c over the samples, split 3:1 as the runner splits it
+    xpow = [float(np.max(ref_x1(grid) ** (1.0 / prob.m) * by_t[r.t][1].c)) for r in traj.records]
+    cut = max(1, (3 * len(xpow)) // 4)
+    assert (rep.xpow_sup_early, rep.xpow_sup_late) == (max(xpow[:cut]), max(xpow[cut:]))
+
+
+@pytest.mark.parametrize("name", ["critical_mass_exact", "cyl_blowup"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_field_is_a_numerical_failure(monkeypatch, name, bad):
+    cfg = presets.preset_config(name)
+    grid = cfg.grid.build(cfg.problem.domain)
+    c0 = harness.build_initial(cfg.initial, grid, cfg.problem.domain, cfg.seed)
+    mod, key = (solver_cyl, "step_cyl") if name == "cyl_blowup" else (solver1d, "step")
+    real = getattr(mod, key)
+
+    def poisoned(problem, state, dt, opts):
+        new = real(problem, state, dt, opts)
+        if new.step_count == 3:
+            new.c[(1,) * new.c.ndim] = bad
+        return new
+
+    monkeypatch.setattr(mod, key, poisoned)
+    traj, rep = runner.run(cfg.problem, grid, c0, cfg.step, cfg.stop)
+    assert (rep.outcome, rep.reason) == ("NUMERICAL_FAILURE", "non-finite field")
+    assert rep.steps == 3 and rep.T_detect is None
+    assert traj.records[-1].t == rep.t_final

@@ -1,8 +1,9 @@
-"""The benchmark's tracer (perfbench/child.py) wraps solver functions by their
-module attribute names to split one step into layers.  A refactor that
-renames one of them, or moves a call off the looked-up name, crashes traced
-runs or silently zeroes a per-layer metric; this test catches both on short
-runs in each geometry.
+"""The benchmark's tracer (perfbench/child.py) wraps solver and runner
+functions by their module attribute names to split one step into layers.  A
+refactor that renames one of them, or moves a call off the looked-up name,
+crashes traced runs or silently zeroes a per-layer metric; this test catches
+both on short runs in each geometry: every solver layer, the runner's
+entropy_of and record, and adapt_dt once per attempted step.
 """
 
 import sys
@@ -44,11 +45,13 @@ def test_traced_run_records_every_solver_layer(monkeypatch, preset, stop, names,
     finally:
         tr.restore()
     layers = tr.summary()
-    step_name = names[0]
+    step_name, _compute_a_name, adapt_name = names
     assert rep.steps > 0 and not tr.errors
-    for name in names:
+    for name in names + ("runner.entropy_of", "runner.record"):
         assert layers[name]["calls"] > 0, name
+    # no rejections here, so every attempted step is a committed one
     assert layers[step_name]["calls"] == rep.steps
+    assert layers[adapt_name]["calls"] == rep.steps
     solve_calls = sum(layers.get(f"{mod}.solve_banded", {}).get("calls", 0) for mod in ("solver1d", "solver_cyl"))
     assert solve_calls == solves * rep.steps
     assert tr.counts[f_counter] > 0
