@@ -11,13 +11,14 @@ exists.  check without --preset checks every gated preset in turn.
 
 Exit codes: 0 for any classified physical outcome (CONVERGED, BOUNDED,
 BLOWUP) and for passing checks; 1 for a failing check gate; 2 for config
-errors; 3 for a NUMERICAL_FAILURE outcome.
+errors; 3 for a NUMERICAL_FAILURE outcome (of a run, or of a sweep probe).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -44,16 +45,28 @@ def _cmd_run(args) -> int:
     return 3 if rep.outcome == NUMERICAL_FAILURE else 0
 
 
+def _bracket(text: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(v) for v in text.split(","))
+    except ValueError:
+        lo = hi = math.nan
+    if not -math.inf < lo < hi < math.inf:
+        raise ConfigError(f"--bracket must be two finite numbers lo,hi with lo < hi; got {text!r}")
+    return lo, hi
+
+
 def _cmd_sweep(args) -> int:
     cfg = _load(args.config)
-    lo, hi = (float(v) for v in args.bracket.split(","))
-    rep = sweep(cfg, args.param, (lo, hi), args.refine)
+    rep = sweep(cfg, args.param, _bracket(args.bracket), args.refine)
     if args.out:
         write_sweep_report(rep, args.out)
     for v, out in rep.probes:
         print(f"  {args.param} = {v:.6g}: {out}")
     for v, out in rep.refined_probes:
         print(f"  {args.param} = {v:.6g} at 2x resolution: {out}")
+    if any(out == NUMERICAL_FAILURE for _v, out in rep.probes + rep.refined_probes):
+        print("a probe failed numerically; the sweep stopped there")
+        return 3
     if rep.non_monotone and rep.threshold_estimate != rep.threshold_estimate:
         print("endpoints classify identically; no bisection performed")
         return 0

@@ -97,11 +97,6 @@ def lp_norm(grid, c, p: float) -> float:
     return integrate(grid, np.abs(np.asarray(c)) ** p) ** (1.0 / p)
 
 
-def first_moment(grid, c) -> float:
-    """Integral of x1 c by cell-midpoint quadrature."""
-    return integrate(grid, axial_coordinate(grid) * np.asarray(c))
-
-
 def record(
     state,
     problem: ProblemSpec,
@@ -190,24 +185,26 @@ def dissipation_residuals(grid: Grid1D, fields, a_values, p: float, m: float):
     d = grid.dist
     ent_res = lp_res = 0.0
     ent_inc = -math.inf
-    for (t0, c0), (t1, c1), a0, a1 in zip(fields[:-1], fields[1:], a_values[:-1], a_values[1:]):
+    S = [entropy_of(grid, c) for _t, c in fields]
+    P = [integrate(grid, np.asarray(c) ** p) for _t, c in fields]
+    for k, ((t0, c0), (t1, c1)) in enumerate(zip(fields[:-1], fields[1:])):
         dt = t1 - t0
         if dt <= 0:
             continue
         cm = 0.5 * (np.asarray(c0) + np.asarray(c1))
-        am = 0.5 * (a0 + a1)
+        am = 0.5 * (a_values[k] + a_values[k + 1])
         dc = np.diff(cm)
         grad = dc / d
         fm = _face_means(cm)
         fm = np.maximum(fm, 1e-300)
         flow = float(np.sum(dc))  # same faces as grad: int dc/dx
 
-        dS = (entropy_of(grid, c1) - entropy_of(grid, c0)) / dt
+        dS = (S[k + 1] - S[k]) / dt
         rhs_S = -float(np.sum(d * grad**2 / fm)) + am * flow
         ent_res = max(ent_res, abs(dS - rhs_S) / max(abs(rhs_S), 1e-10))
-        ent_inc = max(ent_inc, entropy_of(grid, c1) - entropy_of(grid, c0))
+        ent_inc = max(ent_inc, S[k + 1] - S[k])
 
-        dP = (integrate(grid, np.asarray(c1) ** p) - integrate(grid, np.asarray(c0) ** p)) / dt
+        dP = (P[k + 1] - P[k]) / dt
         rhs_P = p * (p - 1.0) * (
             -float(np.sum(d * grad**2 * fm ** (p - 2.0)))
             + am * float(np.sum(fm ** (p - 1.0) * dc))

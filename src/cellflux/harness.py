@@ -317,21 +317,19 @@ def run_config(cfg: RunConfig):
 
 
 def run_scenario(cfg: RunConfig, out_dir: str | None = None):
-    """Execute a config and write timeseries.csv, snapshots.csv, report.json.
+    """run_config(cfg), then write timeseries.csv, snapshots.csv, report.json.
 
-    Returns the RunReport.  snapshots.csv holds the initial data and the
-    field at the first sample at or after each requested time; a requested
-    time the run never reaches gets no row.
+    Returns the RunReport.  snapshots.csv holds the initial field
+    (traj.fields[0]) and the first sampled field at or after each requested
+    time; a time the run never reaches gets no row.  report.json echoes cfg
+    as given, without the field-keeping override that requested times make.
     """
-    grid = cfg.grid.build(cfg.problem.domain)
-    c0 = build_initial(cfg.initial, grid, cfg.problem.domain, cfg.seed)
-
     want = sorted(cfg.snapshot_times)
-    snaps = [(0.0, np.array(c0, dtype=float))]
-    stop = cfg.stop
-    if want and stop.store_fields_every == 0:
-        stop = replace(stop, store_fields_every=1)
-    traj, rep = run(cfg.problem, grid, c0, cfg.step, stop)
+    run_cfg = cfg
+    if want and cfg.stop.store_fields_every == 0:
+        run_cfg = replace(cfg, stop=replace(cfg.stop, store_fields_every=1))
+    grid, traj, rep = run_config(run_cfg)
+    snaps = [traj.fields[0][:2]]
     for t, c, _a in traj.fields:
         while want and t >= want[0]:
             want.pop(0)
@@ -384,31 +382,34 @@ def _refine_grid(cfg: RunConfig) -> RunConfig:
     return replace(cfg, grid=replace(g, N=2 * g.N, r=math.sqrt(g.r)))
 
 
-def _classify(cfg: RunConfig) -> str:
-    _grid, _traj, rep = run_config(cfg)
-    if rep.outcome == NUMERICAL_FAILURE:
-        raise RuntimeError(f"probe failed numerically: {rep.reason}")
-    return rep.outcome
+class _ProbeFailed(Exception):
+    """A sweep probe ended in NUMERICAL_FAILURE."""
 
 
 def _bisect(cfg: RunConfig, parameter: str, lo: float, hi: float, refinements: int):
+    """(estimate, probes, non_monotone) of one level; the estimate is None when
+    the endpoints classify alike, NaN when a probe ends in NUMERICAL_FAILURE."""
     probes = []
 
     def blowup_at(v: float) -> bool:
-        out = _classify(_set_parameter(cfg, parameter, v))
-        probes.append((v, out))
-        return out == BLOWUP
+        _grid, _traj, rep = run_config(_set_parameter(cfg, parameter, v))
+        probes.append((v, rep.outcome))
+        if rep.outcome == NUMERICAL_FAILURE:
+            raise _ProbeFailed
+        return rep.outcome == BLOWUP
 
-    b_lo = blowup_at(lo)
-    b_hi = blowup_at(hi)
-    if b_lo == b_hi:
-        return None, probes, False
-    for _ in range(refinements):
-        mid = 0.5 * (lo + hi)
-        if blowup_at(mid) == b_lo:
-            lo = mid
-        else:
-            hi = mid
+    try:
+        b_lo = blowup_at(lo)
+        if blowup_at(hi) == b_lo:
+            return None, probes, False
+        for _ in range(refinements):
+            mid = 0.5 * (lo + hi)
+            if blowup_at(mid) == b_lo:
+                lo = mid
+            else:
+                hi = mid
+    except _ProbeFailed:
+        return math.nan, probes, False
     # the probe set must classify monotonically across the bracket
     ordered = [o == BLOWUP for _v, o in sorted(probes)]
     flips = sum(1 for x, y in zip(ordered[:-1], ordered[1:]) if x != y)
@@ -421,14 +422,16 @@ def sweep(cfg: RunConfig, parameter: str, bracket, refinements: int) -> SweepRep
     Endpoints must classify differently; otherwise a no-bisection report is
     returned.  The bisection is repeated at doubled grid resolution and the
     drift of the estimate is reported (first-order schemes should drift
-    toward the continuum threshold).
+    toward the continuum threshold).  A probe that ends in NUMERICAL_FAILURE
+    is recorded with that outcome and ends the sweep: no further probe is
+    made, and the estimate of its level is NaN.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     est, probes, nonmono = _bisect(cfg, parameter, lo, hi, refinements)
-    if est is None:
+    if est is None or math.isnan(est):
         return SweepReport(
             parameter=parameter, bracket=(lo, hi), probes=probes,
-            threshold_estimate=math.nan, half_width=math.nan, non_monotone=True,
+            threshold_estimate=math.nan, half_width=math.nan, non_monotone=est is None,
         )
     half = (hi - lo) / 2.0 ** (refinements + 1)
     est2, probes2, nonmono2 = _bisect(_refine_grid(cfg), parameter, lo, hi, refinements)

@@ -11,11 +11,14 @@ its gate; the full map is what CI executes.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from .harness import RunConfig, config_from_dict, run_config
-from .problem import ConfigError
+from . import solver1d, solver_cyl
+from .grid import build_grid_1d
+from .harness import RunConfig, build_initial, config_from_dict, run_config
+from .problem import ConfigError, DomainSpec
 from .runner import BLOWUP, BOUNDED, CONVERGED
 
 PI2 = math.pi**2
@@ -277,14 +280,10 @@ def _gate_sym_cosine(traj, rep, cfg, msgs) -> bool:
 
 def _gate_cyl_reduction(traj, rep, cfg, msgs) -> bool:
     # stepwise shadowing of the 1D run is checked directly on the solvers
-    from .harness import build_initial
-    from . import solver1d, solver_cyl
-    from .grid import build_grid_1d
-
     grid_c = cfg.grid.build(cfg.problem.domain)
     c0c = build_initial(cfg.initial, grid_c, cfg.problem.domain, cfg.seed)
     grid_1 = build_grid_1d(cfg.problem.domain.L, cfg.grid.N, cfg.grid.r)
-    prob_1 = _interval_twin(cfg)
+    prob_1 = replace(cfg.problem, domain=DomainSpec(geometry="interval", L=cfg.problem.domain.L))
     s2 = solver1d.make_state(grid_c, c0c)
     s1 = solver1d.make_state(grid_1, c0c[:, 0].copy())
     worst = 0.0
@@ -298,17 +297,6 @@ def _gate_cyl_reduction(traj, rep, cfg, msgs) -> bool:
         worst = max(worst, float(np.max(np.abs(s2.c - s1.c[:, None]))))
     msgs.append(f"max per-step deviation over 1000 steps: {worst:.3e}")
     return worst <= 1e-10
-
-
-def _interval_twin(cfg: RunConfig):
-    """The 1D problem shadowed by a unit-cross-section cylinder run."""
-    from dataclasses import replace
-
-    from .problem import DomainSpec
-
-    return replace(
-        cfg.problem, domain=DomainSpec(geometry="interval", L=cfg.problem.domain.L)
-    )
 
 
 def _gate_cyl_blowup(traj, rep, cfg, msgs) -> bool:
@@ -342,17 +330,12 @@ _GATES = {
 }
 
 
-def run_preset(name: str):
-    cfg = preset_config(name)
-    grid, traj, rep = run_config(cfg)
-    return cfg, grid, traj, rep
-
-
 def check_preset(name: str):
     """Run the preset and evaluate its gate.  Returns (ok, messages)."""
     if name not in _GATES:
         raise ConfigError(f"preset {name!r} has no gate (is it a sweep base config?)")
-    cfg, _grid, traj, rep = run_preset(name)
+    cfg = preset_config(name)
+    _grid, traj, rep = run_config(cfg)
     msgs: list[str] = []
     ok = _GATES[name](traj, rep, cfg, msgs)
     if rep.mass_drift_max > 1e-12:

@@ -66,21 +66,19 @@ class NonlinearitySpec:
             raise ConfigError("saturating requires positive level and alpha")
 
 
-def eval_f(spec: NonlinearitySpec, s: float) -> float:
-    """Evaluate f(s).  Raises DomainError for negative s when f is only defined on s >= 0."""
-    if not math.isfinite(s):
-        raise DomainError(f"non-finite argument {s}")
+def eval_f(spec: NonlinearitySpec, s):
+    """f(s), the one body of f: Python operators only, so s is a float or an
+    ndarray.  Kinds defined on s >= 0 take the nonnegative part of s, since
+    cells may carry roundoff negatives."""
     k = spec.kind
     if k == "signed_power":
-        return math.copysign(abs(s) ** spec.m, s)
-    if s < 0.0:
-        raise DomainError(f"{k} is defined on s >= 0, got s = {s}")
+        return s * abs(s) ** (spec.m - 1.0)
+    s = (s + abs(s)) * 0.5
     if k == "negative_power":
         return -(s**spec.m)
     if k == "sublinear_power":
         return s**spec.m
-    # saturating
-    return spec.level * s / (s + spec.alpha) if s > 0.0 else 0.0
+    return spec.level * s / (s + spec.alpha)  # saturating
 
 
 @dataclass(frozen=True)
@@ -134,18 +132,6 @@ class ProblemSpec:
     @property
     def m(self) -> float:
         return self.nonlinearity.m
-
-
-def nondimensionalize(chi: float, a_frac: float, volume: float, m: float) -> float:
-    """Concentration scale lambda with lambda^m = volume/(a_frac*chi).
-
-    Maps a physical concentration to the canonical variable of the
-    nondimensionalized equation (power-law f).
-    """
-    for name, v in (("chi", chi), ("a_frac", a_frac), ("volume", volume), ("m", m)):
-        if not (v > 0 and math.isfinite(v)):
-            raise DomainError(f"{name} must be strictly positive, got {v}")
-    return (volume / (a_frac * chi)) ** (1.0 / m)
 
 
 @dataclass(frozen=True)

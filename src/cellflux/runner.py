@@ -7,7 +7,7 @@ one max and one min (a NaN or inf shows in one of them, and linf is the
 larger of max and -min), mass and entropy as dot-product quadratures, and
 x1 c once.  adapt_dt takes the audit's linf, and each sample's
 FunctionalRecord reuses its mass, entropy, linf and x1 c.  Field snapshots
-are kept only when asked, so long runs stay cheap.
+past the initial one (traj.fields[0]) are kept only when asked.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class StopRule:
     t_end: float = 1.0
     converged_tol: float = 0.0  # 0 disables the convergence exit
     sample_every: int = 1
-    store_fields_every: int = 0  # in units of samples; 0 keeps no fields
+    store_fields_every: int = 0  # in units of samples; 0 keeps the t = 0 field only
     p_list: tuple = (2.0,)  # the config document spells it as the top-level key p_list
 
     def __post_init__(self):
@@ -65,7 +65,7 @@ class StopRule:
 @dataclass
 class Trajectory:
     records: list = field(default_factory=list)
-    fields: list = field(default_factory=list)  # (t, c, a) snapshots
+    fields: list = field(default_factory=list)  # (t, c, a) snapshots; [0] is t = 0
 
 
 def default_lyapunov_p(m: float) -> float | None:
@@ -155,7 +155,8 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
             cl, cr, _ = solver1d.reconstruct_traces(state, state.a, opts)
             traces = (cl, cr)
         traj.records.append(record(state, problem, dt, stop.p_list, traces, au))
-        if stop.store_fields_every and samples % stop.store_fields_every == 0:
+        every = stop.store_fields_every
+        if samples == 0 or (every and samples % every == 0):
             traj.fields.append((state.t, state.c.copy(), state.a))
         xpow_series.append(float(np.max(x1_pow * state.c)))
         samples += 1
@@ -224,7 +225,7 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
         outcome, reason = BOUNDED, "reached t_end"
     if traj.records[-1].t < state.t:
         sample(last_dt)
-    if stop.store_fields_every and (not traj.fields or traj.fields[-1][0] < state.t):
+    if stop.store_fields_every and traj.fields[-1][0] < state.t:
         traj.fields.append((state.t, state.c.copy(), state.a))
 
     rep.outcome = outcome

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import build_grid_1d
-from .problem import DomainError, DomainSpec, NonlinearitySpec, ProblemSpec
+from .problem import DomainError
 
 
 class SteadyStateError(RuntimeError):
@@ -165,30 +164,3 @@ def find_steady(
         else:
             hi = mid
     return _make(m, L, 0.5 * (lo + hi))
-
-
-def steady_residual(ss: SteadyState1D, Ncells: int, dt: float | None = None) -> float:
-    """One solver step from the exactly sampled profile at the solver's own
-    CFL-proportional dt, returning the relative sup change.
-
-    A true discrete fixed point would return 0.  The boundary cells see an
-    O(1) flux-closure defect rate, so the sup residual scales like dt ~ h
-    and halves under mesh doubling; an explicit dt overrides the default.
-    """
-    from .solver1d import StepOptions, make_state, step
-
-    grid = build_grid_1d(ss.L, Ncells)
-    pos = ss if ss.a > 0 else ss.reflect()
-    c = pos.cell_averages(grid)
-    if ss.a < 0:
-        c = c[::-1].copy()
-    if dt is None:
-        dt = 0.2 * grid.h_min / max(abs(ss.a), 1.0)
-    problem = ProblemSpec(
-        nonlinearity=NonlinearitySpec(kind="signed_power", m=ss.m),
-        domain=DomainSpec(geometry="interval", L=ss.L),
-    )
-    state = make_state(grid, c)
-    state.a = ss.a
-    new = step(problem, state, dt, StepOptions(dt_max=max(dt, 1e-2)))
-    return float(np.max(np.abs(new.c - c))) / float(np.max(np.abs(c)))

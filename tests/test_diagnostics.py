@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from cellflux.diagnostics import (
     FunctionalRecord,
+    axial_coordinate,
     decay_tail,
     dissipation_residuals,
     entropy_of,
     fit_blowup,
     fit_decay,
-    first_moment,
     lp_norm,
     moment_residual,
     record,
@@ -224,7 +224,8 @@ def test_fit_decay_synthetic_and_tail_selection():
 def test_first_moment_and_lp_cylinder():
     g = build_grid_cyl(1.0, 1.0, 3, 16, 8)
     c = np.ones((16, 8))
-    assert first_moment(g, c) == pytest.approx(math.pi / 2.0, rel=1e-12)
+    # the first moment as record() takes it: the quadrature of x1 c
+    assert integrate(g, axial_coordinate(g) * c) == pytest.approx(math.pi / 2.0, rel=1e-12)
     assert lp_norm(g, c, 2.0) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import cellflux.harness
 from cellflux import cli as cellflux_cli
 from cellflux import presets
 from cellflux.grid import build_grid_1d, build_grid_cyl, integrate
@@ -27,7 +28,7 @@ from cellflux.harness import (
 )
 from cellflux.presets import list_presets, preset_config
 from cellflux.problem import ConfigError, DomainSpec
-from cellflux.runner import BOUNDED, CONVERGED
+from cellflux.runner import BOUNDED, CONVERGED, NUMERICAL_FAILURE
 
 
 MINIMAL = {
@@ -320,6 +321,39 @@ def test_sweep_m2_blows_up_at_both_bracket_ends():
     assert [o for _v, o in rep.probes] == ["BLOWUP", "BLOWUP"]
 
 
+def fake_run_config(fail_at):
+    """run_config stand-in: BLOWUP above M = 1, BOUNDED below, and
+    NUMERICAL_FAILURE at the (M, N) pairs in fail_at."""
+    calls = []
+
+    def run_config(cfg):
+        M, N = cfg.initial.mass, cfg.grid.N
+        calls.append((M, N))
+        outcome = NUMERICAL_FAILURE if (M, N) in fail_at else "BLOWUP" if M > 1.0 else BOUNDED
+        return None, None, SimpleNamespace(outcome=outcome, reason="")
+
+    return run_config, calls
+
+
+@pytest.mark.parametrize("fail_at,n_probes,n_refined", [
+    ({(0.5, 32)}, 1, 0),  # the first endpoint
+    ({(1.25, 32)}, 4, 0),  # the second midpoint
+    ({(1.25, 64)}, 5, 4),  # a midpoint of the refined level
+], ids=["endpoint", "midpoint", "refined_level"])
+def test_sweep_keeps_its_probes_when_one_fails_numerically(monkeypatch, fail_at, n_probes, n_refined):
+    run_config, calls = fake_run_config(fail_at)
+    monkeypatch.setattr(cellflux.harness, "run_config", run_config)
+    cfg = config_from_dict({**MINIMAL, "grid": {"N": 32}})
+    rep = sweep(cfg, "M", (0.5, 1.5), refinements=3)
+    assert len(rep.probes) == n_probes and len(rep.refined_probes) == n_refined
+    # the failed probe is recorded, and it is the last probe made
+    made = rep.probes + rep.refined_probes
+    assert made[-1] == (next(iter(fail_at))[0], NUMERICAL_FAILURE)
+    assert calls == [(v, 32) for v, _o in rep.probes] + [(v, 64) for v, _o in rep.refined_probes]
+    est = rep.refined_estimate if n_refined else rep.threshold_estimate
+    assert math.isnan(est) and not rep.non_monotone
+
+
 # --- CLI ---------------------------------------------------------------------
 
 
@@ -461,6 +495,32 @@ def test_cli_sweep_prints_the_probes_of_both_levels(monkeypatch, capsys):
     ]
     assert lines[6].startswith("threshold estimate: 1.028")
     assert lines[7].startswith("at 2x resolution:   1.028")
+
+
+def test_cli_sweep_exits_3_with_every_probe_when_one_fails(tmp_path, monkeypatch, capsys):
+    run_config, _calls = fake_run_config({(1.25, 32)})
+    monkeypatch.setattr(cellflux.harness, "run_config", run_config)
+    (tmp_path / "cfg.json").write_text(json.dumps({**MINIMAL, "grid": {"N": 32}}))
+    argv = ["sweep", "--config", str(tmp_path / "cfg.json"), "--bracket", "0.5,1.5",
+            "--refine", "3", "--out", str(tmp_path / "o")]
+    assert cellflux_cli.main(argv) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == [
+        "  M = 0.5: BOUNDED",
+        "  M = 1.5: BLOWUP",
+        "  M = 1: BOUNDED",
+        "  M = 1.25: NUMERICAL_FAILURE",
+    ]
+    doc = json.loads((tmp_path / "o" / "sweep.json").read_text())
+    assert doc["probes"][-1] == [1.25, NUMERICAL_FAILURE] and len(doc["probes"]) == 4
+
+
+@pytest.mark.parametrize("bracket", ["0.9", "a,b", "1.4,0.9", "0.9,0.9", "0.9,1.4,2", "-inf,1.4", "nan,1.4"])
+def test_cli_sweep_rejects_a_malformed_bracket(monkeypatch, capsys, bracket):
+    monkeypatch.setattr(cellflux_cli, "sweep", lambda *args: pytest.fail("sweep ran"))
+    argv = ["sweep", "--config", "sweep_critical", f"--bracket={bracket}"]
+    assert cellflux_cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --bracket ")
 
 
 def test_blowup_rate_study_script_runs_help():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +12,6 @@ from cellflux.problem import (
     ProblemSpec,
     ball_volume,
     eval_f,
-    nondimensionalize,
     sphere_area,
     thresholds,
 )
@@ -40,13 +40,69 @@ def test_eval_f_zero_everywhere():
         assert eval_f(spec(kind, m), 0.0) == 0.0
 
 
-def test_eval_f_domain_errors():
-    with pytest.raises(DomainError):
-        eval_f(spec("negative_power", 2.0), -1.0)
-    with pytest.raises(DomainError):
-        eval_f(spec("sublinear_power", 0.5), -0.1)
-    with pytest.raises(DomainError):
-        eval_f(spec("signed_power", 1.0), math.inf)
+def test_eval_f_takes_the_nonnegative_part_on_floats_and_arrays():
+    s = np.array([-1.0, -1e-17, 0.0, 0.25, 4.0])
+    for kind, m in [("negative_power", 2.0), ("sublinear_power", 0.5), ("saturating", 1.0)]:
+        f = spec(kind, m)
+        assert eval_f(f, -1.0) == 0.0 and eval_f(f, -1e-17) == 0.0
+        assert np.array_equal(eval_f(f, s), eval_f(f, np.maximum(s, 0.0)))
+    # signed_power is defined on all of R and odd there
+    f = spec("signed_power", 1.5)
+    assert np.array_equal(eval_f(f, -s), -eval_f(f, s))
+    assert eval_f(f, -4.0) == -8.0
+
+
+# The two bodies of f that eval_f replaced, kept as references: the
+# interval's scalar f at a trace and the cylinder's vectorized f.
+def f_at_trace_reference(nl, s):
+    if nl.kind != "signed_power" and s < 0.0:
+        s = 0.0
+    k = nl.kind
+    if k == "signed_power":
+        return math.copysign(abs(s) ** nl.m, s)
+    if k == "negative_power":
+        return -(s**nl.m)
+    if k == "sublinear_power":
+        return s**nl.m
+    return nl.level * s / (s + nl.alpha) if s > 0.0 else 0.0
+
+
+def f_np_reference(nl, s):
+    k = nl.kind
+    if k == "signed_power":
+        return np.sign(s) * np.abs(s) ** nl.m
+    s = np.maximum(s, 0.0)
+    if k == "negative_power":
+        return -(s**nl.m)
+    if k == "sublinear_power":
+        return s**nl.m
+    return nl.level * s / (s + nl.alpha)
+
+
+DIFFERENTIAL_SPECS = [
+    ("signed_power", 1.0), ("signed_power", 1.5), ("signed_power", 2.0), ("signed_power", 3.7),
+    ("negative_power", 1.0), ("negative_power", 2.0), ("negative_power", 2.5),
+    ("sublinear_power", 0.5), ("sublinear_power", 0.3), ("saturating", 1.0),
+]
+
+
+@pytest.mark.parametrize("kind,m", DIFFERENTIAL_SPECS)
+def test_eval_f_matches_the_scalar_and_array_references(kind, m):
+    nl = NonlinearitySpec(kind=kind, m=m, level=0.7, alpha=0.3)
+    rng = np.random.default_rng(5)
+    mag = 10.0 ** rng.uniform(-12.0, 4.0, 400)
+    s = np.concatenate([mag * rng.choice([-1.0, 1.0], 400), [0.0, -0.0, 1.0, -1.0]])
+    scalar = np.array([eval_f(nl, float(v)) for v in s])
+    scalar_ref = np.array([f_at_trace_reference(nl, float(v)) for v in s])
+    array, array_ref = eval_f(nl, s), f_np_reference(nl, s)
+    if kind != "signed_power" or m == 1.0:
+        # same operations on the same values: bitwise
+        assert np.array_equal(scalar, scalar_ref)
+        assert np.array_equal(array, array_ref)
+    else:
+        # s |s|^(m-1) against sign(s) |s|^m: two roundings either way
+        assert np.all(np.abs(scalar - scalar_ref) <= 2.0 * np.spacing(np.abs(scalar_ref)))
+        assert np.all(np.abs(array - array_ref) <= 2.0 * np.spacing(np.abs(array_ref)))
 
 
 def test_bad_specs_rejected():
@@ -90,21 +146,6 @@ def test_geometry_volumes():
     d = DomainSpec(geometry="cylinder", L=2.0, R=1.0, n=3)
     assert d.volume == pytest.approx(2.0 * math.pi)
     assert DomainSpec(geometry="interval", L=3.0).volume == 3.0
-
-
-@pytest.mark.parametrize(
-    "chi,a_frac,volume,m,expected",
-    [(1, 1, 1, 2, 1.0), (2, 0.5, 1, 1, 1.0), (1, 1, 4, 2, 2.0)],
-)
-def test_nondimensionalize(chi, a_frac, volume, m, expected):
-    assert nondimensionalize(chi, a_frac, volume, m) == pytest.approx(expected, rel=1e-14)
-
-
-def test_nondimensionalize_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        nondimensionalize(0.0, 1.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        nondimensionalize(1.0, 1.0, -2.0, 1.0)
 
 
 def interval_problem(m, L=1.0, kind="signed_power"):
