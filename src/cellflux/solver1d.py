@@ -6,16 +6,17 @@ Layout of one step:
     secant iteration on the boundary traces (solve_coupling),
   * then one pass of the advect-and-diffuse kernel (_advect_diffuse) along
     the axis: explicit first-order upwind advection, J = -a c_upwind (upwind
-    side picked by the sign of a), and backward-Euler diffusion
-    (c_{i+1} - c_i)/dist through one tridiagonal solve (LAPACK dgtsv,
-    solve_banded),
+    side picked by the sign of a), and backward-Euler diffusion, whose face
+    fluxes (c_{i+1} - c_i)/dist of the new field are the unknowns of one
+    tridiagonal solve (LAPACK dgtsv, solve_banded),
   * both boundary interface fluxes are identically zero.  That, and not the
     Robin traces, is what conserves mass: the committed update is assembled
-    in flux form, so the telescoping sum is exact to roundoff.
+    from the face fluxes, so the telescoping sum is exact to roundoff.
 
-The kernel works along axis 0 of an (N,) or (N, k) array with optional face
-weights, so the cylinder stepper (solver_cyl) runs it once axially and once
-radially.  State, make_state and adapt_dt serve both geometries.
+The kernel works along axis 0 of an (N,) or (N, K) array with one
+conductance per interior face, so the cylinder stepper (solver_cyl) runs it
+once axially and once radially.  State, make_state and adapt_dt serve both
+geometries.
 
 Robin boundary traces solve the one-sided closure c_x = a c and feed only the
 computation of a; they never enter the flux.
@@ -178,41 +179,35 @@ def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -
     sides, through LAPACK dgtsv.  All four arrays are overwritten; a
     Fortran-ordered b is solved in place.  Raises StepRejected if dgtsv
     reports a zero pivot or a bad argument."""
+    if len(d) == 1:
+        # SciPy's dgtsv wrapper wants off-diagonals of at least one entry
+        dl = du = np.zeros(1)
     x, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)[3:]
     if info != 0:
         raise StepRejected(f"tridiagonal solve failed (dgtsv info = {info})")
     return x
 
 
-def _advect_diffuse(c, dt, widths, dist, a=0.0, h_min=math.inf, face_weight=None):
+def _advect_diffuse(c, dt, widths, k, a=0.0, h_min=math.inf):
     """One conservative advect-and-diffuse pass along axis 0 of c, an (N,)
-    or (N, k) array of cell averages over cells of the given widths with
-    center gaps dist; returns the updated array.
+    or (N, K) array of cell averages over cells of the given widths; k is
+    the conductance of each of the N-1 interior faces (face weight over
+    center gap).  Returns the updated array.
 
     Rejects (StepRejected) an advective CFL violation dt |a| > h_min, then
     applies explicit upwind advection with speed a, then backward-Euler
-    diffusion with flux face_weight (c_{i+1} - c_i)/dist (face_weight
-    defaults to 1), committed in flux form so sum(widths * c) telescopes.
-    Both boundary faces carry no flux.
+    diffusion with face flux F = k (y_{i+1} - y_i) of the new field y.
+    Both steps are committed in flux form, so sum(widths * c) telescopes,
+    and both boundary faces carry no flux.
     """
     if dt * abs(a) > h_min:
         raise StepRejected(f"advective CFL violated: dt*|a| = {dt * abs(a):.3g} > h_min")
     col = np.s_[:] if c.ndim == 1 else np.s_[:, None]
-    d = dist[col]
-    W = None if face_weight is None else face_weight[col]
     # dt/h of the cells left and right of each interior face
-    sl, sr = (dt / widths[:-1])[col], (dt / widths[1:])[col]
-
-    def face_flux(y):
-        G = y[1:] - y[:-1]
-        if W is not None:
-            G *= W
-        G /= d
-        return G
-
-    # zeros_like and copy(order="K") keep the layout of c, so every pass
-    # works on arrays laid out as make_state laid out the field
-    b = np.zeros_like(c)
+    tl, tr = dt / widths[:-1], dt / widths[1:]
+    sl, sr = tl[col], tr[col]
+    # copy(order="K") keeps the layout of c, so every pass works on arrays
+    # laid out as make_state laid out the field
     out = c.copy(order="K")
     if a != 0.0:
         # explicit upwind advection, interior faces only; J = -a c_up
@@ -220,23 +215,18 @@ def _advect_diffuse(c, dt, widths, dist, a=0.0, h_min=math.inf, face_weight=None
         out[:-1] += sl * J
         out[1:] -= sr * J
 
-    # backward Euler in increment form, (I - dt D) delta = dt D c*, so fields
-    # with zero flux differences (constants along this axis) stay bitwise fixed
-    w = dt / dist if face_weight is None else dt * face_weight / dist
-    diag = np.ones(len(widths))
-    diag[:-1] += w / widths[:-1]
-    diag[1:] += w / widths[1:]
-    G = face_flux(out)
-    b[:-1] += sl * G
-    b[1:] -= sr * G
-    delta = solve_banded(-w / widths[1:], diag, -w / widths[:-1], b)
-    if not np.all(np.isfinite(delta)):
+    # backward Euler solved for the face fluxes: y = out + (commit of F)
+    # turns F = k (y_{i+1} - y_i) into one tridiagonal system of n - 1
+    # unknowns.  The commit never differences the solved field, so it adds
+    # no roundoff of order eps dt/h_min^2, and data constant along this axis
+    # gives F = 0 exactly
+    F = out[1:] - out[:-1]
+    F *= k[col]
+    F = solve_banded(-k[1:] * tl[1:], 1.0 + k * (tl + tr), -k[:-1] * tr[:-1], F)
+    if not np.all(np.isfinite(F)):
         raise StepRejected("tridiagonal solve produced non-finite values")
-
-    # commit in flux form so mass telescopes exactly
-    G = face_flux(out + delta)
-    out[:-1] += sl * G
-    out[1:] -= sr * G
+    out[:-1] += sl * F
+    out[1:] -= sr * F
     return out
 
 
@@ -247,7 +237,7 @@ def step(problem: ProblemSpec, state: State, dt: float, opts: StepOptions) -> St
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
     a = compute_a(problem, state, opts)
-    c = _advect_diffuse(state.c, dt, grid.widths, grid.dist, a, grid.h_min)
+    c = _advect_diffuse(state.c, dt, grid.widths, 1.0 / grid.dist, a, grid.h_min)
     return replace(
         state,
         c=c,

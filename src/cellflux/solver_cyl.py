@@ -5,9 +5,10 @@ reduces to A(t) = a(t) e1, with a(t) the difference of the f-integrals over
 the two end caps, and the axial dynamics is the interval's: one step runs
 the interval's advect-and-diffuse kernel (solver1d._advect_diffuse) along
 the axis on every radial column, then once more along rho on every axial row
-with the radial face areas as flux weights (backward-Euler radial diffusion
-in divergence form, no advection).  Each pass is committed in flux form, so
-the weighted mass telescopes exactly, and the order of the passes is fixed.
+with face conductances face_area/rho_dist (backward-Euler radial diffusion in
+divergence form, no advection).  Each pass solves for its face fluxes and
+commits them, so the weighted mass telescopes exactly, and the order of the
+passes is fixed.
 The lateral boundary is homogeneous Neumann (the advective field is axial, so
 it carries no lateral flux), and the axis face carries no flux by symmetry.
 
@@ -75,8 +76,8 @@ def step_cyl(problem: ProblemSpec, state: State, dt: float, opts: StepOptions) -
     grid = state.grid
     ax = grid.axial
     a = compute_a_cyl(problem, state, opts)
-    c = _advect_diffuse(state.c, dt, ax.widths, ax.dist, a, ax.h_min)
-    c = _advect_diffuse(c.T, dt, grid.vol, grid.rho_dist, face_weight=grid.face_area).T
+    c = _advect_diffuse(state.c, dt, ax.widths, 1.0 / ax.dist, a, ax.h_min)
+    c = _advect_diffuse(c.T, dt, grid.vol, grid.face_area / grid.rho_dist).T
     return replace(
         state,
         c=c,

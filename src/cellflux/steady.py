@@ -11,7 +11,8 @@ the mass curve M(a) = c0(a) (exp(a L) - 1)/a.  For m = 1 the mass curve is
 identically 1 (the critical mass); for m > 1 it decreases from the zero-rate
 limit m^(-1/m) L^((m-1)/m) to 0, so on the unit interval a steady state with
 mass M exists exactly when M is below N0 = m^(-1/m), and every member has
-L^m norm equal to N0.  Negative rates are the mirror images x -> L - x.
+L^m norm equal to N0.  Negative rates give the mirror images x -> L - x,
+which find_steady does not return.
 
 All exponentials are evaluated in the log domain so large a L never
 overflows.
@@ -74,35 +75,14 @@ class SteadyState1D:
     mass: float
     lm_norm: float
 
-    def profile(self, x):
-        """Pointwise values; negative-rate members are handled by the same
-        formula (they arise from reflect())."""
-        return self.c0_left * np.exp(self.a * np.asarray(x))
-
     def cell_averages(self, grid) -> np.ndarray:
         """Exact cell averages over a Grid1D (closed-form antiderivative)."""
         e = np.exp(self.a * grid.interfaces)
         return self.c0_left * (e[1:] - e[:-1]) / (self.a * grid.widths)
 
-    def reflect(self) -> "SteadyState1D":
-        """The mirror-image steady state with rate -a (profile composed with
-        x -> L - x)."""
-        return SteadyState1D(
-            a=-self.a,
-            c0_left=self.c0_left * math.exp(self.a * self.L),
-            L=self.L,
-            m=self.m,
-            mass=self.mass,
-            lm_norm=self.lm_norm,
-        )
-
     def self_consistency_residual(self) -> float:
-        """|c0^m (e^{amL} - 1) - a| with a > 0 and c0 the small-end value;
-        zero for a true member of the family (mirrored members are mapped
-        back to their positive-rate twin first)."""
-        a = abs(self.a)
-        c0 = self.c0_left if self.a > 0 else self.c0_left * math.exp(self.a * self.L)
-        return abs(c0**self.m * math.expm1(a * self.m * self.L) - a)
+        """|c0^m (e^{amL} - 1) - a|, zero for a true member of the family."""
+        return abs(self.c0_left**self.m * math.expm1(self.a * self.m * self.L) - self.a)
 
 
 def _make(m: float, L: float, a: float) -> SteadyState1D:

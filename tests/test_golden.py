@@ -5,10 +5,11 @@ with the runner's step loop (adapt dt, halve it on StepRejected): the
 committed `a`, the `dt` taken and the `trace_guarded` flag of every step, and
 the final cell averages `c`.
 
-The cylinder trajectories must agree bitwise: the shared advect-and-diffuse
-kernel keeps the cylinder's order of operations.  The interval ones agree to
-1e-12 relative: the flux-form commit is now summed as (c* + delta) first,
-then differenced, as the cylinder always did, which moves the last bits.
+All five agree to 1e-12 relative in `a`, `dt` and `c`, with `trace_guarded`
+equal.  The files were recorded from the increment-form diffusion solve; the
+face-flux solve that replaced it (solver1d._advect_diffuse) does the same
+arithmetic in a different order, which moves the last bits in both
+geometries (up to about 1e-13 relative on cyl_blowup).
 
 Regenerate (only when a change to the results is intended and explained):
 
@@ -56,22 +57,23 @@ def trajectory(name: str) -> dict:
     return {"a": np.array(a), "dt": np.array(dts), "trace_guarded": np.array(guarded), "c": state.c}
 
 
-@pytest.mark.parametrize("name", CYLINDER)
-def test_cylinder_trajectory_bitwise(name):
-    want = np.load(DATA / f"golden_{name}.npz")
-    got = trajectory(name)
-    for key in ("a", "dt", "trace_guarded", "c"):
-        assert np.array_equal(got[key], want[key]), key
-
-
-@pytest.mark.parametrize("name", INTERVAL)
-def test_interval_trajectory_within_roundoff(name):
+def assert_matches_golden(name):
     want = np.load(DATA / f"golden_{name}.npz")
     got = trajectory(name)
     assert np.array_equal(got["trace_guarded"], want["trace_guarded"])
     assert np.all(np.abs(got["a"] - want["a"]) <= REL * np.maximum(1.0, np.abs(want["a"])))
     assert np.all(np.abs(got["dt"] - want["dt"]) <= REL * want["dt"])
     assert np.max(np.abs(got["c"] - want["c"])) <= REL * np.max(np.abs(want["c"]))
+
+
+@pytest.mark.parametrize("name", INTERVAL)
+def test_interval_trajectory_within_roundoff(name):
+    assert_matches_golden(name)
+
+
+@pytest.mark.parametrize("name", CYLINDER)
+def test_cylinder_trajectory_within_roundoff(name):
+    assert_matches_golden(name)
 
 
 if __name__ == "__main__":

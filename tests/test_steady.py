@@ -88,15 +88,6 @@ def test_find_steady_needs_larger_amax_error():
         find_steady(2.0, 1.0, 1e-12, a_max=5.0)  # mass below the curve end
 
 
-def test_reflection_symmetry():
-    ss = find_steady(2.0, 1.0, 0.4)
-    tw = ss.reflect()
-    x = np.linspace(0.0, 1.0, 33)
-    assert np.allclose(tw.profile(x), ss.profile(1.0 - x), rtol=1e-12)
-    assert tw.self_consistency_residual() <= 1e-10 * max(1.0, abs(tw.a))
-    assert tw.reflect().a == pytest.approx(ss.a)
-
-
 def test_cell_averages_integrate_to_mass():
     ss = find_steady(2.0, 1.0, 0.5)
     g = build_grid_1d(1.0, 200, 1.02)
@@ -113,12 +104,9 @@ def steady_residual(ss, Ncells: int, dt: float | None = None) -> float:
     and halves under mesh doubling; an explicit dt overrides the default.
     """
     grid = build_grid_1d(ss.L, Ncells)
-    pos = ss if ss.a > 0 else ss.reflect()
-    c = pos.cell_averages(grid)
-    if ss.a < 0:
-        c = c[::-1].copy()
+    c = ss.cell_averages(grid)
     if dt is None:
-        dt = 0.2 * grid.h_min / max(abs(ss.a), 1.0)
+        dt = 0.2 * grid.h_min / max(ss.a, 1.0)
     problem = ProblemSpec(
         nonlinearity=NonlinearitySpec(kind="signed_power", m=ss.m),
         domain=DomainSpec(geometry="interval", L=ss.L),
