@@ -83,11 +83,11 @@ def axial_coordinate(grid) -> np.ndarray:
     return grid.axial.centers[:, None] if isinstance(grid, GridCyl) else grid.centers
 
 
-def entropy_of(grid, c) -> float:
+def entropy_of(grid, c, cmin: float | None = None) -> float:
     """Integral of c log c with the integrand extended by 0 at c = 0, by the
-    dot-product quadrature (integrate_dot)."""
+    dot-product quadrature (integrate_dot); cmin is c.min() if known."""
     c = np.asarray(c)
-    if c.min() > 1e-300:  # the usual case: no cell needs the extension
+    if (c.min() if cmin is None else cmin) > 1e-300:  # the usual case: no cell needs the extension
         return integrate_dot(grid, c * np.log(c))
     s = np.where(c > 1e-300, c * np.log(np.maximum(c, 1e-300)), 0.0)
     return integrate_dot(grid, s)

@@ -20,6 +20,26 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class PassGeometry:
+    """The dt-free factors of one advect-and-diffuse pass (solver1d) over
+    cells of widths w with conductance k at each interior face: the pass's
+    tridiagonal bands are -dt lower, 1 + dt diag and -dt upper."""
+
+    inv_w: np.ndarray  # 1/w per cell
+    k: np.ndarray  # per interior face
+    lower: np.ndarray  # k[1:]/w[1:-1]
+    upper: np.ndarray  # k[:-1]/w[1:-1]
+    diag: np.ndarray  # k (1/w_left + 1/w_right)
+
+
+def pass_geometry(w: np.ndarray, k: np.ndarray) -> PassGeometry:
+    """The frozen PassGeometry of cells of widths w and face conductances k."""
+    inv_w = 1.0 / w
+    bands = (k[1:] / w[1:-1], k[:-1] / w[1:-1], k * (inv_w[:-1] + inv_w[1:]))
+    return PassGeometry(*(_freeze(x) for x in (inv_w, k) + bands))
+
+
+@dataclass(frozen=True)
 class Grid1D:
     """Cells on (0, L).  Widths grow geometrically by r away from x = 0
     (r = 1 is uniform), so grading refines the proven blow-up end."""
@@ -31,6 +51,7 @@ class Grid1D:
     widths: np.ndarray
     centers: np.ndarray
     dist: np.ndarray = field(repr=False)  # center-to-center gaps, N-1 interior faces
+    geom: PassGeometry = field(repr=False)  # of the axial pass, k = 1/dist
 
     @property
     def h_min(self) -> float:
@@ -56,6 +77,7 @@ def build_grid_1d(L: float, N: int, r: float = 1.0) -> Grid1D:
         interfaces[-1] = L  # last width absorbs the accumulated rounding
     widths = np.diff(interfaces)
     centers = 0.5 * (interfaces[:-1] + interfaces[1:])
+    dist = centers[1:] - centers[:-1]
     return Grid1D(
         L=L,
         N=N,
@@ -63,7 +85,8 @@ def build_grid_1d(L: float, N: int, r: float = 1.0) -> Grid1D:
         interfaces=_freeze(interfaces),
         widths=_freeze(widths),
         centers=_freeze(centers),
-        dist=_freeze(centers[1:] - centers[:-1]),
+        dist=_freeze(dist),
+        geom=pass_geometry(widths, 1.0 / dist),
     )
 
 
@@ -80,8 +103,7 @@ class GridCyl:
     rho_centers: np.ndarray
     rho_widths: np.ndarray
     vol: np.ndarray  # radial volume weight per cell
-    face_area: np.ndarray = field(repr=False)  # sigma_{n-2} rho^{n-2} at the Nr-1 interior faces
-    rho_dist: np.ndarray = field(repr=False)  # radial center-to-center gaps, Nr-1 interior faces
+    rho_geom: PassGeometry = field(repr=False)  # of the radial pass, k = sigma_{n-2} rho^{n-2}/center gap
 
     @property
     def ball_volume(self) -> float:
@@ -112,6 +134,7 @@ def build_grid_cyl(
     # exact antiderivative of rho^(n-2): rho^(n-1)/(n-1)
     vol = sigma * (rho_if[1:] ** (n - 1) - rho_if[:-1] ** (n - 1)) / (n - 1)
     rho_centers = 0.5 * (rho_if[:-1] + rho_if[1:])
+    k = sigma * rho_if[1:-1] ** (n - 2) / (rho_centers[1:] - rho_centers[:-1])
     return GridCyl(
         axial=axial,
         R=R,
@@ -121,8 +144,7 @@ def build_grid_cyl(
         rho_centers=_freeze(rho_centers),
         rho_widths=_freeze(np.diff(rho_if)),
         vol=_freeze(vol),
-        face_area=_freeze(sigma * rho_if[1:-1] ** (n - 2)),
-        rho_dist=_freeze(rho_centers[1:] - rho_centers[:-1]),
+        rho_geom=pass_geometry(vol, k),
     )
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .grid import Grid1D, GridCyl
+from .grid import Grid1D, GridCyl, PassGeometry
 from .problem import ConfigError, ProblemSpec, eval_f
 
 
@@ -176,9 +176,10 @@ def compute_a(problem: ProblemSpec, state: State, opts: StepOptions) -> float:
 def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system with sub-, main and super-diagonals
     (dl, d, du) for b, an (n,) vector or an (n, k) array of k right-hand
-    sides, through LAPACK dgtsv.  All four arrays are overwritten; a
-    Fortran-ordered b is solved in place.  Raises StepRejected if dgtsv
-    reports a zero pivot or a bad argument."""
+    sides, through LAPACK dgtsv.  All four arrays are overwritten, even
+    read-only ones (f2py ignores the flag), so never pass a grid's frozen
+    arrays; a Fortran-ordered b is solved in place.  Raises StepRejected if
+    dgtsv reports a zero pivot or a bad argument."""
     if len(d) == 1:
         # SciPy's dgtsv wrapper wants off-diagonals of at least one entry
         dl = du = np.zeros(1)
@@ -188,11 +189,10 @@ def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -
     return x
 
 
-def _advect_diffuse(c, dt, widths, k, a=0.0, h_min=math.inf):
+def _advect_diffuse(c, dt, geom: PassGeometry, a=0.0, h_min=math.inf):
     """One conservative advect-and-diffuse pass along axis 0 of c, an (N,)
-    or (N, K) array of cell averages over cells of the given widths; k is
-    the conductance of each of the N-1 interior faces (face weight over
-    center gap).  Returns the updated array.
+    or (N, K) array of cell averages over the cells of geom, the pass's
+    dt-free band factors (grid.PassGeometry).  Returns the updated array.
 
     Rejects (StepRejected) an advective CFL violation dt |a| > h_min, then
     applies explicit upwind advection with speed a, then backward-Euler
@@ -203,31 +203,30 @@ def _advect_diffuse(c, dt, widths, k, a=0.0, h_min=math.inf):
     if dt * abs(a) > h_min:
         raise StepRejected(f"advective CFL violated: dt*|a| = {dt * abs(a):.3g} > h_min")
     col = np.s_[:] if c.ndim == 1 else np.s_[:, None]
-    # dt/h of the cells left and right of each interior face
-    tl, tr = dt / widths[:-1], dt / widths[1:]
-    sl, sr = tl[col], tr[col]
-    # copy(order="K") keeps the layout of c, so every pass works on arrays
-    # laid out as make_state laid out the field
-    out = c.copy(order="K")
+    dtw = (dt * geom.inv_w)[col]
+    # face fluxes go between the zero ends of pad, so each commit is one
+    # divergence (dt/w) (pad[1:] - pad[:-1]) and keeps the layout of c
+    pad = np.zeros((len(c) + 1,) + c.shape[1:], order="C" if c.flags.c_contiguous else "F")
+    out = c
     if a != 0.0:
         # explicit upwind advection, interior faces only; J = -a c_up
-        J = -a * (c[:-1] if a >= 0.0 else c[1:])
-        out[:-1] += sl * J
-        out[1:] -= sr * J
+        np.multiply(c[:-1] if a >= 0.0 else c[1:], -a, out=pad[1:-1])
+        out = c + dtw * (pad[1:] - pad[:-1])
 
     # backward Euler solved for the face fluxes: y = out + (commit of F)
     # turns F = k (y_{i+1} - y_i) into one tridiagonal system of n - 1
     # unknowns.  The commit never differences the solved field, so it adds
     # no roundoff of order eps dt/h_min^2, and data constant along this axis
-    # gives F = 0 exactly
-    F = out[1:] - out[:-1]
-    F *= k[col]
-    F = solve_banded(-k[1:] * tl[1:], 1.0 + k * (tl + tr), -k[:-1] * tr[:-1], F)
+    # gives F = 0 exactly.  The right-hand side is built in Fortran order
+    # (in pad itself for an (N,) field), so dgtsv solves it in place
+    F = pad[1:-1] if c.ndim == 1 else np.empty(pad[1:-1].shape, order="F")
+    np.subtract(out[1:], out[:-1], out=F)
+    F *= geom.k[col]
+    F = solve_banded(-dt * geom.lower, 1.0 + dt * geom.diag, -dt * geom.upper, F)
     if not np.all(np.isfinite(F)):
         raise StepRejected("tridiagonal solve produced non-finite values")
-    out[:-1] += sl * F
-    out[1:] -= sr * F
-    return out
+    pad[1:-1] = F
+    return out + dtw * (pad[1:] - pad[:-1])
 
 
 def step(problem: ProblemSpec, state: State, dt: float, opts: StepOptions) -> State:
@@ -237,7 +236,7 @@ def step(problem: ProblemSpec, state: State, dt: float, opts: StepOptions) -> St
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
     a = compute_a(problem, state, opts)
-    c = _advect_diffuse(state.c, dt, grid.widths, 1.0 / grid.dist, a, grid.h_min)
+    c = _advect_diffuse(state.c, dt, grid.geom, a, grid.h_min)
     return replace(
         state,
         c=c,

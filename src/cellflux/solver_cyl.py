@@ -5,8 +5,9 @@ reduces to A(t) = a(t) e1, with a(t) the difference of the f-integrals over
 the two end caps, and the axial dynamics is the interval's: one step runs
 the interval's advect-and-diffuse kernel (solver1d._advect_diffuse) along
 the axis on every radial column, then once more along rho on every axial row
-with face conductances face_area/rho_dist (backward-Euler radial diffusion in
-divergence form, no advection).  Each pass solves for its face fluxes and
+with face conductances sigma_{n-2} rho^{n-2} over the center gap
+(GridCyl.rho_geom; backward-Euler radial diffusion in divergence form, no
+advection).  Each pass solves for its face fluxes and
 commits them, so the weighted mass telescopes exactly, and the order of the
 passes is fixed.
 The lateral boundary is homogeneous Neumann (the advective field is axial, so
@@ -76,8 +77,8 @@ def step_cyl(problem: ProblemSpec, state: State, dt: float, opts: StepOptions) -
     grid = state.grid
     ax = grid.axial
     a = compute_a_cyl(problem, state, opts)
-    c = _advect_diffuse(state.c, dt, ax.widths, 1.0 / ax.dist, a, ax.h_min)
-    c = _advect_diffuse(c.T, dt, grid.vol, grid.face_area / grid.rho_dist).T
+    c = _advect_diffuse(state.c, dt, ax.geom, a, ax.h_min)
+    c = _advect_diffuse(c.T, dt, grid.rho_geom).T
     return replace(
         state,
         c=c,

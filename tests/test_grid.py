@@ -1,10 +1,13 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellflux.grid import build_grid_1d, build_grid_cyl, integrate
+from cellflux.grid import GridCyl, PassGeometry, build_grid_1d, build_grid_cyl, integrate
+from cellflux.harness import run_config
+from cellflux.presets import preset_config
 from cellflux.problem import ConfigError
 
 
@@ -88,3 +91,31 @@ def test_refinement_leaves_constant_integral_unchanged():
     for N, r in [(32, 1.1), (64, 1.05), (256, 1.01), (512, 1.0)]:
         g = build_grid_1d(math.pi, N, r)
         assert integrate(g, np.full(N, 2.0)) == pytest.approx(2.0 * math.pi, rel=1e-12)
+
+
+def pass_geometries(g):
+    return [g.axial.geom, g.rho_geom] if isinstance(g, GridCyl) else [g.geom]
+
+
+def test_pass_geometry_holds_the_band_factors():
+    g = build_grid_cyl(1.0, 1.0, 3, 8, 5, 1.1)
+    k_rho = 2.0 * math.pi * g.rho_interfaces[1:-1] / np.diff(g.rho_centers)  # sigma_1 rho over the gap
+    for geom, w, k in ((g.axial.geom, g.axial.widths, 1.0 / g.axial.dist), (g.rho_geom, g.vol, k_rho)):
+        assert np.array_equal(geom.inv_w, 1.0 / w) and np.array_equal(geom.k, k)
+        assert np.array_equal(geom.lower, k[1:] / w[1:-1]) and np.array_equal(geom.upper, k[:-1] / w[1:-1])
+        assert np.allclose(geom.diag, k / w[:-1] + k / w[1:], rtol=1e-15, atol=0.0)
+        assert not any(getattr(geom, f.name).flags.writeable for f in fields(PassGeometry))
+
+
+@pytest.mark.parametrize("preset,t_end", [("critical_mass_exact", 0.01), ("cyl_blowup", 1e-4)])
+def test_runs_leave_the_stored_band_factors_unchanged(preset, t_end):
+    # solve_banded overwrites its inputs even when they are flagged
+    # read-only, so freezing does not protect the grid's arrays; a pass that
+    # handed it a stored factor would corrupt every later step
+    cfg = preset_config(preset)
+    grid, _traj, rep = run_config(replace(cfg, stop=replace(cfg.stop, t_end=t_end)))
+    assert rep.steps > 10
+    fresh = cfg.grid.build(cfg.problem.domain)
+    for got, want in zip(pass_geometries(grid), pass_geometries(fresh)):
+        for f in fields(PassGeometry):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name

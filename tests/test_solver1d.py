@@ -6,11 +6,12 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from cellflux.grid import build_grid_1d, build_grid_cyl, integrate
-from cellflux.problem import DomainSpec, NonlinearitySpec, ProblemSpec, ball_volume
+from cellflux.problem import DomainSpec, NonlinearitySpec, ProblemSpec, ball_volume, sphere_area
 from cellflux.runner import StopRule, run
 from cellflux.solver1d import (
     StepOptions,
     StepRejected,
+    _advect_diffuse,
     adapt_dt,
     compute_a,
     make_state,
@@ -213,10 +214,89 @@ def test_one_interior_face_matches_hand_solved_system():
     out = step_cyl(prob, s, dt, StepOptions())
     ax = gc.axial
     axial = np.array([one_face_pass(*c0[:, j], dt, *ax.widths, 1.0 / ax.dist[0], out.a) for j in range(2)]).T
-    k = gc.face_area[0] / gc.rho_dist[0]
+    k = 2.0 * math.pi * 0.5 / 0.5  # sigma_1 rho at the face rho = 1/2, over the center gap 1/2
     want = np.array([one_face_pass(*axial[i], dt, *gc.vol, k) for i in range(2)])
     assert np.allclose(out.c, want, rtol=1e-14, atol=0.0)
     assert abs(integrate(gc, out.c) - integrate(gc, c0)) <= 1e-13 * integrate(gc, c0)
+
+
+def radial_conductance(g):
+    """sigma_{n-2} rho^{n-2} at each interior radial face over the center gap."""
+    return sphere_area(g.n - 2) * g.rho_interfaces[1:-1] ** (g.n - 2) / np.diff(g.rho_centers)
+
+
+def advect_diffuse_reference(c, dt, widths, k, a=0.0, h_min=math.inf):
+    """The advect-and-diffuse pass as it was before the grids stored their
+    band factors: dt/w rebuilt from the widths, the bands from k, tl and tr,
+    and each commit as two strided in-place slice updates."""
+    if dt * abs(a) > h_min:
+        raise StepRejected(f"advective CFL violated: dt*|a| = {dt * abs(a):.3g} > h_min")
+    col = np.s_[:] if c.ndim == 1 else np.s_[:, None]
+    tl, tr = dt / widths[:-1], dt / widths[1:]
+    sl, sr = tl[col], tr[col]
+    out = c.copy(order="K")
+    if a != 0.0:
+        J = -a * (c[:-1] if a >= 0.0 else c[1:])
+        out[:-1] += sl * J
+        out[1:] -= sr * J
+    F = out[1:] - out[:-1]
+    F *= k[col]
+    F = solve_banded(-k[1:] * tl[1:], 1.0 + k * (tl + tr), -k[:-1] * tr[:-1], F)
+    if not np.all(np.isfinite(F)):
+        raise StepRejected("tridiagonal solve produced non-finite values")
+    out[:-1] += sl * F
+    out[1:] -= sr * F
+    return out
+
+
+def random_passes(seed):
+    """A random graded cylinder grid and the three kinds of pass the
+    steppers make: (field, widths, k, geometry, h_min) for an (N,) field
+    and an (N, K) Fortran-ordered field along the axis, and the transpose of
+    the latter along rho (the radial call)."""
+    rng = np.random.default_rng(seed)
+    N = 2 if seed == 0 else int(rng.integers(3, 400))
+    Nr = 2 if seed == 1 else int(rng.integers(3, 24))
+    g = build_grid_cyl(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)), int(rng.integers(2, 5)),
+                       N, Nr, float(rng.uniform(1.0, 1.1)))
+    ax = g.axial
+    c = np.asfortranarray(rng.random((N, Nr)) * 10.0 ** rng.uniform(-3, 3, size=Nr))
+    axial = (ax.widths, 1.0 / ax.dist, ax.geom, ax.h_min)
+    radial = (g.vol, radial_conductance(g), g.rho_geom, float(g.vol.min()))
+    return rng, [(c[:, 0].copy(),) + axial, (c,) + axial, (c.T,) + radial]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_advect_diffuse_matches_the_reference_pass(seed):
+    # the pass built from the grid's stored band factors, with each commit
+    # one divergence of a zero-ended flux buffer, against the pass that
+    # rebuilt its bands every call and committed by two slice updates.  The
+    # two commits round fluxes of size dt/h^2 linf differently, so they
+    # agree to eps linf on the scale 1 + dt max(diag) of the system's diagonal
+    rng, passes = random_passes(seed)
+    eps = np.finfo(float).eps
+    for c, widths, k, geom, h_min in passes:
+        dt = h_min ** 2 * 10.0 ** rng.uniform(-2, 3)
+        for a in (0.0, float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 1.0) * h_min / dt)):
+            got = _advect_diffuse(c, dt, geom, a, h_min)
+            want = advect_diffuse_reference(c, dt, widths, k, a, h_min)
+            assert got.shape == c.shape and got.flags.f_contiguous == c.flags.f_contiguous
+            scale = 1.0 + dt * float(geom.diag.max())
+            assert np.max(np.abs(got - want)) <= 4 * eps * np.max(np.abs(want)) * scale
+            # sum(w c) telescopes, column by column
+            for j in range(1 if c.ndim == 1 else c.shape[1]):
+                cj, gj = (c, got) if c.ndim == 1 else (c[:, j], got[:, j])
+                m0 = math.fsum(widths * cj)
+                assert abs(math.fsum(widths * gj) - m0) <= 1e-15 * m0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_advect_diffuse_keeps_data_constant_along_the_axis_bitwise(seed):
+    _rng, passes = random_passes(seed)
+    for c, _widths, _k, geom, h_min in passes:
+        flat = c.copy(order="K")
+        flat[:] = c[:1]
+        assert np.array_equal(_advect_diffuse(flat, 1e3 * h_min**2, geom), flat)
 
 
 def test_step_rejects_cfl_violation():
@@ -295,7 +375,7 @@ def test_solve_banded_bitwise_multi_rhs_radial_in_place(seed):
     Nr = 2 if seed == 0 else int(rng.integers(3, 40))  # Nr = 2: a single unknown
     g = build_grid_cyl(1.0, float(rng.uniform(0.5, 2.0)), int(rng.integers(2, 5)), Nx, Nr,
                        float(rng.uniform(1.0, 1.05)))
-    bands = diffusion_bands(g.vol, g.face_area / g.rho_dist, 10.0 ** rng.uniform(-7, -2))
+    bands = diffusion_bands(g.vol, radial_conductance(g), 10.0 ** rng.uniform(-7, -2))
     b = rng.standard_normal((Nx, Nr - 1)).T
     expect = scipy_reference(*bands, b)
     got = solve_banded(*(x.copy() for x in bands), b)
