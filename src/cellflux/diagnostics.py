@@ -17,6 +17,8 @@ from .grid import Grid1D, GridCyl, integrate, integrate_dot
 from .problem import ProblemSpec
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_BLOCK = 16  # field pairs per batch of dissipation_residuals; at 64 the
+# temporaries raise a 5,835-field run's peak RSS by about 1 MB
 
 
 @dataclass
@@ -161,11 +163,14 @@ def moment_residual(records, M: float, m: float, eps: float = 1e-10) -> float:
     return worst
 
 
-def _face_means(c: np.ndarray) -> np.ndarray:
-    return 0.5 * (c[:-1] + c[1:])
+def _running_max(running: float, vals: np.ndarray) -> float:
+    """max(running, *vals) as Python's max takes it left to right: a NaN
+    never wins."""
+    vals = vals[~np.isnan(vals)]
+    return max(running, float(vals.max())) if vals.size else running
 
 
-def dissipation_residuals(grid: Grid1D, fields, a_values, p: float, m: float):
+def dissipation_residuals(grid: Grid1D, fields, a_values, p: float):
     """Relative defects of the entropy and L^p dissipation identities on a
     window of consecutive 1D snapshots.
 
@@ -176,40 +181,49 @@ def dissipation_residuals(grid: Grid1D, fields, a_values, p: float, m: float):
         d/dt int c log c = -int |grad c|^2 / c + a * int dc/dx
         d/dt int c^p     = p(p-1) [ -int c^(p-2) |grad c|^2 + a int c^(p-1) dc/dx ]
 
-    Returns (entropy_res, lp_res, entropy_increase_max); the last entry is the
-    largest per-interval entropy increase, the sign check of the m = 1
-    dissipation inequality for M <= 1.
+    Intervals with dt <= 0 are skipped.  Returns (entropy_res, lp_res,
+    entropy_increase_max); the last entry is the largest per-interval entropy
+    increase, the sign check of the m = 1 dissipation inequality for M <= 1.
+
+    The intervals are evaluated _BLOCK at a time as rows of 2D arrays, with
+    every sum taken along a row, so each interval's terms are summed in the
+    same order as on its own field.  The entropies stay per field, by
+    entropy_of.
     """
     if len(fields) < 2:
         raise ValueError("need at least two snapshots")
-    d = grid.dist
+    d, w = grid.dist, grid.widths
+    ts = np.array([t for t, _c in fields], dtype=float)
+    a = np.asarray(a_values, dtype=float)
+    S = np.array([entropy_of(grid, c) for _t, c in fields])
     ent_res = lp_res = 0.0
     ent_inc = -math.inf
-    S = [entropy_of(grid, c) for _t, c in fields]
-    P = [integrate(grid, np.asarray(c) ** p) for _t, c in fields]
-    for k, ((t0, c0), (t1, c1)) in enumerate(zip(fields[:-1], fields[1:])):
-        dt = t1 - t0
-        if dt <= 0:
-            continue
-        cm = 0.5 * (np.asarray(c0) + np.asarray(c1))
-        am = 0.5 * (a_values[k] + a_values[k + 1])
-        dc = np.diff(cm)
-        grad = dc / d
-        fm = _face_means(cm)
-        fm = np.maximum(fm, 1e-300)
-        flow = float(np.sum(dc))  # same faces as grad: int dc/dx
+    for k0 in range(0, len(fields) - 1, _BLOCK):
+        k1 = min(k0 + _BLOCK, len(fields) - 1)  # intervals k0 .. k1 - 1
+        C = np.array([c for _t, c in fields[k0 : k1 + 1]], dtype=float)
+        P = np.sum(C**p * w, axis=1)
+        dt = np.diff(ts[k0 : k1 + 1])
+        skip = dt <= 0
+        dt[skip] = 1.0  # their results are dropped; keeps the divisions finite
+        cm = 0.5 * (C[:-1] + C[1:])
+        am = 0.5 * (a[k0:k1] + a[k0 + 1 : k1 + 1])
+        dc = np.diff(cm, axis=1)
+        dg2 = d * (dc / d) ** 2  # d |grad c|^2 at the faces
+        fm = np.maximum(0.5 * (cm[:, :-1] + cm[:, 1:]), 1e-300)
+        flow = np.sum(dc, axis=1)  # same faces as grad: int dc/dx
 
-        dS = (S[k + 1] - S[k]) / dt
-        rhs_S = -float(np.sum(d * grad**2 / fm)) + am * flow
-        ent_res = max(ent_res, abs(dS - rhs_S) / max(abs(rhs_S), 1e-10))
-        ent_inc = max(ent_inc, S[k + 1] - S[k])
+        inc = S[k0 + 1 : k1 + 1] - S[k0:k1]
+        rhs_S = -np.sum(dg2 / fm, axis=1) + am * flow
+        res_S = np.abs(inc / dt - rhs_S) / np.maximum(np.abs(rhs_S), 1e-10)
 
-        dP = (P[k + 1] - P[k]) / dt
         rhs_P = p * (p - 1.0) * (
-            -float(np.sum(d * grad**2 * fm ** (p - 2.0)))
-            + am * float(np.sum(fm ** (p - 1.0) * dc))
+            -np.sum(dg2 * fm ** (p - 2.0), axis=1) + am * np.sum(fm ** (p - 1.0) * dc, axis=1)
         )
-        lp_res = max(lp_res, abs(dP - rhs_P) / max(abs(rhs_P), 1e-10))
+        res_P = np.abs(np.diff(P) / dt - rhs_P) / np.maximum(np.abs(rhs_P), 1e-10)
+
+        ent_res = _running_max(ent_res, res_S[~skip])
+        ent_inc = _running_max(ent_inc, inc[~skip])
+        lp_res = _running_max(lp_res, res_P[~skip])
     return ent_res, lp_res, ent_inc
 
 

@@ -101,7 +101,6 @@ class GridCyl:
     Nr: int
     rho_interfaces: np.ndarray
     rho_centers: np.ndarray
-    rho_widths: np.ndarray
     vol: np.ndarray  # radial volume weight per cell
     rho_geom: PassGeometry = field(repr=False)  # of the radial pass, k = sigma_{n-2} rho^{n-2}/center gap
 
@@ -142,7 +141,6 @@ def build_grid_cyl(
         Nr=Nr,
         rho_interfaces=_freeze(rho_if),
         rho_centers=_freeze(rho_centers),
-        rho_widths=_freeze(np.diff(rho_if)),
         vol=_freeze(vol),
         rho_geom=pass_geometry(vol, k),
     )

@@ -16,7 +16,6 @@ splitting order, and the formatting are all deterministic.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -243,11 +242,7 @@ def _fmt(x) -> str:
     if x is None:
         return ""
     if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x:.17g}"
+        return f"{x:.17g}"  # also nan, inf and -inf
     return str(x)
 
 
@@ -275,37 +270,41 @@ def resolve_out_dir(out_dir: str) -> Path:
     return p
 
 
+def _row_format(*specs: str) -> str:
+    """A %-format string for one CSV row: the specs joined by ',' and ended
+    by CRLF, as csv.writer lays out fields that need no quoting."""
+    return ",".join(specs) + "\r\n"
+
+
 def write_timeseries(path: Path, records, p_list) -> None:
     cols = ["t", "dt", "mass", "entropy", "linf"]
     cols += [f"lp_{_fmt(p)}" for p in p_list]
     cols += ["phi", "a", "u", "c_left", "c_right"]
+    row = _row_format(*["%.17g"] * len(cols))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for r in records:
-            row = [r.t, r.dt, r.mass, r.entropy, r.linf]
-            row += [r.lp[p] for p in p_list]
-            row += [r.phi, r.a, r.u, r.c_left, r.c_right]
-            w.writerow([_fmt(v) for v in row])
+        fh.write(_row_format(*cols))
+        fh.writelines(
+            row % (r.t, r.dt, r.mass, r.entropy, r.linf, *[r.lp[p] for p in p_list],
+                   r.phi, r.a, r.u, r.c_left, r.c_right)
+            for r in records
+        )
 
 
 def write_snapshots(path: Path, snaps, grid) -> None:
-    cyl = isinstance(grid, GridCyl)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        if cyl:
-            w.writerow(["t", "i", "j", "x1", "rho", "c"])
-            xs = grid.axial.centers
-            rs = grid.rho_centers
+        if isinstance(grid, GridCyl):
+            fh.write(_row_format("t", "i", "j", "x1", "rho", "c"))
+            row = _row_format("%.17g", "%d", "%d", "%.17g", "%.17g", "%.17g")
+            xs, rs = grid.axial.centers.tolist(), grid.rho_centers.tolist()
             for t, c in snaps:
-                for i in range(c.shape[0]):
-                    for j in range(c.shape[1]):
-                        w.writerow([_fmt(t), i, j, _fmt(xs[i]), _fmt(rs[j]), _fmt(c[i, j])])
+                for i, ci in enumerate(c.tolist()):
+                    fh.writelines(row % (t, i, j, xs[i], rs[j], cij) for j, cij in enumerate(ci))
         else:
-            w.writerow(["t", "i", "x", "c"])
+            fh.write(_row_format("t", "i", "x", "c"))
+            row = _row_format("%.17g", "%d", "%.17g", "%.17g")
+            xs = grid.centers.tolist()
             for t, c in snaps:
-                for i in range(len(c)):
-                    w.writerow([_fmt(t), i, _fmt(grid.centers[i]), _fmt(c[i])])
+                fh.writelines(row % (t, i, xs[i], ci) for i, ci in enumerate(c.tolist()))
 
 
 def run_config(cfg: RunConfig):

@@ -259,7 +259,7 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
         if all(np.min(c) > 0.0 for _t, c in fields):
             a_vals = [a for _t, _c, a in traj.fields]
             rep.entropy_residual, rep.lp_residual, _ = dissipation_residuals(
-                grid, fields, a_vals, stop.p_list[0], problem.m
+                grid, fields, a_vals, stop.p_list[0]
             )
 
     phi0 = recs[0].phi

@@ -3,7 +3,8 @@ functions by their module attribute names to split one step into layers.  A
 refactor that renames one of them, or moves a call off the looked-up name,
 crashes traced runs or silently zeroes a per-layer metric; this test catches
 both on short runs in each geometry: every solver layer, the runner's
-entropy_of and record, and adapt_dt once per attempted step.
+entropy_of and record, and adapt_dt once per attempted step; and on a short
+scenario, the post-run dissipation check and both CSV writers.
 """
 
 import sys
@@ -58,3 +59,29 @@ def test_traced_run_records_every_solver_layer(monkeypatch, preset, stop, names,
     # restored: the module attributes are the package's own functions again
     assert cellflux.solver1d.step.__module__ == "cellflux.solver1d"
     assert cellflux.solver_cyl.step_cyl.__module__ == "cellflux.solver_cyl"
+
+
+def test_traced_scenario_records_the_post_run_check_and_both_writers(monkeypatch, tmp_path):
+    # heat_scenario's tail: snapshot times keep every sampled field, so the
+    # runner's dissipation check runs on them, and run_scenario writes both CSVs
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from child import install_trace
+    from spans import Tracer
+
+    cfg = cellflux.presets.preset_config("heat_decay")
+    cfg = replace(cfg, grid=replace(cfg.grid, N=32), stop=replace(cfg.stop, t_end=0.01),
+                  snapshot_times=(0.002, 0.005))
+    tr = Tracer()
+    try:
+        tr.patch(cellflux.runner, "dissipation_residuals", lambda fn: tr.counted("dissipation_residuals", fn))
+        install_trace(tr, cellflux)
+        rep = cellflux.harness.run_scenario(cfg, str(tmp_path / "run"))
+    finally:
+        tr.restore()
+    layers = tr.summary()
+    assert rep.entropy_residual is not None and not tr.errors
+    assert tr.counts["dissipation_residuals"] == 1
+    for name in ("diagnostics.post_run", "harness.write_timeseries", "harness.write_snapshots"):
+        assert layers[name]["calls"] > 0, name
+    assert layers["harness.write_timeseries"]["calls"] == layers["harness.write_snapshots"]["calls"] == 1
+    assert cellflux.runner.dissipation_residuals.__module__ == "cellflux.diagnostics"

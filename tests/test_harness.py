@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -13,7 +14,8 @@ import pytest
 import cellflux.harness
 from cellflux import cli as cellflux_cli
 from cellflux import presets
-from cellflux.grid import build_grid_1d, build_grid_cyl, integrate
+from cellflux.diagnostics import FunctionalRecord
+from cellflux.grid import GridCyl, build_grid_1d, build_grid_cyl, integrate
 from cellflux.harness import (
     InitialConfig,
     RunConfig,
@@ -25,6 +27,8 @@ from cellflux.harness import (
     run_config,
     run_scenario,
     sweep,
+    write_snapshots,
+    write_timeseries,
 )
 from cellflux.presets import list_presets, preset_config
 from cellflux.problem import ConfigError, DomainSpec
@@ -225,6 +229,88 @@ def test_run_scenario_deterministic_bytes(tmp_path):
     sa = (tmp_path / "a" / "run" / "snapshots.csv").read_bytes()
     sb = (tmp_path / "b" / "run" / "snapshots.csv").read_bytes()
     assert sa == sb
+
+
+def _fmt_reference(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        if math.isnan(x):
+            return "nan"
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return f"{x:.17g}"
+    return str(x)
+
+
+def write_timeseries_reference(path, records, p_list):
+    """timeseries.csv by csv.writer with one formatted string per value: the
+    oracle of the bytes write_timeseries lays out row by row."""
+    cols = ["t", "dt", "mass", "entropy", "linf"]
+    cols += [f"lp_{_fmt_reference(p)}" for p in p_list]
+    cols += ["phi", "a", "u", "c_left", "c_right"]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(cols)
+        for r in records:
+            row = [r.t, r.dt, r.mass, r.entropy, r.linf]
+            row += [r.lp[p] for p in p_list]
+            row += [r.phi, r.a, r.u, r.c_left, r.c_right]
+            w.writerow([_fmt_reference(v) for v in row])
+
+
+def write_snapshots_reference(path, snaps, grid):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        if isinstance(grid, GridCyl):
+            w.writerow(["t", "i", "j", "x1", "rho", "c"])
+            xs, rs = grid.axial.centers, grid.rho_centers
+            for t, c in snaps:
+                for i in range(c.shape[0]):
+                    for j in range(c.shape[1]):
+                        w.writerow([_fmt_reference(t), i, j, _fmt_reference(xs[i]),
+                                    _fmt_reference(rs[j]), _fmt_reference(c[i, j])])
+        else:
+            w.writerow(["t", "i", "x", "c"])
+            for t, c in snaps:
+                for i in range(len(c)):
+                    w.writerow([_fmt_reference(t), i, _fmt_reference(grid.centers[i]),
+                                _fmt_reference(c[i])])
+
+
+# every kind of value a record or a field can hold, including the ones 17
+# significant digits spell out specially
+ODD_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1.0 / 3.0,
+              np.float64(2.5e-8), np.float64(-math.inf), -1.7976931348623157e308]
+
+
+def test_write_timeseries_matches_csv_writer_bytes(tmp_path):
+    p_list = (2.0, 1.5)
+    rng = np.random.default_rng(3)
+    records = []
+    for k in range(40):
+        v = [ODD_VALUES[(k + i) % len(ODD_VALUES)] if i % 3 == k % 3 else float(rng.standard_normal())
+             for i in range(12)]
+        records.append(FunctionalRecord(t=v[0], dt=v[1], mass=v[2], entropy=v[3], lp={2.0: v[4], 1.5: v[5]},
+                                        linf=v[6], phi=v[7], a=v[8], u=v[9], c_left=v[10], c_right=v[11]))
+    write_timeseries(tmp_path / "new.csv", records, p_list)
+    write_timeseries_reference(tmp_path / "ref.csv", records, p_list)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_bytes().startswith(b"t,dt,mass,entropy,linf,lp_2,lp_1.5,phi,")
+
+
+@pytest.mark.parametrize("grid", [build_grid_1d(1.0, 13, 1.07), build_grid_cyl(1.0, 0.5, 3, 7, 4, 1.05)],
+                         ids=["interval", "cylinder"])
+def test_write_snapshots_matches_csv_writer_bytes(tmp_path, grid):
+    rng = np.random.default_rng(5)
+    snaps = []
+    for t in (0.0, np.float64(0.25), 1.0 / 3.0):
+        c = rng.standard_normal(grid.shape)
+        c.flat[: len(ODD_VALUES)] = ODD_VALUES[: c.size]
+        snaps.append((t, np.asfortranarray(c) if c.ndim == 2 else c))
+    write_snapshots(tmp_path / "new.csv", snaps, grid)
+    write_snapshots_reference(tmp_path / "ref.csv", snaps, grid)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_out_root_env_override(tmp_path, monkeypatch):
