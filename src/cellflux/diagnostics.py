@@ -170,11 +170,12 @@ def _running_max(running: float, vals: np.ndarray) -> float:
     return max(running, float(vals.max())) if vals.size else running
 
 
-def dissipation_residuals(grid: Grid1D, fields, a_values, p: float):
+def dissipation_residuals(grid: Grid1D, fields, a_values, entropies, p: float):
     """Relative defects of the entropy and L^p dissipation identities on a
     window of consecutive 1D snapshots.
 
-    fields is a list of (t, c) pairs and a_values the coupling at those times.
+    fields is a list of (t, c) pairs, a_values the coupling at those times
+    and entropies each field's entropy_of, as the runner's audit has them.
     For each interval the discrete d/dt of the functional is compared with the
     identity right-hand side evaluated on the midpoint state:
 
@@ -187,15 +188,14 @@ def dissipation_residuals(grid: Grid1D, fields, a_values, p: float):
 
     The intervals are evaluated _BLOCK at a time as rows of 2D arrays, with
     every sum taken along a row, so each interval's terms are summed in the
-    same order as on its own field.  The entropies stay per field, by
-    entropy_of.
+    same order as on its own field.
     """
     if len(fields) < 2:
         raise ValueError("need at least two snapshots")
     d, w = grid.dist, grid.widths
     ts = np.array([t for t, _c in fields], dtype=float)
     a = np.asarray(a_values, dtype=float)
-    S = np.array([entropy_of(grid, c) for _t, c in fields])
+    S = np.asarray(entropies, dtype=float)
     ent_res = lp_res = 0.0
     ent_inc = -math.inf
     for k0 in range(0, len(fields) - 1, _BLOCK):

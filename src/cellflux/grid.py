@@ -22,21 +22,21 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class PassGeometry:
     """The dt-free factors of one advect-and-diffuse pass (solver1d) over
-    cells of widths w with conductance k at each interior face: the pass's
-    tridiagonal bands are -dt lower, 1 + dt diag and -dt upper."""
+    cells of widths w with conductance k at each interior face.  The pass's
+    face-flux system is symmetric positive definite: its diagonal is
+    inv_k + dt diag and its off-diagonal -dt off."""
 
     inv_w: np.ndarray  # 1/w per cell
-    k: np.ndarray  # per interior face
-    lower: np.ndarray  # k[1:]/w[1:-1]
-    upper: np.ndarray  # k[:-1]/w[1:-1]
-    diag: np.ndarray  # k (1/w_left + 1/w_right)
+    inv_k: np.ndarray  # 1/k per interior face
+    diag: np.ndarray  # 1/w_left + 1/w_right per interior face
+    off: np.ndarray  # 1/w of the cell between two adjacent faces, inv_w[1:-1]
 
 
-def pass_geometry(w: np.ndarray, k: np.ndarray) -> PassGeometry:
-    """The frozen PassGeometry of cells of widths w and face conductances k."""
+def pass_geometry(w: np.ndarray, inv_k: np.ndarray) -> PassGeometry:
+    """The frozen PassGeometry of cells of widths w and faces of
+    conductances 1/inv_k."""
     inv_w = 1.0 / w
-    bands = (k[1:] / w[1:-1], k[:-1] / w[1:-1], k * (inv_w[:-1] + inv_w[1:]))
-    return PassGeometry(*(_freeze(x) for x in (inv_w, k) + bands))
+    return PassGeometry(*(_freeze(x) for x in (inv_w, inv_k, inv_w[:-1] + inv_w[1:], inv_w[1:-1])))
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def build_grid_1d(L: float, N: int, r: float = 1.0) -> Grid1D:
         widths=_freeze(widths),
         centers=_freeze(centers),
         dist=_freeze(dist),
-        geom=pass_geometry(widths, 1.0 / dist),
+        geom=pass_geometry(widths, dist),
     )
 
 
@@ -133,7 +133,7 @@ def build_grid_cyl(
     # exact antiderivative of rho^(n-2): rho^(n-1)/(n-1)
     vol = sigma * (rho_if[1:] ** (n - 1) - rho_if[:-1] ** (n - 1)) / (n - 1)
     rho_centers = 0.5 * (rho_if[:-1] + rho_if[1:])
-    k = sigma * rho_if[1:-1] ** (n - 2) / (rho_centers[1:] - rho_centers[:-1])
+    inv_k = (rho_centers[1:] - rho_centers[:-1]) / (sigma * rho_if[1:-1] ** (n - 2))
     return GridCyl(
         axial=axial,
         R=R,
@@ -142,7 +142,7 @@ def build_grid_cyl(
         rho_interfaces=_freeze(rho_if),
         rho_centers=_freeze(rho_centers),
         vol=_freeze(vol),
-        rho_geom=pass_geometry(vol, k),
+        rho_geom=pass_geometry(vol, inv_k),
     )
 
 

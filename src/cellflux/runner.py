@@ -5,9 +5,9 @@ the per-step audits (mass drift, positivity, monotonicity, profile bounds,
 per-step entropy change).  The audit is one pass over each committed field:
 one max and one min (a NaN or inf shows in one of them, and linf is the
 larger of max and -min), mass and entropy as dot-product quadratures, and
-x1 c once.  adapt_dt takes the audit's linf, and each sample's
-FunctionalRecord reuses its mass, entropy, linf and x1 c.  Field snapshots
-past the initial one (traj.fields[0]) are kept only when asked.
+x1 c once.  adapt_dt reuses the audit's linf, each FunctionalRecord its mass,
+entropy, linf and x1 c, and the post-run dissipation check each kept field's
+entropy and min.  Field snapshots past traj.fields[0] are kept only if asked.
 """
 
 from __future__ import annotations
@@ -141,6 +141,7 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
     xc_max = -math.inf
     marg_inc_max = -math.inf if cyl else None
     xpow_series = []
+    kept = []  # the audit's entropy of each field in traj.fields, None unless min c > 0
     a_sq = 0.0
     n_guarded = 0
     samples = 0
@@ -156,6 +157,7 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
         every = stop.store_fields_every
         if samples == 0 or (every and samples % every == 0):
             traj.fields.append((state.t, state.c.copy(), state.a))
+            kept.append(au.entropy if cmin > 0.0 else None)
         xpow_series.append(xc if x1_pow is None else float(np.max(x1_pow * state.c)))
         samples += 1
 
@@ -225,6 +227,7 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
         sample(last_dt)
     if stop.store_fields_every and traj.fields[-1][0] < state.t:
         traj.fields.append((state.t, state.c.copy(), state.a))
+        kept.append(au.entropy if cmin > 0.0 else None)
 
     rep.outcome = outcome
     rep.reason = reason
@@ -254,13 +257,12 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
         window = _active_window(recs)
         if len(window) >= 2:
             rep.moment_residual = moment_residual(window, mass0, 1.0)
-    if not cyl and len(traj.fields) >= 2:
+    if not cyl and len(traj.fields) >= 2 and None not in kept:
         fields = [(t, c) for t, c, _a in traj.fields]
-        if all(np.min(c) > 0.0 for _t, c in fields):
-            a_vals = [a for _t, _c, a in traj.fields]
-            rep.entropy_residual, rep.lp_residual, _ = dissipation_residuals(
-                grid, fields, a_vals, stop.p_list[0]
-            )
+        a_vals = [a for _t, _c, a in traj.fields]
+        rep.entropy_residual, rep.lp_residual, _ = dissipation_residuals(
+            grid, fields, a_vals, kept, stop.p_list[0]
+        )
 
     phi0 = recs[0].phi
     p = default_lyapunov_p(problem.m)

@@ -8,7 +8,7 @@ Layout of one step:
     the axis: explicit first-order upwind advection, J = -a c_upwind (upwind
     side picked by the sign of a), and backward-Euler diffusion, whose face
     fluxes (c_{i+1} - c_i)/dist of the new field are the unknowns of one
-    tridiagonal solve (LAPACK dgtsv, solve_banded),
+    symmetric positive-definite tridiagonal solve (dptsv, solve_banded),
   * both boundary interface fluxes are identically zero.  That, and not the
     Robin traces, is what conserves mass: the committed update is assembled
     from the face fluxes, so the telescoping sum is exact to roundoff.
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv
 
 from .grid import Grid1D, GridCyl, PassGeometry
 from .problem import ConfigError, ProblemSpec, eval_f
@@ -173,26 +173,26 @@ def compute_a(problem: ProblemSpec, state: State, opts: StepOptions) -> float:
     return a
 
 
-def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system with sub-, main and super-diagonals
-    (dl, d, du) for b, an (n,) vector or an (n, k) array of k right-hand
-    sides, through LAPACK dgtsv.  All four arrays are overwritten, even
-    read-only ones (f2py ignores the flag), so never pass a grid's frozen
-    arrays; a Fortran-ordered b is solved in place.  Raises StepRejected if
-    dgtsv reports a zero pivot or a bad argument."""
+def solve_banded(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the symmetric positive-definite tridiagonal system with diagonal
+    d and off-diagonal e for b, an (n,) vector or an (n, k) array of k
+    right-hand sides, by LAPACK dptsv (LDL^T, no pivoting).  All three arrays
+    are overwritten, even read-only ones (f2py ignores the flag), so never
+    pass a grid's frozen arrays; a Fortran-ordered b is solved in place.
+    Raises StepRejected when dptsv fails, as on a matrix not positive definite."""
     if len(d) == 1:
-        # SciPy's dgtsv wrapper wants off-diagonals of at least one entry
-        dl = du = np.zeros(1)
-    x, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)[3:]
+        # SciPy's dptsv wrapper wants an off-diagonal of at least one entry
+        e = np.zeros(1)
+    x, info = dptsv(d, e, b, 1, 1, 1)[2:]
     if info != 0:
-        raise StepRejected(f"tridiagonal solve failed (dgtsv info = {info})")
+        raise StepRejected(f"tridiagonal solve failed (dptsv info = {info})")
     return x
 
 
 def _advect_diffuse(c, dt, geom: PassGeometry, a=0.0, h_min=math.inf):
     """One conservative advect-and-diffuse pass along axis 0 of c, an (N,)
     or (N, K) array of cell averages over the cells of geom, the pass's
-    dt-free band factors (grid.PassGeometry).  Returns the updated array.
+    dt-free factors (grid.PassGeometry).  Returns the updated array.
 
     Rejects (StepRejected) an advective CFL violation dt |a| > h_min, then
     applies explicit upwind advection with speed a, then backward-Euler
@@ -213,17 +213,18 @@ def _advect_diffuse(c, dt, geom: PassGeometry, a=0.0, h_min=math.inf):
         np.multiply(c[:-1] if a >= 0.0 else c[1:], -a, out=pad[1:-1])
         out = c + dtw * (pad[1:] - pad[:-1])
 
-    # backward Euler solved for the face fluxes: y = out + (commit of F)
-    # turns F = k (y_{i+1} - y_i) into one tridiagonal system of n - 1
-    # unknowns.  The commit never differences the solved field, so it adds
-    # no roundoff of order eps dt/h_min^2, and data constant along this axis
-    # gives F = 0 exactly.  The right-hand side is built in Fortran order
-    # (in pad itself for an (N,) field), so dgtsv solves it in place
+    # backward Euler solved for the face fluxes: with y = out + (commit of F),
+    # F = k (y_{i+1} - y_i) over k is the SPD system (1/k + dt G W^-1 G^T) F
+    # = G out, G the differences across the n - 1 faces and W the widths.
+    # The commit never differences the solved field, so it adds no roundoff
+    # of order eps dt/h_min^2, and data constant along this axis gives F = 0
+    # exactly.  The right-hand side is built in Fortran order (in pad itself
+    # for an (N,) field), so dptsv solves it in place
     F = pad[1:-1] if c.ndim == 1 else np.empty(pad[1:-1].shape, order="F")
     np.subtract(out[1:], out[:-1], out=F)
-    F *= geom.k[col]
-    F = solve_banded(-dt * geom.lower, 1.0 + dt * geom.diag, -dt * geom.upper, F)
-    if not np.all(np.isfinite(F)):
+    F = solve_banded(geom.inv_k + dt * geom.diag, -dt * geom.off, F)
+    # the sum is NaN or inf whenever an entry is (inf - inf is NaN)
+    if not math.isfinite(float(F.sum())):
         raise StepRejected("tridiagonal solve produced non-finite values")
     pad[1:-1] = F
     return out + dtw * (pad[1:] - pad[:-1])

@@ -7,9 +7,9 @@ the interval's advect-and-diffuse kernel (solver1d._advect_diffuse) along
 the axis on every radial column, then once more along rho on every axial row
 with face conductances sigma_{n-2} rho^{n-2} over the center gap
 (GridCyl.rho_geom; backward-Euler radial diffusion in divergence form, no
-advection).  Each pass solves for its face fluxes and
-commits them, so the weighted mass telescopes exactly, and the order of the
-passes is fixed.
+advection).  Each pass solves a symmetric positive-definite tridiagonal
+system for its face fluxes, one right-hand side per line (dptsv), and
+commits them, so the weighted mass telescopes; the pass order is fixed.
 The lateral boundary is homogeneous Neumann (the advective field is axial, so
 it carries no lateral flux), and the axis face carries no flux by symmetry.
 
@@ -56,11 +56,17 @@ def compute_a_cyl(problem: ProblemSpec, state: State, opts: StepOptions) -> floa
     h0 = float(grid.axial.widths[0])
     hN = float(grid.axial.widths[-1])
     w = grid.vol
+    cell = {}  # f summed over an end in cell mode, once per solve: it is free of a
+
+    def cap(trace, c_end, h: float, a: float, robin: bool) -> float:
+        if robin:
+            return float(w @ _f_np(nl, trace(c_end, h, a, True)))
+        if trace not in cell:
+            cell[trace] = float(w @ _f_np(nl, c_end))
+        return cell[trace]
 
     def coupling(a: float, robin_l: bool, robin_r: bool) -> float:
-        cl = _trace_left(c0, h0, a, robin_l)
-        cr = _trace_right(cN, hN, a, robin_r)
-        return float(w @ _f_np(nl, cr)) - float(w @ _f_np(nl, cl))
+        return cap(_trace_right, cN, hN, a, robin_r) - cap(_trace_left, c0, h0, a, robin_l)
 
     a, state.trace_guarded = solve_coupling(
         coupling, state.a, h0, hN, opts.trace_mode == "robin", opts

@@ -99,11 +99,13 @@ def pass_geometries(g):
 
 def test_pass_geometry_holds_the_band_factors():
     g = build_grid_cyl(1.0, 1.0, 3, 8, 5, 1.1)
+    assert np.array_equal(g.axial.geom.inv_k, g.axial.dist)  # k = 1/dist
     k_rho = 2.0 * math.pi * g.rho_interfaces[1:-1] / np.diff(g.rho_centers)  # sigma_1 rho over the gap
-    for geom, w, k in ((g.axial.geom, g.axial.widths, 1.0 / g.axial.dist), (g.rho_geom, g.vol, k_rho)):
-        assert np.array_equal(geom.inv_w, 1.0 / w) and np.array_equal(geom.k, k)
-        assert np.array_equal(geom.lower, k[1:] / w[1:-1]) and np.array_equal(geom.upper, k[:-1] / w[1:-1])
-        assert np.allclose(geom.diag, k / w[:-1] + k / w[1:], rtol=1e-15, atol=0.0)
+    assert np.allclose(g.rho_geom.inv_k, 1.0 / k_rho, rtol=1e-15, atol=0.0)
+    for geom, w in ((g.axial.geom, g.axial.widths), (g.rho_geom, g.vol)):
+        assert np.array_equal(geom.inv_w, 1.0 / w)
+        assert np.array_equal(geom.diag, 1.0 / w[:-1] + 1.0 / w[1:])
+        assert np.array_equal(geom.off, 1.0 / w[1:-1])
         assert not any(getattr(geom, f.name).flags.writeable for f in fields(PassGeometry))
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dgtsv
 from hypothesis import assume, given, settings, strategies as st
 
 from cellflux.grid import build_grid_1d, build_grid_cyl, integrate
@@ -227,8 +228,9 @@ def radial_conductance(g):
 
 def advect_diffuse_reference(c, dt, widths, k, a=0.0, h_min=math.inf):
     """The advect-and-diffuse pass as it was before the grids stored their
-    band factors: dt/w rebuilt from the widths, the bands from k, tl and tr,
-    and each commit as two strided in-place slice updates."""
+    band factors: dt/w rebuilt from the widths, the nonsymmetric bands of
+    the face-flux system from k, tl and tr and solved by LAPACK dgtsv, and
+    each commit as two strided in-place slice updates."""
     if dt * abs(a) > h_min:
         raise StepRejected(f"advective CFL violated: dt*|a| = {dt * abs(a):.3g} > h_min")
     col = np.s_[:] if c.ndim == 1 else np.s_[:, None]
@@ -241,7 +243,12 @@ def advect_diffuse_reference(c, dt, widths, k, a=0.0, h_min=math.inf):
         out[1:] -= sr * J
     F = out[1:] - out[:-1]
     F *= k[col]
-    F = solve_banded(-k[1:] * tl[1:], 1.0 + k * (tl + tr), -k[:-1] * tr[:-1], F)
+    dl, d, du = -k[1:] * tl[1:], 1.0 + k * (tl + tr), -k[:-1] * tr[:-1]
+    if len(d) == 1:
+        dl = du = np.zeros(1)  # SciPy's dgtsv wrapper wants off-diagonals of one entry
+    F, info = dgtsv(dl, d, du, F)[3:]
+    if info != 0:
+        raise StepRejected(f"tridiagonal solve failed (dgtsv info = {info})")
     if not np.all(np.isfinite(F)):
         raise StepRejected("tridiagonal solve produced non-finite values")
     out[:-1] += sl * F
@@ -268,11 +275,13 @@ def random_passes(seed):
 
 @pytest.mark.parametrize("seed", range(16))
 def test_advect_diffuse_matches_the_reference_pass(seed):
-    # the pass built from the grid's stored band factors, with each commit
-    # one divergence of a zero-ended flux buffer, against the pass that
-    # rebuilt its bands every call and committed by two slice updates.  The
-    # two commits round fluxes of size dt/h^2 linf differently, so they
-    # agree to eps linf on the scale 1 + dt max(diag) of the system's diagonal
+    # the pass built from the grid's stored factors, solving the symmetric
+    # face-flux system by dptsv and committing it as one divergence of a
+    # zero-ended flux buffer, against the pass that rebuilt its nonsymmetric
+    # bands every call, solved them by dgtsv and committed by two slice
+    # updates.  The two round fluxes of size dt/h^2 linf differently, so they
+    # agree to eps linf on the scale 1 + dt max k (1/w_l + 1/w_r) of the
+    # nonsymmetric system's diagonal
     rng, passes = random_passes(seed)
     eps = np.finfo(float).eps
     for c, widths, k, geom, h_min in passes:
@@ -281,7 +290,7 @@ def test_advect_diffuse_matches_the_reference_pass(seed):
             got = _advect_diffuse(c, dt, geom, a, h_min)
             want = advect_diffuse_reference(c, dt, widths, k, a, h_min)
             assert got.shape == c.shape and got.flags.f_contiguous == c.flags.f_contiguous
-            scale = 1.0 + dt * float(geom.diag.max())
+            scale = 1.0 + dt * float(np.max(k * (1.0 / widths[:-1] + 1.0 / widths[1:])))
             assert np.max(np.abs(got - want)) <= 4 * eps * np.max(np.abs(want)) * scale
             # sum(w c) telescopes, column by column
             for j in range(1 if c.ndim == 1 else c.shape[1]):
@@ -341,29 +350,52 @@ def test_adapt_dt_formula_and_shape():
 
 
 def diffusion_bands(widths, k, dt):
-    """(dl, d, du) of the face-flux system the advect-and-diffuse pass
-    solves: n - 1 unknowns, one per interior face of conductance k."""
+    """(dl, d, du) of the face-flux system as the pass solved it before each
+    row was divided by its conductance: n - 1 unknowns, one per interior
+    face of conductance k, with k times the difference of the advected
+    field across each face as right-hand side."""
     tl, tr = dt / widths[:-1], dt / widths[1:]
     return -k[1:] * tl[1:], 1.0 + k * (tl + tr), -k[:-1] * tr[:-1]
 
 
-def scipy_reference(dl, d, du, b):
-    ab = np.vstack([np.concatenate([[0.0], du]), d, np.concatenate([dl, [0.0]])])
-    return scipy.linalg.solve_banded((1, 1), ab, b)
+def assert_solves_the_nonsymmetric_system(x, widths, k, dt, b):
+    """x, the solve_banded solution for right-hand side b (one column per
+    system), agrees with a dense solve of the nonsymmetric bands for k b to
+    8 eps times the infinity-norm condition number."""
+    dl, d, du = diffusion_bands(widths, k, dt)
+    A = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
+    want = np.linalg.solve(A, k[:, None] * b.reshape(len(k), -1)).reshape(b.shape)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(x - want)) <= 8 * eps * np.linalg.cond(A, np.inf) * np.max(np.abs(want))
+
+
+def scipy_reference(d, e, b):
+    """scipy.linalg.solveh_banded on the lower band form, which also calls
+    LAPACK ?ptsv for a tridiagonal matrix."""
+    return scipy.linalg.solveh_banded(np.vstack([d, np.append(e, 0.0)]), b, lower=True)
+
+
+def spd_bands(geom, dt):
+    """(d, e) of the symmetric face-flux system of a pass, as it hands them
+    to solve_banded."""
+    return geom.inv_k + dt * geom.diag, -dt * geom.off
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_solve_banded_bitwise_equal_to_scipy_on_graded_grids(seed):
+    # the axial pass's symmetric system on random graded grids: bitwise
+    # SciPy's ptsv solve, and the solution of the nonsymmetric bands
     rng = np.random.default_rng(seed)
-    N = 2 if seed == 0 else int(rng.integers(3, 600))  # N = 2: a single unknown
+    N = int(rng.integers(3, 600))
     g = build_grid_1d(float(rng.uniform(0.5, 2.0)), N, float(rng.uniform(1.0, 1.05)))
     dt = 10.0 ** rng.uniform(-7, -2)
-    bands = diffusion_bands(g.widths, 1.0 / g.dist, dt)
+    d, e = spd_bands(g.geom, dt)
     b = rng.standard_normal(N - 1)
-    expect = scipy_reference(*bands, b)
-    got = solve_banded(*(x.copy() for x in bands), b.copy())
+    expect = scipy_reference(d, e, b)
+    got = solve_banded(d.copy(), e.copy(), b.copy())
     assert got.shape == (N - 1,)
     assert np.array_equal(got, expect)
+    assert_solves_the_nonsymmetric_system(got, g.widths, 1.0 / g.dist, dt, b)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -372,21 +404,68 @@ def test_solve_banded_bitwise_multi_rhs_radial_in_place(seed):
     # row, with a Fortran-ordered (Nr - 1, Nx) right-hand side
     rng = np.random.default_rng(100 + seed)
     Nx = int(rng.integers(2, 300))
-    Nr = 2 if seed == 0 else int(rng.integers(3, 40))  # Nr = 2: a single unknown
+    Nr = int(rng.integers(3, 40))
     g = build_grid_cyl(1.0, float(rng.uniform(0.5, 2.0)), int(rng.integers(2, 5)), Nx, Nr,
                        float(rng.uniform(1.0, 1.05)))
-    bands = diffusion_bands(g.vol, radial_conductance(g), 10.0 ** rng.uniform(-7, -2))
+    dt = 10.0 ** rng.uniform(-7, -2)
+    d, e = spd_bands(g.rho_geom, dt)
     b = rng.standard_normal((Nx, Nr - 1)).T
-    expect = scipy_reference(*bands, b)
-    got = solve_banded(*(x.copy() for x in bands), b)
+    rhs = b.copy(order="F")
+    expect = scipy_reference(d, e, b)
+    got = solve_banded(d.copy(), e.copy(), b)
     assert got.shape == (Nr - 1, Nx)
     assert np.array_equal(got, expect)
     assert np.shares_memory(got, b)  # solved in place, no copy
+    assert_solves_the_nonsymmetric_system(got, g.vol, radial_conductance(g), dt, rhs)
+
+
+def test_solve_banded_one_face_system():
+    # N = 2 cells leave one interior face: a 1 x 1 system with an empty
+    # off-diagonal, for one right-hand side or several
+    for b in (np.array([3.0]), np.asfortranarray([[3.0, -1.0, 0.5]])):
+        got = solve_banded(np.array([4.0]), np.zeros(0), b.copy(order="F"))
+        assert got.shape == b.shape and np.array_equal(got, b / 4.0)
+    g = build_grid_cyl(1.0, 1.0, 3, 2, 2)
+    for geom, widths, k in ((g.axial.geom, g.axial.widths, 1.0 / g.axial.dist),
+                            (g.rho_geom, g.vol, radial_conductance(g))):
+        assert geom.off.size == 0
+        b = np.array([0.7])
+        got = solve_banded(*spd_bands(geom, 1e-3), b.copy())
+        assert_solves_the_nonsymmetric_system(got, widths, k, 1e-3, b)
 
 
 def test_solve_banded_singular_system_rejects_step():
     with pytest.raises(StepRejected):
-        solve_banded(np.zeros(3), np.zeros(4), np.zeros(3), np.ones(4))
+        solve_banded(np.zeros(4), np.zeros(3), np.ones(4))
+
+
+@pytest.mark.parametrize("d,e", [
+    ([-1.0], []),  # one face
+    ([2.0, -1.0, 2.0], [0.5, 0.5]),  # a negative pivot
+    ([1.0, 1.0], [2.0]),  # positive diagonal, indefinite: det = -3
+])
+def test_solve_banded_rejects_a_matrix_that_is_not_positive_definite(d, e):
+    with pytest.raises(StepRejected):
+        solve_banded(np.array(d), np.array(e), np.ones(len(d)))
+
+
+@pytest.mark.parametrize("geometry", ["interval", "radial"])
+@pytest.mark.parametrize("bad", ["nan", "lone +inf", "+inf and -inf"])
+def test_pass_rejects_a_non_finite_right_hand_side(geometry, bad):
+    # the pass's right-hand side is the difference of the field across each
+    # face: a NaN cell gives NaNs, +inf in the last cell a lone +inf at the
+    # last face, and +inf in an inner cell +inf and -inf at its two faces
+    g = build_grid_cyl(1.0, 1.0, 3, 12, 6)
+    c = np.asfortranarray(1.0 + np.random.default_rng(0).random(g.shape))
+    c, geom = (c[:, 0].copy(), g.axial.geom) if geometry == "interval" else (c.T, g.rho_geom)
+    n = len(c)
+    cell, value = {"nan": (n // 2, math.nan), "lone +inf": (n - 1, math.inf),
+                   "+inf and -inf": (n // 2, math.inf)}[bad]
+    c[cell] = value
+    rhs = c[1:] - c[:-1]
+    assert np.isposinf(rhs).any() == (bad != "nan") and np.isneginf(rhs).any() == (bad == "+inf and -inf")
+    with pytest.raises(StepRejected, match="non-finite"):
+        _advect_diffuse(c, 1e-3, geom)
 
 
 # --- multi-step behavior against independent oracles ----------------------
