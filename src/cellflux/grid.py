@@ -8,6 +8,7 @@ audit never sees quadrature error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -104,7 +105,7 @@ class GridCyl:
     vol: np.ndarray  # radial volume weight per cell
     rho_geom: PassGeometry = field(repr=False)  # of the radial pass, k = sigma_{n-2} rho^{n-2}/center gap
 
-    @property
+    @cached_property  # record() reads it on every sample
     def ball_volume(self) -> float:
         return float(self.vol.sum())
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 KINDS = ("signed_power", "negative_power", "sublinear_power", "saturating")
+HOMOGENEOUS = ("signed_power", "negative_power", "sublinear_power")  # f(s/lam) = lam^-m f(s), lam > 0
 GEOMETRIES = ("interval", "cylinder")
 
 
@@ -46,6 +48,10 @@ class NonlinearitySpec:
       negative_power  f(s) = -s^m               (m >= 1, s >= 0)
       sublinear_power f(s) = s^m                (0 < m < 1, s >= 0)
       saturating      f(s) = level*s/(s+alpha)
+
+    The three power kinds (HOMOGENEOUS) are homogeneous of degree m:
+    f(s/lam) = lam^-m f(s) for every lam > 0, which the coupling solve uses
+    to sum f over each boundary once per solve.  saturating is not.
     """
 
     kind: str = "signed_power"
@@ -108,7 +114,7 @@ class DomainSpec:
             return 1.0
         return ball_volume(self.n - 1, self.R)
 
-    @property
+    @cached_property  # record() reads it on every sample
     def volume(self) -> float:
         return self.L * self.cross_section_volume
 

@@ -3,12 +3,15 @@
 Layout of one step:
 
   * the nonlocal coupling a = f(c_right) - f(c_left) is resolved first by a
-    secant iteration on the boundary traces (solve_coupling),
+    secant iteration on the boundary traces (solve_coupling); for the
+    homogeneous kinds of f each end's f is evaluated once per solve
+    (coupling_integral),
   * then one pass of the advect-and-diffuse kernel (_advect_diffuse) along
-    the axis: explicit first-order upwind advection, J = -a c_upwind (upwind
-    side picked by the sign of a), and backward-Euler diffusion, whose face
-    fluxes (c_{i+1} - c_i)/dist of the new field are the unknowns of one
-    symmetric positive-definite tridiagonal solve (dptsv, solve_banded),
+    the axis, whose unknowns are the total face fluxes T = J + F of one
+    symmetric positive-definite tridiagonal solve (dptsv, solve_banded):
+    explicit first-order upwind advection, J = -a c_upwind (upwind side
+    picked by the sign of a), plus backward-Euler diffusion
+    F = (y_{i+1} - y_i)/dist of the new field y,
   * both boundary interface fluxes are identically zero.  That, and not the
     Robin traces, is what conserves mass: the committed update is assembled
     from the face fluxes, so the telescoping sum is exact to roundoff.
@@ -25,13 +28,13 @@ computation of a; they never enter the flux.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dptsv
 
 from .grid import Grid1D, GridCyl, PassGeometry
-from .problem import ConfigError, ProblemSpec, eval_f
+from .problem import HOMOGENEOUS, ConfigError, NonlinearitySpec, ProblemSpec, eval_f
 
 
 class StepRejected(RuntimeError):
@@ -81,16 +84,6 @@ def make_state(grid: Grid1D | GridCyl, c0) -> State:
     return State(grid=grid, c=c)
 
 
-def _trace_left(c0, h0: float, a: float, robin: bool):
-    # one-sided closure (c_1 - c_left)/(h_1/2) = a c_left; plain arithmetic,
-    # so c0 may be a float or an array of end-cap cells
-    return c0 / (1.0 + 0.5 * a * h0) if robin else c0
-
-
-def _trace_right(cN, hN: float, a: float, robin: bool):
-    return cN / (1.0 - 0.5 * a * hN) if robin else cN
-
-
 def reconstruct_traces(state: State, a_guess: float, opts: StepOptions):
     """Boundary values (c_left, c_right, guarded) for the coupling integral.
 
@@ -103,13 +96,45 @@ def reconstruct_traces(state: State, a_guess: float, opts: StepOptions):
     robin = opts.trace_mode == "robin"
     ok_l = robin and abs(a_guess) * h[0] < 1.0
     ok_r = robin and abs(a_guess) * h[-1] < 1.0
-    cl = _trace_left(float(c[0]), float(h[0]), a_guess, ok_l)
-    cr = _trace_right(float(c[-1]), float(h[-1]), a_guess, ok_r)
+    # the one-sided closure (c_1 - c_left)/(h_1/2) = a c_left, as in
+    # coupling_integral
+    c0, cN = float(c[0]), float(c[-1])
+    cl = c0 / (1.0 + 0.5 * a_guess * float(h[0])) if ok_l else c0
+    cr = cN / (1.0 - 0.5 * a_guess * float(h[-1])) if ok_r else cN
     guarded = robin and not (ok_l and ok_r)
     return cl, cr, guarded
 
 
 _f_at_trace = eval_f  # perfbench counts f evaluations by patching this name
+
+
+def coupling_integral(nl: NonlinearitySpec, cap, c0, cN, h0: float, hN: float):
+    """The coupling integral g(a, robin_l, robin_r) that solve_coupling
+    iterates on: cap(cN / lam_r) - cap(c0 / lam_l), cap(c) being the
+    f-integral over an end's cells c, lam_l = 1 + a h0/2 and lam_r =
+    1 - a hN/2 on a Robin trace, and lam = 1 for an end in cell mode.
+
+    cap(c) of each end is summed at most once per solve.  A homogeneous f
+    (problem.HOMOGENEOUS) has cap(c/lam) = cap(c)/lam^m, since the guard
+    keeps lam > 1/2, so every iterate is scalar arithmetic; saturating
+    evaluates f on the trace at each iterate.
+    """
+    ends, sums = (c0, cN), [None, None]
+    hom, m = nl.kind in HOMOGENEOUS, nl.m
+
+    def at(i: int, lam: float) -> float:
+        if not hom and lam != 1.0:
+            return cap(ends[i] / lam)
+        if sums[i] is None:
+            sums[i] = cap(ends[i])
+        return sums[i] / lam**m
+
+    def g(a: float, robin_l: bool, robin_r: bool) -> float:
+        lam_l = 1.0 + 0.5 * a * h0 if robin_l else 1.0
+        lam_r = 1.0 - 0.5 * a * hN if robin_r else 1.0
+        return at(1, lam_r) - at(0, lam_l)
+
+    return g
 
 
 def solve_coupling(g, a: float, h0: float, hN: float, robin: bool, opts: StepOptions):
@@ -154,21 +179,15 @@ def solve_coupling(g, a: float, h0: float, hN: float, robin: bool, opts: StepOpt
 def compute_a(problem: ProblemSpec, state: State, opts: StepOptions) -> float:
     """Self-consistent coupling a = f(c_right(a)) - f(c_left(a)), solved for
     by solve_coupling (a secant iteration with damped fallback steps,
-    bounded by picard_tol and picard_max_iters) from the committed value.
+    bounded by picard_tol and picard_max_iters) from the committed value,
+    on the map of coupling_integral.
 
     Raises StepRejected if the iteration does not reach picard_tol.
     """
     nl = problem.nonlinearity
-    c0 = float(state.c[0])
-    cN = float(state.c[-1])
     h0 = float(state.grid.widths[0])
     hN = float(state.grid.widths[-1])
-
-    def g(a: float, robin_l: bool, robin_r: bool) -> float:
-        return _f_at_trace(nl, _trace_right(cN, hN, a, robin_r)) - _f_at_trace(
-            nl, _trace_left(c0, h0, a, robin_l)
-        )
-
+    g = coupling_integral(nl, lambda c: _f_at_trace(nl, c), float(state.c[0]), float(state.c[-1]), h0, hN)
     a, state.trace_guarded = solve_coupling(g, state.a, h0, hN, opts.trace_mode == "robin", opts)
     return a
 
@@ -194,40 +213,37 @@ def _advect_diffuse(c, dt, geom: PassGeometry, a=0.0, h_min=math.inf):
     or (N, K) array of cell averages over the cells of geom, the pass's
     dt-free factors (grid.PassGeometry).  Returns the updated array.
 
-    Rejects (StepRejected) an advective CFL violation dt |a| > h_min, then
-    applies explicit upwind advection with speed a, then backward-Euler
-    diffusion with face flux F = k (y_{i+1} - y_i) of the new field y.
-    Both steps are committed in flux form, so sum(widths * c) telescopes,
-    and both boundary faces carry no flux.
+    Rejects (StepRejected) an advective CFL violation dt |a| > h_min.  The
+    face flux is T = J + F: explicit upwind advection J = -a c_up (upwind
+    side picked by the sign of a) plus backward-Euler diffusion
+    F = k (y_{i+1} - y_i) of the new field y.  T is solved for directly and
+    committed once, y = c + (dt/w)(T_i - T_{i-1}), so sum(widths * c)
+    telescopes, and both boundary faces carry no flux.
     """
     if dt * abs(a) > h_min:
         raise StepRejected(f"advective CFL violated: dt*|a| = {dt * abs(a):.3g} > h_min")
     col = np.s_[:] if c.ndim == 1 else np.s_[:, None]
-    dtw = (dt * geom.inv_w)[col]
-    # face fluxes go between the zero ends of pad, so each commit is one
+    # the face fluxes go between the zero ends of pad, so the commit is one
     # divergence (dt/w) (pad[1:] - pad[:-1]) and keeps the layout of c
     pad = np.zeros((len(c) + 1,) + c.shape[1:], order="C" if c.flags.c_contiguous else "F")
-    out = c
+    # with y = c + (commit of T) and F = T - J, F = k (y_{i+1} - y_i) over k
+    # is the SPD system (1/k + dt G W^-1 G^T) T = G c + J/k, G the
+    # differences across the n - 1 faces and W the widths.  The commit never
+    # differences the solved field, so it adds no roundoff of order
+    # eps dt/h_min^2, and data constant along this axis gives T = 0 exactly
+    # when a = 0.  The right-hand side is built in Fortran order (in pad
+    # itself for an (N,) field), so dptsv solves it in place
+    T = pad[1:-1] if c.ndim == 1 else np.empty(pad[1:-1].shape, order="F")
+    np.subtract(c[1:], c[:-1], out=T)
     if a != 0.0:
-        # explicit upwind advection, interior faces only; J = -a c_up
-        np.multiply(c[:-1] if a >= 0.0 else c[1:], -a, out=pad[1:-1])
-        out = c + dtw * (pad[1:] - pad[:-1])
-
-    # backward Euler solved for the face fluxes: with y = out + (commit of F),
-    # F = k (y_{i+1} - y_i) over k is the SPD system (1/k + dt G W^-1 G^T) F
-    # = G out, G the differences across the n - 1 faces and W the widths.
-    # The commit never differences the solved field, so it adds no roundoff
-    # of order eps dt/h_min^2, and data constant along this axis gives F = 0
-    # exactly.  The right-hand side is built in Fortran order (in pad itself
-    # for an (N,) field), so dptsv solves it in place
-    F = pad[1:-1] if c.ndim == 1 else np.empty(pad[1:-1].shape, order="F")
-    np.subtract(out[1:], out[:-1], out=F)
-    F = solve_banded(geom.inv_k + dt * geom.diag, -dt * geom.off, F)
+        T += (c[:-1] if a >= 0.0 else c[1:]) * (-a * geom.inv_k)[col]
+    T = solve_banded(geom.inv_k + dt * geom.diag, -dt * geom.off, T)
     # the sum is NaN or inf whenever an entry is (inf - inf is NaN)
-    if not math.isfinite(float(F.sum())):
+    if not math.isfinite(float(T.sum())):
         raise StepRejected("tridiagonal solve produced non-finite values")
-    pad[1:-1] = F
-    return out + dtw * (pad[1:] - pad[:-1])
+    if T.base is not pad:
+        pad[1:-1] = T
+    return c + (dt * geom.inv_w)[col] * (pad[1:] - pad[:-1])
 
 
 def step(problem: ProblemSpec, state: State, dt: float, opts: StepOptions) -> State:
@@ -238,14 +254,7 @@ def step(problem: ProblemSpec, state: State, dt: float, opts: StepOptions) -> St
     grid = state.grid
     a = compute_a(problem, state, opts)
     c = _advect_diffuse(state.c, dt, grid.geom, a, grid.h_min)
-    return replace(
-        state,
-        c=c,
-        t=state.t + dt,
-        a=a,
-        step_count=state.step_count + 1,
-        trace_guarded=state.trace_guarded,
-    )
+    return State(grid, c, state.t + dt, a, state.step_count + 1, state.trace_guarded)
 
 
 def adapt_dt(problem: ProblemSpec, state: State, opts: StepOptions, linf: float | None = None) -> float:

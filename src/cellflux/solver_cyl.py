@@ -8,8 +8,10 @@ the axis on every radial column, then once more along rho on every axial row
 with face conductances sigma_{n-2} rho^{n-2} over the center gap
 (GridCyl.rho_geom; backward-Euler radial diffusion in divergence form, no
 advection).  Each pass solves a symmetric positive-definite tridiagonal
-system for its face fluxes, one right-hand side per line (dptsv), and
-commits them, so the weighted mass telescopes; the pass order is fixed.
+system for its total face fluxes, one right-hand side per line (dptsv), and
+commits them once, so the weighted mass telescopes; the pass order is fixed.
+The coupling solve sums f over each end cap once per step for the
+homogeneous kinds of f (solver1d.coupling_integral).
 The lateral boundary is homogeneous Neumann (the advective field is axial, so
 it carries no lateral flux), and the axis face carries no flux by symmetry.
 
@@ -19,8 +21,6 @@ function under the cylinder's name.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .problem import ProblemSpec, eval_f
@@ -28,9 +28,8 @@ from .solver1d import (
     State,
     StepOptions,
     _advect_diffuse,
-    _trace_left,
-    _trace_right,
     adapt_dt,
+    coupling_integral,
     solve_coupling,
 )
 # kept as a module attribute: perfbench wraps solver_cyl.solve_banded by name
@@ -46,31 +45,17 @@ def compute_a_cyl(problem: ProblemSpec, state: State, opts: StepOptions) -> floa
     """Self-consistent a = sum_j vol_j [f(trace at x1=L) - f(trace at x1=0)].
 
     Traces use the interval's Robin closure on every radial column, and a is
-    solved for by the same iteration (solver1d.solve_coupling), with the
-    guard latching an end into cell mode once |a| h/2 >= 0.5 there.
+    solved for by the same iteration (solver1d.solve_coupling) on the same
+    map (solver1d.coupling_integral), with the guard latching an end into
+    cell mode once |a| h/2 >= 0.5 there.
     """
     nl = problem.nonlinearity
     grid = state.grid
-    c0 = state.c[0, :]
-    cN = state.c[-1, :]
     h0 = float(grid.axial.widths[0])
     hN = float(grid.axial.widths[-1])
     w = grid.vol
-    cell = {}  # f summed over an end in cell mode, once per solve: it is free of a
-
-    def cap(trace, c_end, h: float, a: float, robin: bool) -> float:
-        if robin:
-            return float(w @ _f_np(nl, trace(c_end, h, a, True)))
-        if trace not in cell:
-            cell[trace] = float(w @ _f_np(nl, c_end))
-        return cell[trace]
-
-    def coupling(a: float, robin_l: bool, robin_r: bool) -> float:
-        return cap(_trace_right, cN, hN, a, robin_r) - cap(_trace_left, c0, h0, a, robin_l)
-
-    a, state.trace_guarded = solve_coupling(
-        coupling, state.a, h0, hN, opts.trace_mode == "robin", opts
-    )
+    g = coupling_integral(nl, lambda c: float(w @ _f_np(nl, c)), state.c[0, :], state.c[-1, :], h0, hN)
+    a, state.trace_guarded = solve_coupling(g, state.a, h0, hN, opts.trace_mode == "robin", opts)
     return a
 
 
@@ -85,14 +70,7 @@ def step_cyl(problem: ProblemSpec, state: State, dt: float, opts: StepOptions) -
     a = compute_a_cyl(problem, state, opts)
     c = _advect_diffuse(state.c, dt, ax.geom, a, ax.h_min)
     c = _advect_diffuse(c.T, dt, grid.rho_geom).T
-    return replace(
-        state,
-        c=c,
-        t=state.t + dt,
-        a=a,
-        step_count=state.step_count + 1,
-        trace_guarded=state.trace_guarded,
-    )
+    return State(grid, c, state.t + dt, a, state.step_count + 1, state.trace_guarded)
 
 
 def axial_marginal(state: State) -> np.ndarray:

@@ -3,17 +3,20 @@ iteration a <- (a + g(a))/2 that it replaced.
 
 Both solvers start from identical states (the cell data and the committed a)
 and must agree to 1e-10 max(1, |a|) on the coupling value, and exactly on
-whether the Robin guard engaged.
+whether the Robin guard engaged.  The reference evaluates f on every trace;
+the solver sums f over each end once per solve for the homogeneous kinds.
 """
 
 import numpy as np
 import pytest
 
 from cellflux import harness, presets, solver1d, solver_cyl
-from cellflux.grid import build_grid_1d
-from cellflux.problem import DomainSpec, NonlinearitySpec, ProblemSpec
+from cellflux.grid import build_grid_1d, build_grid_cyl
+from cellflux.problem import DomainSpec, NonlinearitySpec, ProblemSpec, eval_f
 from cellflux.solver1d import StepOptions, StepRejected, compute_a, make_state, solve_coupling
 from cellflux.solver_cyl import compute_a_cyl
+
+POWER_LAWS = [("signed_power", 1.0), ("signed_power", 2.5), ("negative_power", 2.0), ("sublinear_power", 0.5)]
 
 AGREE = 1e-10
 
@@ -35,32 +38,42 @@ def picard(g, a, h0, hN, robin, opts):
 
 
 def coupling_1d(problem, state):
-    """(g, h0, hN) of the interval: g(a) = f(c_right(a)) - f(c_left(a))."""
+    """(g, hoisted, h0, hN) of the interval: g(a) = f(c_right(a)) - f(c_left(a))
+    with f evaluated on every trace, and hoisted the same map as compute_a
+    builds it (solver1d.coupling_integral)."""
     nl = problem.nonlinearity
     c0, cN = float(state.c[0]), float(state.c[-1])
     h0, hN = float(state.grid.widths[0]), float(state.grid.widths[-1])
 
+    def f(c):
+        return solver1d._f_at_trace(nl, c)
+
     def g(a, robin_l, robin_r):
         cl = c0 / (1.0 + 0.5 * a * h0) if robin_l else c0
         cr = cN / (1.0 - 0.5 * a * hN) if robin_r else cN
-        return solver1d._f_at_trace(nl, cr) - solver1d._f_at_trace(nl, cl)
+        return f(cr) - f(cl)
 
-    return g, h0, hN
+    return g, solver1d.coupling_integral(nl, f, c0, cN, h0, hN), h0, hN
 
 
 def coupling_cyl(problem, state):
-    """(g, h0, hN) of the cylinder: the volume-weighted end-cap integral."""
+    """(g, hoisted, h0, hN) of the cylinder: the volume-weighted end-cap
+    integral, with f evaluated on every trace, and the same map as
+    compute_a_cyl builds it."""
     nl = problem.nonlinearity
     c0, cN = state.c[0, :], state.c[-1, :]
     h0, hN = float(state.grid.axial.widths[0]), float(state.grid.axial.widths[-1])
     w = state.grid.vol
 
+    def cap(c):
+        return float(w @ solver_cyl._f_np(nl, c))
+
     def g(a, robin_l, robin_r):
         cl = c0 / (1.0 + 0.5 * a * h0) if robin_l else c0
         cr = cN / (1.0 - 0.5 * a * hN) if robin_r else cN
-        return float(w @ solver_cyl._f_np(nl, cr)) - float(w @ solver_cyl._f_np(nl, cl))
+        return cap(cr) - cap(cl)
 
-    return g, h0, hN
+    return g, solver1d.coupling_integral(nl, cap, c0, cN, h0, hN), h0, hN
 
 
 def preset_states(name, n_steps, every):
@@ -92,7 +105,7 @@ def assert_agrees(comp, coupling, prob, opts, states):
     shared iteration."""
     guarded, evals = [], 0
     for s in states:
-        g, h0, hN = coupling(prob, s)
+        g, hoisted, h0, hN = coupling(prob, s)
         a_ref, guarded_ref = picard(g, s.a, h0, hN, opts.trace_mode == "robin", opts)
         a = comp(prob, s, opts)
         assert abs(a - a_ref) <= AGREE * max(1.0, abs(a_ref)), (s.a, a, a_ref)
@@ -102,7 +115,7 @@ def assert_agrees(comp, coupling, prob, opts, states):
         def counted(*args):
             nonlocal evals
             evals += 1
-            return g(*args)
+            return hoisted(*args)
 
         assert solve_coupling(counted, s.a, h0, hN, opts.trace_mode == "robin", opts)[0] == a
     return guarded, evals / len(states)
@@ -142,7 +155,7 @@ def test_coupling_matches_picard_when_iterates_cross_the_guard(r):
     grid = build_grid_1d(1.0, 8, r)
     s = make_state(grid, np.linspace(30.0, 1.0, 8))
     opts = StepOptions()
-    g, h0, hN = coupling_1d(prob, s)
+    g, _, h0, hN = coupling_1d(prob, s)
     assert abs(s.a) * hN < 1.0
     assert abs(0.5 * g(0.0, True, True)) * hN >= 1.0  # the first iterate trips the guard
     guarded, _ = assert_agrees(compute_a, coupling_1d, prob, opts, [s])
@@ -154,10 +167,84 @@ def test_tiny_iteration_budget_rejects_the_step():
     s = states[0]
     s.a = 0.0  # far from the fixed point a ~ -12
     tiny = StepOptions(picard_max_iters=2, dt_max=opts.dt_max)
-    g, h0, hN = coupling_1d(prob, s)
+    g, _, h0, hN = coupling_1d(prob, s)
     with pytest.raises(StepRejected):
         picard(g, s.a, h0, hN, True, tiny)
     with pytest.raises(StepRejected):
         compute_a(prob, s, tiny)
     with pytest.raises(StepRejected):
         solver1d.step(prob, s, 1e-6, tiny)
+
+
+@pytest.mark.parametrize("kind, m", POWER_LAWS)
+def test_homogeneous_kinds_scale_the_cap_integral_by_lam_to_the_minus_m(kind, m):
+    # sum_j w_j f(c_j/lam) = lam^-m sum_j w_j f(c_j) for lam in (1/2, 3/2),
+    # the range the Robin guard allows, on caps that carry roundoff negatives
+    nl = NonlinearitySpec(kind=kind, m=m)
+    rng = np.random.default_rng(7)
+    eps = np.finfo(float).eps
+    for _ in range(500):
+        n = int(rng.integers(1, 40))
+        w = rng.uniform(0.1, 2.0, n)
+        c = rng.random(n) * 10.0 ** rng.uniform(-3, 3)
+        c[rng.random(n) < 0.2] *= -1e-16
+        lam = float(rng.uniform(0.5, 1.5)) or 1.0
+        got = float(w @ eval_f(nl, c)) / lam**m
+        want = float(w @ eval_f(nl, c / lam))
+        assert abs(got - want) <= 8 * eps * float(w @ np.abs(eval_f(nl, c / lam))), (n, lam)
+
+
+def decreasing_state(geometry, kind, m):
+    """(problem, state) of a decreasing profile with the committed a = 0."""
+    nl = NonlinearitySpec(kind=kind, m=m, level=5.0, alpha=0.5)
+    if geometry == "interval":
+        grid = build_grid_1d(1.0, 32, 1.05)
+        c = 2.0 - grid.centers
+        dom = DomainSpec(geometry="interval", L=1.0)
+    else:
+        grid = build_grid_cyl(1.0, 0.5, 3, 32, 6, 1.05)
+        c = (2.0 - grid.axial.centers)[:, None] * (1.5 - grid.rho_centers)[None, :]
+        dom = DomainSpec(geometry="cylinder", L=1.0, R=0.5, n=3)
+    return ProblemSpec(nonlinearity=nl, domain=dom), make_state(grid, c)
+
+
+@pytest.mark.parametrize("geometry", ["interval", "cylinder"])
+@pytest.mark.parametrize("kind, m", POWER_LAWS)
+def test_homogeneous_solve_evaluates_f_at_most_twice(monkeypatch, geometry, kind, m):
+    calls = []
+
+    def counted(f):
+        def wrapped(*args):
+            calls.append(1)
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(solver1d, "_f_at_trace", counted(solver1d._f_at_trace))
+    monkeypatch.setattr(solver_cyl, "_f_np", counted(solver_cyl._f_np))
+    prob, s = decreasing_state(geometry, kind, m)
+    comp, coupling = (compute_a, coupling_1d) if geometry == "interval" else (compute_a_cyl, coupling_cyl)
+    opts = StepOptions()
+    a = comp(prob, s, opts)
+    assert len(calls) <= 2 and not s.trace_guarded
+    # the reference iterates on f over every trace: several evaluations
+    calls.clear()
+    g, _, h0, hN = coupling(prob, s)
+    a_ref = solve_coupling(g, 0.0, h0, hN, True, opts)[0]
+    assert len(calls) >= 6
+    assert abs(a - a_ref) <= AGREE * max(1.0, abs(a_ref))
+
+
+def test_coupling_matches_picard_on_a_saturating_cylinder():
+    # saturating is not homogeneous, so each Robin iterate evaluates f on
+    # the traces of both end caps
+    prob, state = decreasing_state("cylinder", "saturating", 1.0)
+    opts = StepOptions(dt_max=1e-3)
+    state.a = compute_a_cyl(prob, state, opts)
+    states = []
+    for _ in range(40):
+        states.append(make_state(state.grid, state.c.copy()))
+        states[-1].a = state.a
+        state = solver_cyl.step_cyl(prob, state, solver_cyl.adapt_dt_cyl(prob, state, opts), opts)
+    guarded, evals = assert_agrees(compute_a_cyl, coupling_cyl, prob, opts, states)
+    assert not any(guarded)
+    assert evals > 2.0  # secant iterates, each evaluating f on both traces
