@@ -82,7 +82,14 @@ class Audit:
 
 def axial_coordinate(grid) -> np.ndarray:
     """Cell-center x1, shaped to broadcast against a field on the grid."""
-    return grid.axial.centers[:, None] if isinstance(grid, GridCyl) else grid.centers
+    return grid.axial.centers.reshape((-1,) + (1,) * (len(grid.shape) - 1))
+
+
+def axial_marginal(grid: GridCyl, c) -> np.ndarray:
+    """Radial profile of the axial line integral of a cylinder field,
+    m_j = sum_i h_i c_ij.  It obeys a discrete Neumann heat flow in rho, so
+    its maximum never increases; it drives the x1 c <= M0 profile bound."""
+    return grid.axial.widths @ c
 
 
 def entropy_of(grid, c, cmin: float | None = None) -> float:

@@ -59,6 +59,11 @@ class Grid1D:
         return float(self.widths[0] if self.r >= 1.0 else self.widths.min())
 
     @property
+    def axial(self) -> Grid1D:
+        """The grid itself, as GridCyl.axial is the cylinder's axial grid."""
+        return self
+
+    @property
     def shape(self) -> tuple:
         return (self.N,)
 
@@ -108,11 +113,6 @@ class GridCyl:
     @cached_property  # record() reads it on every sample
     def ball_volume(self) -> float:
         return float(self.vol.sum())
-
-    @property
-    def h_min(self) -> float:
-        """Smallest axial width, the advective CFL length."""
-        return self.axial.h_min
 
     @property
     def shape(self) -> tuple:

@@ -91,7 +91,7 @@ def build_initial(cfg: InitialConfig, grid, domain: DomainSpec, seed: int = 0) -
     """Exact cell averages of the requested family, mass-normalized where the
     family is specified by mass."""
     cyl = isinstance(grid, GridCyl)
-    ax = grid.axial if cyl else grid
+    ax = grid.axial
     L = domain.L
     shape = grid.shape
 
@@ -291,18 +291,18 @@ def write_timeseries(path: Path, records, p_list) -> None:
 
 
 def write_snapshots(path: Path, snaps, grid) -> None:
+    xs = grid.axial.centers.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if isinstance(grid, GridCyl):
             fh.write(_row_format("t", "i", "j", "x1", "rho", "c"))
             row = _row_format("%.17g", "%d", "%d", "%.17g", "%.17g", "%.17g")
-            xs, rs = grid.axial.centers.tolist(), grid.rho_centers.tolist()
+            rs = grid.rho_centers.tolist()
             for t, c in snaps:
                 for i, ci in enumerate(c.tolist()):
                     fh.writelines(row % (t, i, j, xs[i], rs[j], cij) for j, cij in enumerate(ci))
         else:
             fh.write(_row_format("t", "i", "x", "c"))
             row = _row_format("%.17g", "%d", "%.17g", "%.17g")
-            xs = grid.centers.tolist()
             for t, c in snaps:
                 fh.writelines(row % (t, i, xs[i], ci) for i, ci in enumerate(c.tolist()))
 

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import solver1d, solver_cyl
+from . import solver1d
 from .grid import build_grid_1d
 from .harness import RunConfig, build_initial, config_from_dict, run_config
 from .problem import ConfigError, DomainSpec
@@ -288,12 +288,9 @@ def _gate_cyl_reduction(traj, rep, cfg, msgs) -> bool:
     s1 = solver1d.make_state(grid_1, c0c[:, 0].copy())
     worst = 0.0
     for _ in range(1000):
-        dt = min(
-            solver1d.adapt_dt(prob_1, s1, cfg.step),
-            solver_cyl.adapt_dt_cyl(cfg.problem, s2, cfg.step),
-        )
+        dt = min(solver1d.adapt_dt(prob_1, s1, cfg.step), solver1d.adapt_dt(cfg.problem, s2, cfg.step))
         s1 = solver1d.step(prob_1, s1, dt, cfg.step)
-        s2 = solver_cyl.step_cyl(cfg.problem, s2, dt, cfg.step)
+        s2 = solver1d.step(cfg.problem, s2, dt, cfg.step)
         worst = max(worst, float(np.max(np.abs(s2.c - s1.c[:, None]))))
     msgs.append(f"max per-step deviation over 1000 steps: {worst:.3e}")
     return worst <= 1e-10

@@ -1,4 +1,5 @@
-"""Time-marching driver shared by the interval and cylinder solvers.
+"""Time-marching driver of both geometries around the one stepper,
+solver1d.step, with solver1d.adapt_dt and solver1d.compute_a.
 
 The loop owns adaptive stepping, step rejection, outcome classification, and
 the per-step audits (mass drift, positivity, monotonicity, profile bounds,
@@ -17,11 +18,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import solver1d, solver_cyl
+from . import solver1d
 from .diagnostics import (
     Audit,
     RunReport,
     axial_coordinate,
+    axial_marginal,
     decay_tail,
     dissipation_residuals,
     entropy_of,
@@ -33,7 +35,6 @@ from .diagnostics import (
 from .grid import Grid1D, GridCyl, integrate_dot
 from .problem import ConfigError, ProblemSpec, thresholds
 from .solver1d import StepOptions, StepRejected
-from .solver_cyl import axial_marginal
 
 CONVERGED = "CONVERGED"
 BOUNDED = "BOUNDED"
@@ -90,10 +91,6 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
         raise TypeError(f"not a grid: {type(grid)!r}")
     cyl = isinstance(grid, GridCyl)
     state = solver1d.make_state(grid, c0)
-    if cyl:
-        stepper, adapter = solver_cyl.step_cyl, solver_cyl.adapt_dt_cyl
-    else:
-        stepper, adapter = solver1d.step, solver1d.adapt_dt
     x1 = axial_coordinate(grid)
     # for m = 1, x1 ** (1/m) is x1 bitwise, and the audit's max of x1 c serves
     x1_pow = None if problem.m == 1.0 else x1 ** (1.0 / problem.m)
@@ -105,7 +102,7 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
         c = state.c
         cmax, cmin = float(c.max()), float(c.min())
         if cyl:
-            marg = axial_marginal(state)
+            marg = axial_marginal(grid, c)
             mass = float(marg @ grid.vol)
         else:
             marg, mass = None, integrate_dot(grid, c)
@@ -122,9 +119,7 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
     try:
         # self-consistent coupling of the initial state, so the t = 0 record
         # and the first CFL clamp see the real a rather than 0
-        state.a = (solver_cyl.compute_a_cyl if cyl else solver1d.compute_a)(
-            problem, state, opts
-        )
+        state.a = solver1d.compute_a(problem, state, opts)
     except StepRejected:
         pass  # unresolvable closure at t = 0; the step loop will classify
     linf = au.linf
@@ -170,14 +165,14 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
         outcome, reason = NUMERICAL_FAILURE, f"negativity beyond tolerance in initial data: {rep.min_c:.3e}"
 
     while outcome is None and state.t < stop.t_end - 1e-14:
-        dt = adapter(problem, state, opts, linf)
+        dt = solver1d.adapt_dt(problem, state, opts, linf)
         if dt <= opts.dt_min:
             outcome, reason, T_detect = BLOWUP, "dt reached its floor", state.t
             break
         dt = min(dt, stop.t_end - state.t)
         while True:
             try:
-                new_state = stepper(problem, state, dt, opts)
+                new_state = solver1d.step(problem, state, dt, opts)
                 break
             except StepRejected:
                 dt *= 0.5

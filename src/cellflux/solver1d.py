@@ -1,28 +1,29 @@
-"""Conservative IMEX finite-volume solver for c_t = (c_x - a(t) c)_x on (0, L).
+"""Conservative IMEX finite-volume solver for c_t = (c_x - a(t) c)_x on the
+interval (0, L) and the axisymmetric cylinder (0, L) x B'_R.
 
-Layout of one step:
+Layout of one step, the same in both geometries:
 
-  * the nonlocal coupling a = f(c_right) - f(c_left) is resolved first by a
-    secant iteration on the boundary traces (solve_coupling); for the
-    homogeneous kinds of f each end's f is evaluated once per solve
-    (coupling_integral),
+  * the nonlocal coupling a, the difference of the f-integrals over the two
+    end caps, is resolved first by a secant iteration on the boundary traces
+    (solve_coupling).  An end cap is one cell on the interval, and a row of
+    cells weighted by vol on the cylinder, where axisymmetric data reduce
+    the coupling to A = a e1.  For the homogeneous kinds of f each cap's
+    f-integral is evaluated once per solve (coupling_integral),
   * then one pass of the advect-and-diffuse kernel (_advect_diffuse) along
     the axis, whose unknowns are the total face fluxes T = J + F of one
     symmetric positive-definite tridiagonal solve (dptsv, solve_banded):
     explicit first-order upwind advection, J = -a c_upwind (upwind side
     picked by the sign of a), plus backward-Euler diffusion
-    F = (y_{i+1} - y_i)/dist of the new field y,
-  * both boundary interface fluxes are identically zero.  That, and not the
+    F = (y_{i+1} - y_i)/dist of the new field y; on the cylinder a second
+    pass diffuses along rho on c.T (GridCyl.rho_geom, no advection),
+  * every boundary interface flux is identically zero.  That, and not the
     Robin traces, is what conserves mass: the committed update is assembled
     from the face fluxes, so the telescoping sum is exact to roundoff.
 
-The kernel works along axis 0 of an (N,) or (N, K) array with one
-conductance per interior face, so the cylinder stepper (solver_cyl) runs it
-once axially and once radially.  State, make_state and adapt_dt serve both
-geometries.
-
-Robin boundary traces solve the one-sided closure c_x = a c and feed only the
-computation of a; they never enter the flux.
+The field is (N,) on the interval and (N, Nr) on the cylinder, and
+grid.axial is the axial Grid1D of either.  Robin boundary traces solve the
+one-sided closure c_x = a c and feed only the computation of a; they never
+enter the flux.
 """
 
 from __future__ import annotations
@@ -177,17 +178,22 @@ def solve_coupling(g, a: float, h0: float, hN: float, robin: bool, opts: StepOpt
 
 
 def compute_a(problem: ProblemSpec, state: State, opts: StepOptions) -> float:
-    """Self-consistent coupling a = f(c_right(a)) - f(c_left(a)), solved for
-    by solve_coupling (a secant iteration with damped fallback steps,
-    bounded by picard_tol and picard_max_iters) from the committed value,
-    on the map of coupling_integral.
+    """Self-consistent coupling a = cap(c_right(a)) - cap(c_left(a)), cap
+    being f of the end cell, or sum_j vol_j f over the cylinder's end row,
+    solved for by solve_coupling from the committed value on the map of
+    coupling_integral.
 
     Raises StepRejected if the iteration does not reach picard_tol.
     """
-    nl = problem.nonlinearity
-    h0 = float(state.grid.widths[0])
-    hN = float(state.grid.widths[-1])
-    g = coupling_integral(nl, lambda c: _f_at_trace(nl, c), float(state.c[0]), float(state.c[-1]), h0, hN)
+    nl, c = problem.nonlinearity, state.c
+    ax = state.grid.axial
+    h0, hN = float(ax.widths[0]), float(ax.widths[-1])
+    if c.ndim == 1:
+        # an end cell stays a float: f is far cheaper on floats than on arrays
+        g = coupling_integral(nl, lambda x: _f_at_trace(nl, x), float(c[0]), float(c[-1]), h0, hN)
+    else:
+        vol = state.grid.vol
+        g = coupling_integral(nl, lambda row: float(vol @ _f_at_trace(nl, row)), c[0], c[-1], h0, hN)
     a, state.trace_guarded = solve_coupling(g, state.a, h0, hN, opts.trace_mode == "robin", opts)
     return a
 
@@ -247,19 +253,23 @@ def _advect_diffuse(c, dt, geom: PassGeometry, a=0.0, h_min=math.inf):
 
 
 def step(problem: ProblemSpec, state: State, dt: float, opts: StepOptions) -> State:
-    """One IMEX update.  Rejects (StepRejected) on coupling failure, on an
+    """One IMEX update: the axial pass, then on the cylinder the radial one,
+    in that fixed order.  Rejects (StepRejected) on coupling failure, on an
     advective CFL violation dt |a| > h_min, or on a degenerate solve."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
+    ax = grid.axial
     a = compute_a(problem, state, opts)
-    c = _advect_diffuse(state.c, dt, grid.geom, a, grid.h_min)
+    c = _advect_diffuse(state.c, dt, ax.geom, a, ax.h_min)
+    if c.ndim == 2:
+        c = _advect_diffuse(c.T, dt, grid.rho_geom).T
     return State(grid, c, state.t + dt, a, state.step_count + 1, state.trace_guarded)
 
 
 def adapt_dt(problem: ProblemSpec, state: State, opts: StepOptions, linf: float | None = None) -> float:
     """dt = min(dt_max, cfl h_min/|a|, c_bu/(1 + linf^2m)), h_min being the
-    smallest axial width in either geometry.
+    smallest axial width.
 
     The last clamp tracks the blow-up timescale (T*-t) ~ linf^(-2m), so steps
     stay proportional to the remaining life of the solution.  linf is the
@@ -274,6 +284,6 @@ def adapt_dt(problem: ProblemSpec, state: State, opts: StepOptions, linf: float 
         pen = math.inf
     return min(
         opts.dt_max,
-        opts.cfl * state.grid.h_min / max(abs(state.a), 1e-12),
+        opts.cfl * state.grid.axial.h_min / max(abs(state.a), 1e-12),
         opts.c_bu / (1.0 + pen),
     )

@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cellflux import harness, presets, runner, solver1d, solver_cyl
+from cellflux import harness, presets, runner, solver1d
 from cellflux.diagnostics import lp_norm
 from cellflux.grid import GridCyl, integrate
 
@@ -93,18 +93,17 @@ def ref_audit(grid, states, m):
 
 
 def capture_states(monkeypatch):
-    """Wrap both steppers so every committed state and the dt it was asked
+    """Wrap the stepper so every committed state and the dt it was asked
     for are kept; returns the list they go into."""
     committed = []
-    for mod, name in ((solver1d, "step"), (solver_cyl, "step_cyl")):
-        fn = getattr(mod, name)
+    real = solver1d.step
 
-        def wrapper(problem, state, dt, opts, fn=fn):
-            new = fn(problem, state, dt, opts)
-            committed.append((dt, new))
-            return new
+    def wrapper(problem, state, dt, opts):
+        new = real(problem, state, dt, opts)
+        committed.append((dt, new))
+        return new
 
-        monkeypatch.setattr(mod, name, wrapper)
+    monkeypatch.setattr(solver1d, "step", wrapper)
     return committed
 
 
@@ -140,7 +139,7 @@ def test_one_pass_audit_matches_separate_passes(monkeypatch, name, stop):
     # dt of every step from the separate-pass linf (no rejections, no t_end clamp)
     for prev, (dt, _s) in zip(states[:-1], committed):
         linf = float(np.max(np.abs(prev.c)))
-        want = min(opts.dt_max, opts.cfl * grid.h_min / max(abs(prev.a), 1e-12),
+        want = min(opts.dt_max, opts.cfl * grid.axial.h_min / max(abs(prev.a), 1e-12),
                    opts.c_bu / (1.0 + linf ** (2.0 * prob.m)))
         assert dt == min(want, cfg.stop.t_end - prev.t)
 
@@ -169,8 +168,7 @@ def test_non_finite_field_is_a_numerical_failure(monkeypatch, name, bad):
     cfg = presets.preset_config(name)
     grid = cfg.grid.build(cfg.problem.domain)
     c0 = harness.build_initial(cfg.initial, grid, cfg.problem.domain, cfg.seed)
-    mod, key = (solver_cyl, "step_cyl") if name == "cyl_blowup" else (solver1d, "step")
-    real = getattr(mod, key)
+    real = solver1d.step
 
     def poisoned(problem, state, dt, opts):
         new = real(problem, state, dt, opts)
@@ -178,7 +176,7 @@ def test_non_finite_field_is_a_numerical_failure(monkeypatch, name, bad):
             new.c[(1,) * new.c.ndim] = bad
         return new
 
-    monkeypatch.setattr(mod, key, poisoned)
+    monkeypatch.setattr(solver1d, "step", poisoned)
     traj, rep = runner.run(cfg.problem, grid, c0, cfg.step, cfg.stop)
     assert (rep.outcome, rep.reason) == ("NUMERICAL_FAILURE", "non-finite field")
     assert rep.steps == 3 and rep.T_detect is None

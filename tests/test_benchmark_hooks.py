@@ -5,6 +5,10 @@ crashes traced runs or silently zeroes a per-layer metric; this test catches
 both on short runs in each geometry: every solver layer, the runner's
 entropy_of and record, and adapt_dt once per attempted step; and on a short
 scenario, the post-run dissipation check and both CSV writers.
+
+Both geometries run solver1d's functions.  The tracer still wraps five names
+of cellflux.solver_cyl, which are aliases of them that nothing calls; the
+last test pins that module to exactly those aliases.
 """
 
 import sys
@@ -21,14 +25,16 @@ import cellflux.solver_cyl
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-# (preset, stop-rule overrides, the geometry's step, compute_a and adapt_dt
-# span names, tridiagonal solves per step, f-evaluation counter)
+SOLVER_NAMES = ("solver1d.step", "solver1d.compute_a", "solver1d.adapt_dt")
+# (preset, stop-rule overrides, the step, compute_a and adapt_dt span names,
+# tridiagonal solves per step, f-evaluation counter)
 CASES = [
-    ("critical_mass_exact", {"t_end": 0.01}, ("solver1d.step", "solver1d.compute_a", "solver1d.adapt_dt"),
-     1, "solver1d.f_evals"),
-    ("cyl_blowup", {"t_end": 5e-4}, ("solver_cyl.step_cyl", "solver_cyl.compute_a_cyl", "solver_cyl.adapt_dt_cyl"),
-     2, "solver_cyl.f_evals"),
+    ("critical_mass_exact", {"t_end": 0.01}, SOLVER_NAMES, 1, "solver1d.f_evals"),
+    ("cyl_blowup", {"t_end": 5e-4}, SOLVER_NAMES, 2, "solver1d.f_evals"),
 ]
+# the aliases perfbench/child.py wraps, each with the solver1d name it stands for
+SHIM = {"step_cyl": "step", "compute_a_cyl": "compute_a", "adapt_dt_cyl": "adapt_dt",
+        "solve_banded": "solve_banded", "_f_np": "_f_at_trace"}
 
 
 @pytest.mark.parametrize("preset,stop,names,solves,f_counter", CASES)
@@ -53,12 +59,14 @@ def test_traced_run_records_every_solver_layer(monkeypatch, preset, stop, names,
     # no rejections here, so every attempted step is a committed one
     assert layers[step_name]["calls"] == rep.steps
     assert layers[adapt_name]["calls"] == rep.steps
-    solve_calls = sum(layers.get(f"{mod}.solve_banded", {}).get("calls", 0) for mod in ("solver1d", "solver_cyl"))
-    assert solve_calls == solves * rep.steps
+    assert layers["solver1d.solve_banded"]["calls"] == solves * rep.steps
     assert tr.counts[f_counter] > 0
+    # no call goes through the aliases
+    assert not [name for name in layers if name.startswith("solver_cyl.")]
+    assert set(tr.counts) == {f_counter}
     # restored: the module attributes are the package's own functions again
     assert cellflux.solver1d.step.__module__ == "cellflux.solver1d"
-    assert cellflux.solver_cyl.step_cyl.__module__ == "cellflux.solver_cyl"
+    assert cellflux.solver_cyl.step_cyl is cellflux.solver1d.step
 
 
 def test_traced_scenario_records_the_post_run_check_and_both_writers(monkeypatch, tmp_path):
@@ -85,3 +93,10 @@ def test_traced_scenario_records_the_post_run_check_and_both_writers(monkeypatch
         assert layers[name]["calls"] > 0, name
     assert layers["harness.write_timeseries"]["calls"] == layers["harness.write_snapshots"]["calls"] == 1
     assert cellflux.runner.dissipation_residuals.__module__ == "cellflux.diagnostics"
+
+
+def test_solver_cyl_holds_only_the_benchmark_aliases():
+    names = {name for name in vars(cellflux.solver_cyl) if not name.startswith("__")}
+    assert names == set(SHIM)
+    for alias, name in SHIM.items():
+        assert getattr(cellflux.solver_cyl, alias) is getattr(cellflux.solver1d, name), alias

@@ -10,11 +10,10 @@ the solver sums f over each end once per solve for the homogeneous kinds.
 import numpy as np
 import pytest
 
-from cellflux import harness, presets, solver1d, solver_cyl
+from cellflux import harness, presets, solver1d
 from cellflux.grid import build_grid_1d, build_grid_cyl
 from cellflux.problem import DomainSpec, NonlinearitySpec, ProblemSpec, eval_f
-from cellflux.solver1d import StepOptions, StepRejected, compute_a, make_state, solve_coupling
-from cellflux.solver_cyl import compute_a_cyl
+from cellflux.solver1d import StepOptions, StepRejected, adapt_dt, compute_a, make_state, solve_coupling, step
 
 POWER_LAWS = [("signed_power", 1.0), ("signed_power", 2.5), ("negative_power", 2.0), ("sublinear_power", 0.5)]
 
@@ -59,14 +58,14 @@ def coupling_1d(problem, state):
 def coupling_cyl(problem, state):
     """(g, hoisted, h0, hN) of the cylinder: the volume-weighted end-cap
     integral, with f evaluated on every trace, and the same map as
-    compute_a_cyl builds it."""
+    compute_a builds it."""
     nl = problem.nonlinearity
     c0, cN = state.c[0, :], state.c[-1, :]
     h0, hN = float(state.grid.axial.widths[0]), float(state.grid.axial.widths[-1])
     w = state.grid.vol
 
     def cap(c):
-        return float(w @ solver_cyl._f_np(nl, c))
+        return float(w @ solver1d._f_at_trace(nl, c))
 
     def g(a, robin_l, robin_r):
         cl = c0 / (1.0 + 0.5 * a * h0) if robin_l else c0
@@ -82,32 +81,27 @@ def preset_states(name, n_steps, every):
     cfg = presets.preset_config(name)
     grid = cfg.grid.build(cfg.problem.domain)
     c0 = harness.build_initial(cfg.initial, grid, cfg.problem.domain, cfg.seed)
-    cyl = cfg.problem.domain.geometry == "cylinder"
-    if cyl:
-        comp, step, adapt = compute_a_cyl, solver_cyl.step_cyl, solver_cyl.adapt_dt_cyl
-    else:
-        comp, step, adapt = compute_a, solver1d.step, solver1d.adapt_dt
     prob, opts = cfg.problem, cfg.step
     state = make_state(grid, c0)
-    state.a = comp(prob, state, opts)
+    state.a = compute_a(prob, state, opts)
     states = []
     for k in range(n_steps):
         if k % every == 0:
             states.append(make_state(grid, state.c.copy()))
             states[-1].a = state.a
-        state = step(prob, state, adapt(prob, state, opts), opts)
+        state = step(prob, state, adapt_dt(prob, state, opts), opts)
     return prob, opts, states
 
 
-def assert_agrees(comp, coupling, prob, opts, states):
-    """compute_a / compute_a_cyl against the reference on every state;
+def assert_agrees(coupling, prob, opts, states):
+    """compute_a against the reference on every state;
     returns the guard flags and the mean number of g evaluations of the
     shared iteration."""
     guarded, evals = [], 0
     for s in states:
         g, hoisted, h0, hN = coupling(prob, s)
         a_ref, guarded_ref = picard(g, s.a, h0, hN, opts.trace_mode == "robin", opts)
-        a = comp(prob, s, opts)
+        a = compute_a(prob, s, opts)
         assert abs(a - a_ref) <= AGREE * max(1.0, abs(a_ref)), (s.a, a, a_ref)
         assert s.trace_guarded == guarded_ref
         guarded.append(s.trace_guarded)
@@ -124,14 +118,14 @@ def assert_agrees(comp, coupling, prob, opts, states):
 def test_coupling_matches_picard_along_critical_mass_exact():
     prob, opts, states = preset_states("critical_mass_exact", 900, 3)
     assert len(states) == 300
-    guarded, evals = assert_agrees(compute_a, coupling_1d, prob, opts, states)
+    guarded, evals = assert_agrees(coupling_1d, prob, opts, states)
     assert not any(guarded)  # Robin traces at both ends throughout
     assert evals <= 4.0
 
 
 def test_coupling_matches_picard_along_cyl_blowup_with_latched_guard():
     prob, opts, states = preset_states("cyl_blowup", 400, 2)
-    guarded, evals = assert_agrees(compute_a_cyl, coupling_cyl, prob, opts, states)
+    guarded, evals = assert_agrees(coupling_cyl, prob, opts, states)
     assert all(guarded)
     assert evals <= 4.0
 
@@ -139,7 +133,7 @@ def test_coupling_matches_picard_along_cyl_blowup_with_latched_guard():
 def test_coupling_matches_picard_in_cell_trace_mode():
     prob, opts, states = preset_states("critical_mass_exact", 300, 10)
     opts = StepOptions(trace_mode="cell", dt_max=opts.dt_max)
-    guarded, _ = assert_agrees(compute_a, coupling_1d, prob, opts, states)
+    guarded, _ = assert_agrees(coupling_1d, prob, opts, states)
     assert not any(guarded)
 
 
@@ -158,7 +152,7 @@ def test_coupling_matches_picard_when_iterates_cross_the_guard(r):
     g, _, h0, hN = coupling_1d(prob, s)
     assert abs(s.a) * hN < 1.0
     assert abs(0.5 * g(0.0, True, True)) * hN >= 1.0  # the first iterate trips the guard
-    guarded, _ = assert_agrees(compute_a, coupling_1d, prob, opts, [s])
+    guarded, _ = assert_agrees(coupling_1d, prob, opts, [s])
     assert guarded == [True]
 
 
@@ -173,7 +167,7 @@ def test_tiny_iteration_budget_rejects_the_step():
     with pytest.raises(StepRejected):
         compute_a(prob, s, tiny)
     with pytest.raises(StepRejected):
-        solver1d.step(prob, s, 1e-6, tiny)
+        step(prob, s, 1e-6, tiny)
 
 
 @pytest.mark.parametrize("kind, m", POWER_LAWS)
@@ -220,11 +214,10 @@ def test_homogeneous_solve_evaluates_f_at_most_twice(monkeypatch, geometry, kind
         return wrapped
 
     monkeypatch.setattr(solver1d, "_f_at_trace", counted(solver1d._f_at_trace))
-    monkeypatch.setattr(solver_cyl, "_f_np", counted(solver_cyl._f_np))
     prob, s = decreasing_state(geometry, kind, m)
-    comp, coupling = (compute_a, coupling_1d) if geometry == "interval" else (compute_a_cyl, coupling_cyl)
+    coupling = coupling_1d if geometry == "interval" else coupling_cyl
     opts = StepOptions()
-    a = comp(prob, s, opts)
+    a = compute_a(prob, s, opts)
     assert len(calls) <= 2 and not s.trace_guarded
     # the reference iterates on f over every trace: several evaluations
     calls.clear()
@@ -239,12 +232,12 @@ def test_coupling_matches_picard_on_a_saturating_cylinder():
     # the traces of both end caps
     prob, state = decreasing_state("cylinder", "saturating", 1.0)
     opts = StepOptions(dt_max=1e-3)
-    state.a = compute_a_cyl(prob, state, opts)
+    state.a = compute_a(prob, state, opts)
     states = []
     for _ in range(40):
         states.append(make_state(state.grid, state.c.copy()))
         states[-1].a = state.a
-        state = solver_cyl.step_cyl(prob, state, solver_cyl.adapt_dt_cyl(prob, state, opts), opts)
-    guarded, evals = assert_agrees(compute_a_cyl, coupling_cyl, prob, opts, states)
+        state = step(prob, state, adapt_dt(prob, state, opts), opts)
+    guarded, evals = assert_agrees(coupling_cyl, prob, opts, states)
     assert not any(guarded)
     assert evals > 2.0  # secant iterates, each evaluating f on both traces

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cellflux import harness, presets, solver1d, solver_cyl
+from cellflux import harness, presets, solver1d
 from cellflux.solver1d import StepRejected
 
 DATA = Path(__file__).parent / "data"
@@ -36,18 +36,14 @@ def trajectory(name: str) -> dict:
     prob, opts = cfg.problem, cfg.step
     grid = cfg.grid.build(prob.domain)
     c0 = harness.build_initial(cfg.initial, grid, prob.domain, cfg.seed)
-    if prob.domain.geometry == "cylinder":
-        compute, step, adapt = solver_cyl.compute_a_cyl, solver_cyl.step_cyl, solver_cyl.adapt_dt_cyl
-    else:
-        compute, step, adapt = solver1d.compute_a, solver1d.step, solver1d.adapt_dt
     state = solver1d.make_state(grid, c0)
-    state.a = compute(prob, state, opts)
+    state.a = solver1d.compute_a(prob, state, opts)
     a, dts, guarded = [], [], []
     for _ in range(STEPS):
-        dt = adapt(prob, state, opts)
+        dt = solver1d.adapt_dt(prob, state, opts)
         while True:
             try:
-                state = step(prob, state, dt, opts)
+                state = solver1d.step(prob, state, dt, opts)
                 break
             except StepRejected:
                 dt *= 0.5

@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -608,13 +607,3 @@ def test_cli_sweep_rejects_a_malformed_bracket(monkeypatch, capsys, bracket):
     assert cellflux_cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: --bracket ")
 
-
-def test_blowup_rate_study_script_runs_help():
-    root = Path(__file__).resolve().parents[1]
-    r = subprocess.run(
-        [sys.executable, str(root / "scripts" / "blowup_rate_study.py"), "--help"],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
-    )
-    assert r.returncode == 0, r.stderr
-    assert "--preset" in r.stdout

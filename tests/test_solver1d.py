@@ -20,7 +20,6 @@ from cellflux.solver1d import (
     solve_banded,
     step,
 )
-from cellflux.solver_cyl import step_cyl
 
 
 def problem(kind="signed_power", m=1.0, L=1.0):
@@ -149,7 +148,7 @@ def test_mass_conserved_and_nonnegative_on_random_data(
     # closure is well posed); spiky data on coarse grids is the guarded regime
     assume(float(prof[0]) * g1.widths[0] < 0.3)
     opts = StepOptions(dt_max=1e-3)
-    runs = []  # (grid, problem, state, stepper)
+    runs = []  # (grid, problem, state)
     if geometry == "cylinder":
         R = ball_volume(n - 1, 1.0) ** (-1.0 / (n - 1))  # |B'_R| = 1
         gc = build_grid_cyl(1.0, R, n, N, Nr, r)
@@ -158,15 +157,15 @@ def test_mass_conserved_and_nonnegative_on_random_data(
             nonlinearity=NonlinearitySpec(kind="signed_power", m=1.0),
             domain=DomainSpec(geometry="cylinder", L=1.0, R=R, n=n),
         )
-        runs.append((gc, prob, make_state(gc, prof[:, None] * radial), step_cyl))
+        runs.append((gc, prob, make_state(gc, prof[:, None] * radial)))
     if geometry == "interval" or rho_independent:
-        runs.append((g1, problem(m=1.0), make_state(g1, prof), step))
-    mass0 = [integrate(g, s.c) for g, _p, s, _f in runs]
+        runs.append((g1, problem(m=1.0), make_state(g1, prof)))
+    mass0 = [integrate(g, s.c) for g, _p, s in runs]
     for _ in range(20):
-        dt = min(adapt_dt(p, s, opts) for _g, p, s, _f in runs)
+        dt = min(adapt_dt(p, s, opts) for _g, p, s in runs)
         while dt > opts.dt_min:
             try:
-                runs = [(g, p, f(p, s, dt, opts), f) for g, p, s, f in runs]
+                runs = [(g, p, step(p, s, dt, opts)) for g, p, s in runs]
                 break
             except StepRejected:
                 dt *= 0.5
@@ -174,7 +173,7 @@ def test_mass_conserved_and_nonnegative_on_random_data(
             # spiky supercritical data may reach the singular regime, where
             # persistent rejection is the designed exit
             break
-        for (g, _p, s, _f), m0 in zip(runs, mass0):
+        for (g, _p, s), m0 in zip(runs, mass0):
             linf = np.abs(s.c).max()
             assert abs(integrate(g, s.c) - m0) <= 1e-13 * m0
             assert s.c.min() >= -1e-12 * linf
@@ -212,7 +211,7 @@ def test_one_interior_face_matches_hand_solved_system():
         domain=DomainSpec(geometry="cylinder", L=1.0, R=1.0, n=3),
     )
     s = make_state(gc, c0)
-    out = step_cyl(prob, s, dt, StepOptions())
+    out = step(prob, s, dt, StepOptions())
     ax = gc.axial
     axial = np.array([one_face_pass(*c0[:, j], dt, *ax.widths, 1.0 / ax.dist[0], out.a) for j in range(2)]).T
     k = 2.0 * math.pi * 0.5 / 0.5  # sigma_1 rho at the face rho = 1/2, over the center gap 1/2
