@@ -107,41 +107,21 @@ def lp_norm(grid, c, p: float) -> float:
 
 
 def record(
-    state,
-    problem: ProblemSpec,
-    dt: float,
-    p_list=(2.0,),
-    traces: tuple[float, float] | None = None,
-    audit: Audit | None = None,
+    state, problem: ProblemSpec, dt: float, p_list, traces: tuple[float, float], audit: Audit
 ) -> FunctionalRecord:
     """Sample all monitored functionals of a 1D or cylinder state.
 
-    traces are the (c_left, c_right) boundary values used for the coupling;
-    for the cylinder the caller passes cross-section averages.  audit is the
-    state's mass, entropy, linf and x1 c as the runner's per-step audit
-    already computed them; they are reused, not recomputed.  Without it they
-    are computed here by the same formulas.
+    traces are the state's (c_left, c_right), solver1d.end_traces(state).
+    audit is the state's mass, entropy, linf and x1 c as the runner's
+    per-step audit computed them; they are reused, not recomputed.
     """
-    grid, c = state.grid, state.c
-    if audit is None:
-        audit = Audit(
-            mass=integrate_dot(grid, c),
-            entropy=entropy_of(grid, c),
-            linf=float(np.max(np.abs(c))),
-            x1c=axial_coordinate(grid) * c,
-        )
-    if traces is None:
-        if isinstance(grid, GridCyl):
-            B = grid.ball_volume
-            traces = (float(c[0] @ grid.vol) / B, float(c[-1] @ grid.vol) / B)
-        else:
-            traces = (float(c[0]), float(c[-1]))
+    grid = state.grid
     return FunctionalRecord(
         t=state.t,
         dt=dt,
         mass=audit.mass,
         entropy=audit.entropy,
-        lp={p: lp_norm(grid, c, p) for p in p_list},
+        lp={p: lp_norm(grid, state.c, p) for p in p_list},
         linf=audit.linf,
         phi=integrate(grid, audit.x1c),
         a=state.a,

@@ -56,7 +56,7 @@ class Grid1D:
 
     @property
     def h_min(self) -> float:
-        return float(self.widths[0] if self.r >= 1.0 else self.widths.min())
+        return float(self.widths[0])  # build_grid_1d rejects r < 1
 
     @property
     def axial(self) -> Grid1D:
@@ -110,7 +110,7 @@ class GridCyl:
     vol: np.ndarray  # radial volume weight per cell
     rho_geom: PassGeometry = field(repr=False)  # of the radial pass, k = sigma_{n-2} rho^{n-2}/center gap
 
-    @cached_property  # record() reads it on every sample
+    @cached_property  # solver1d.end_traces reads it on every cylinder sample
     def ball_volume(self) -> float:
         return float(self.vol.sum())
 

@@ -101,6 +101,9 @@ def build_initial(cfg: InitialConfig, grid, domain: DomainSpec, seed: int = 0) -
         c = np.asarray(cfg.values, dtype=float)
         if c.shape != shape:
             raise ConfigError(f"custom values shape {c.shape} does not match grid {shape}")
+        # non-finite values are the runner's to classify (NUMERICAL_FAILURE)
+        if np.isfinite(c).all() and not integrate(grid, c) > 0:
+            raise ConfigError("initial data has no mass")
         return c.copy()
 
     if cfg.family == "constant":

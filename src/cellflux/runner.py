@@ -78,6 +78,16 @@ def default_lyapunov_p(m: float) -> float | None:
     return p if p > 1.0 and m <= p < 2.0 * m else None
 
 
+def _field_failure(linf: float, cmin: float) -> str | None:
+    """Why a field with max |c| = linf and min c = cmin is a numerical
+    failure (non-finite, or negative beyond _NEG_TOL linf), or None."""
+    if not math.isfinite(linf):
+        return "non-finite field"
+    if cmin < -_NEG_TOL * max(linf, 1e-300):
+        return f"negativity beyond tolerance: {cmin:.3e}"
+    return None
+
+
 def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
     """March from c0 until convergence, blow-up detection, or t_end.
 
@@ -86,10 +96,14 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
       BLOWUP             linf crossed the threshold, or dt hit the floor
       BOUNDED            reached t_end without either
       NUMERICAL_FAILURE  non-finite field or negativity beyond tolerance
+    The initial state and every committed one go through the same check
+    (_field_failure); initial data that fail it end the run at t = 0 with
+    its one record, before the mass check and with no thresholds or fits.
     """
     if not isinstance(grid, (Grid1D, GridCyl)):
         raise TypeError(f"not a grid: {type(grid)!r}")
     cyl = isinstance(grid, GridCyl)
+    robin = opts.trace_mode == "robin"
     state = solver1d.make_state(grid, c0)
     x1 = axial_coordinate(grid)
     # for m = 1, x1 ** (1/m) is x1 bitwise, and the audit's max of x1 c serves
@@ -113,7 +127,8 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
 
     au, cmin, marg, xc = audit(state)
     mass0 = au.mass
-    if not mass0 > 0:
+    failure = _field_failure(au.linf, cmin)
+    if failure is None and not mass0 > 0:
         raise ValueError("initial data must carry positive mass")
     mean = mass0 / problem.domain.volume
     try:
@@ -141,28 +156,26 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
     n_guarded = 0
     samples = 0
 
+    # au is the audit of the current state in keep and sample
+    def keep():
+        traj.fields.append((state.t, state.c.copy(), state.a))
+        kept.append(au.entropy if cmin > 0.0 else None)
+
     def sample(dt: float):
-        # au is the audit of the current state
         nonlocal samples
-        traces = None
-        if not cyl:
-            cl, cr, _ = solver1d.reconstruct_traces(state, state.a, opts)
-            traces = (cl, cr)
-        traj.records.append(record(state, problem, dt, stop.p_list, traces, au))
+        traj.records.append(record(state, problem, dt, stop.p_list, solver1d.end_traces(state), au))
         every = stop.store_fields_every
         if samples == 0 or (every and samples % every == 0):
-            traj.fields.append((state.t, state.c.copy(), state.a))
-            kept.append(au.entropy if cmin > 0.0 else None)
+            keep()
         xpow_series.append(xc if x1_pow is None else float(np.max(x1_pow * state.c)))
         samples += 1
 
     sample(0.0)
+    if failure is not None:
+        rep.outcome, rep.reason = NUMERICAL_FAILURE, f"{failure} in the initial data"
+        return traj, rep
     outcome, reason, T_detect = None, "", None
     last_dt = 0.0
-    if not math.isfinite(linf):
-        outcome, reason = NUMERICAL_FAILURE, "non-finite initial data"
-    elif rep.min_c < -_NEG_TOL * max(linf, 1e-300):
-        outcome, reason = NUMERICAL_FAILURE, f"negativity beyond tolerance in initial data: {rep.min_c:.3e}"
 
     while outcome is None and state.t < stop.t_end - 1e-14:
         dt = solver1d.adapt_dt(problem, state, opts, linf)
@@ -186,12 +199,10 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
         c = state.c
         au, cmin, marg, xc = audit(state)
         linf = au.linf
-        if not math.isfinite(linf):
-            outcome, reason = NUMERICAL_FAILURE, "non-finite field"
-            break
         rep.min_c = min(rep.min_c, cmin)
-        if cmin < -_NEG_TOL * max(linf, 1e-300):
-            outcome, reason = NUMERICAL_FAILURE, f"negativity beyond tolerance: {cmin:.3e}"
+        failure = _field_failure(linf, cmin)
+        if failure is not None:
+            outcome, reason = NUMERICAL_FAILURE, failure
             break
 
         drift = abs(au.mass - mass0) / mass0
@@ -204,7 +215,7 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
         if cyl:
             marg_inc_max = max(marg_inc_max, float(np.max(marg)) - M0)
         a_sq += state.a**2 * dt
-        n_guarded += state.trace_guarded
+        n_guarded += robin and not all(state.robin_ends)
 
         if state.step_count % stop.sample_every == 0:
             sample(dt)
@@ -221,8 +232,7 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
     if traj.records[-1].t < state.t:
         sample(last_dt)
     if stop.store_fields_every and traj.fields[-1][0] < state.t:
-        traj.fields.append((state.t, state.c.copy(), state.a))
-        kept.append(au.entropy if cmin > 0.0 else None)
+        keep()
 
     rep.outcome = outcome
     rep.reason = reason

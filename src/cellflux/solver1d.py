@@ -21,9 +21,10 @@ Layout of one step, the same in both geometries:
     from the face fluxes, so the telescoping sum is exact to roundoff.
 
 The field is (N,) on the interval and (N, Nr) on the cylinder, and
-grid.axial is the axial Grid1D of either.  Robin boundary traces solve the
-one-sided closure c_x = a c and feed only the computation of a; they never
-enter the flux.
+grid.axial is the axial Grid1D of either.  A Robin boundary trace solves the
+one-sided closure c_x = a c: an end cap's value divided by lam (_lams).  The
+traces feed the coupling and the records (end_traces), never the flux; only
+solve_coupling decides per end whether the closure holds (State.robin_ends).
 """
 
 from __future__ import annotations
@@ -65,14 +66,16 @@ class StepOptions:
 @dataclass
 class State:
     """Cell averages on an interval, c[i], or a cylinder, c[i, j] over axial
-    index i and radial index j, with the committed coupling value."""
+    index i and radial index j, with the committed coupling value a and, per
+    end, whether the solve that gave a ended on the Robin trace (True) or in
+    cell mode (False: trace_mode "cell", or the guard latched the end)."""
 
     grid: Grid1D | GridCyl
     c: np.ndarray
     t: float = 0.0
     a: float = 0.0
     step_count: int = 0
-    trace_guarded: bool = False  # Robin closure fell back to cell mode this step
+    robin_ends: tuple[bool, bool] = (True, True)
 
 
 def make_state(grid: Grid1D | GridCyl, c0) -> State:
@@ -85,25 +88,25 @@ def make_state(grid: Grid1D | GridCyl, c0) -> State:
     return State(grid=grid, c=c)
 
 
-def reconstruct_traces(state: State, a_guess: float, opts: StepOptions):
-    """Boundary values (c_left, c_right, guarded) for the coupling integral.
+def _lams(a: float, h0: float, hN: float, robin_l: bool, robin_r: bool):
+    """(lam_l, lam_r) of the closure (c_1 - c_left)/(h0/2) = a c_left, c_left =
+    c_1/lam_l, and its mirror at the right end; lam = 1 in cell mode."""
+    return (1.0 + 0.5 * a * h0 if robin_l else 1.0, 1.0 - 0.5 * a * hN if robin_r else 1.0)
 
-    In robin mode each end solves c_x = a c one-sidedly; if |a| h/2 >= 0.5 at
-    an end the closure is unresolvable there and that end falls back to the
-    cell value (guarded = True).
-    """
-    c = state.c
-    h = state.grid.widths
-    robin = opts.trace_mode == "robin"
-    ok_l = robin and abs(a_guess) * h[0] < 1.0
-    ok_r = robin and abs(a_guess) * h[-1] < 1.0
-    # the one-sided closure (c_1 - c_left)/(h_1/2) = a c_left, as in
-    # coupling_integral
-    c0, cN = float(c[0]), float(c[-1])
-    cl = c0 / (1.0 + 0.5 * a_guess * float(h[0])) if ok_l else c0
-    cr = cN / (1.0 - 0.5 * a_guess * float(h[-1])) if ok_r else cN
-    guarded = robin and not (ok_l and ok_r)
-    return cl, cr, guarded
+
+def end_traces(state: State) -> tuple[float, float]:
+    """(c_left, c_right): each end cap's value divided by that end's lam at
+    the committed a and the end modes of the solve that gave it.  The cap
+    value is the end cell on the interval and the vol-weighted cross-section
+    mean of the end row, vol @ c[0] / ball_volume, on the cylinder."""
+    c, ax = state.c, state.grid.axial
+    if c.ndim == 1:
+        c0, cN = float(c[0]), float(c[-1])
+    else:
+        vol, B = state.grid.vol, state.grid.ball_volume
+        c0, cN = float(vol @ c[0]) / B, float(vol @ c[-1]) / B
+    lam_l, lam_r = _lams(state.a, float(ax.widths[0]), float(ax.widths[-1]), *state.robin_ends)
+    return c0 / lam_l, cN / lam_r
 
 
 _f_at_trace = eval_f  # perfbench counts f evaluations by patching this name
@@ -112,8 +115,7 @@ _f_at_trace = eval_f  # perfbench counts f evaluations by patching this name
 def coupling_integral(nl: NonlinearitySpec, cap, c0, cN, h0: float, hN: float):
     """The coupling integral g(a, robin_l, robin_r) that solve_coupling
     iterates on: cap(cN / lam_r) - cap(c0 / lam_l), cap(c) being the
-    f-integral over an end's cells c, lam_l = 1 + a h0/2 and lam_r =
-    1 - a hN/2 on a Robin trace, and lam = 1 for an end in cell mode.
+    f-integral over an end's cells c and lam that end's divisor (_lams).
 
     cap(c) of each end is summed at most once per solve.  A homogeneous f
     (problem.HOMOGENEOUS) has cap(c/lam) = cap(c)/lam^m, since the guard
@@ -131,8 +133,7 @@ def coupling_integral(nl: NonlinearitySpec, cap, c0, cN, h0: float, hN: float):
         return sums[i] / lam**m
 
     def g(a: float, robin_l: bool, robin_r: bool) -> float:
-        lam_l = 1.0 + 0.5 * a * h0 if robin_l else 1.0
-        lam_r = 1.0 - 0.5 * a * hN if robin_r else 1.0
+        lam_l, lam_r = _lams(a, h0, hN, robin_l, robin_r)
         return at(1, lam_r) - at(0, lam_l)
 
     return g
@@ -154,7 +155,7 @@ def solve_coupling(g, a: float, h0: float, hN: float, robin: bool, opts: StepOpt
     picard_max_iters has gone by without convergence.  The iteration stops at
     |a_new - a| <= picard_tol max(1, |a_new|).
 
-    Returns (a, guarded), guarded being True when an end left Robin mode.
+    Returns (a, (robin_l, robin_r)), each end's mode at the last iterate.
     Raises StepRejected after picard_max_iters evaluations of g.
     """
     robin_l = robin_r = robin
@@ -172,7 +173,7 @@ def solve_coupling(g, a: float, h0: float, hN: float, robin: bool, opts: StepOpt
         else:
             a_new = a - F * (a - a_prev) / (F - F_prev)
         if abs(a_new - a) <= opts.picard_tol * max(1.0, abs(a_new)):
-            return a_new, robin and not (robin_l and robin_r)
+            return a_new, (robin_l, robin_r)
         a_prev, F_prev, a = a, F, a_new
     raise StepRejected(f"coupling iteration on a did not converge (last a = {a:.6g})")
 
@@ -181,7 +182,7 @@ def compute_a(problem: ProblemSpec, state: State, opts: StepOptions) -> float:
     """Self-consistent coupling a = cap(c_right(a)) - cap(c_left(a)), cap
     being f of the end cell, or sum_j vol_j f over the cylinder's end row,
     solved for by solve_coupling from the committed value on the map of
-    coupling_integral.
+    coupling_integral.  Sets state.robin_ends to the solve's end modes.
 
     Raises StepRejected if the iteration does not reach picard_tol.
     """
@@ -194,7 +195,7 @@ def compute_a(problem: ProblemSpec, state: State, opts: StepOptions) -> float:
     else:
         vol = state.grid.vol
         g = coupling_integral(nl, lambda row: float(vol @ _f_at_trace(nl, row)), c[0], c[-1], h0, hN)
-    a, state.trace_guarded = solve_coupling(g, state.a, h0, hN, opts.trace_mode == "robin", opts)
+    a, state.robin_ends = solve_coupling(g, state.a, h0, hN, opts.trace_mode == "robin", opts)
     return a
 
 
@@ -264,7 +265,7 @@ def step(problem: ProblemSpec, state: State, dt: float, opts: StepOptions) -> St
     c = _advect_diffuse(state.c, dt, ax.geom, a, ax.h_min)
     if c.ndim == 2:
         c = _advect_diffuse(c.T, dt, grid.rho_geom).T
-    return State(grid, c, state.t + dt, a, state.step_count + 1, state.trace_guarded)
+    return State(grid, c, state.t + dt, a, state.step_count + 1, state.robin_ends)
 
 
 def adapt_dt(problem: ProblemSpec, state: State, opts: StepOptions, linf: float | None = None) -> float:

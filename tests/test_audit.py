@@ -11,7 +11,11 @@ adapt_dt uses, so dt pins it), and the same mass, entropy, phi and lp to
 in another order.  The report's audit fields must agree to the same
 tolerance, relative to the quantity they are differences of.
 
-A second test drives the runner with a stepper that returns non-finite
+A second test checks that a cylinder record's c_left is the Robin-closed
+mean of the left end row whenever the coupling solve left that end on its
+Robin trace.
+
+A third test drives the runner with a stepper that returns non-finite
 fields: NaN, +inf alone or -inf alone must each end as NUMERICAL_FAILURE
 with reason "non-finite field", never as BLOWUP or a negativity failure.
 """
@@ -160,6 +164,25 @@ def test_one_pass_audit_matches_separate_passes(monkeypatch, name, stop):
     xpow = [float(np.max(ref_x1(grid) ** (1.0 / prob.m) * by_t[r.t][1].c)) for r in traj.records]
     cut = max(1, (3 * len(xpow)) // 4)
     assert (rep.xpow_sup_early, rep.xpow_sup_late) == (max(xpow[:cut]), max(xpow[cut:]))
+
+
+def test_cylinder_records_robin_closed_cap_means(monkeypatch):
+    # on cyl_blowup the left end stays on its Robin trace and the coarse
+    # right end latches into cell mode
+    cfg = presets.preset_config("cyl_blowup")
+    cfg = replace(cfg, stop=replace(cfg.stop, t_end=5e-5))
+    grid = cfg.grid.build(cfg.problem.domain)
+    c0 = harness.build_initial(cfg.initial, grid, cfg.problem.domain, cfg.seed)
+    committed = capture_states(monkeypatch)
+    traj, _rep = runner.run(cfg.problem, grid, c0, cfg.step, cfg.stop)
+    by_t = {s.t: s for _dt, s in committed}
+    h0, B = float(grid.axial.widths[0]), grid.ball_volume
+    assert len(traj.records) > 8
+    for r in traj.records[1:]:
+        s = by_t[r.t]
+        assert s.robin_ends == (True, False)
+        assert r.c_left == pytest.approx((grid.vol @ s.c[0] / B) / (1.0 + 0.5 * s.a * h0), rel=1e-14)
+        assert r.c_right == pytest.approx(grid.vol @ s.c[-1] / B, rel=1e-14)
 
 
 @pytest.mark.parametrize("name", ["critical_mass_exact", "cyl_blowup"])

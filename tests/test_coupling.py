@@ -3,7 +3,7 @@ iteration a <- (a + g(a))/2 that it replaced.
 
 Both solvers start from identical states (the cell data and the committed a)
 and must agree to 1e-10 max(1, |a|) on the coupling value, and exactly on
-whether the Robin guard engaged.  The reference evaluates f on every trace;
+each end's mode (Robin trace or cell mode) at the end of the solve.  The reference evaluates f on every trace;
 the solver sums f over each end once per solve for the homogeneous kinds.
 """
 
@@ -22,7 +22,7 @@ AGREE = 1e-10
 
 def picard(g, a, h0, hN, robin, opts):
     """Reference: the damped Picard loop, with the guard latching an end into
-    cell mode once |a| h >= 1 there.  Returns (a, guarded)."""
+    cell mode once |a| h >= 1 there.  Returns (a, (robin_l, robin_r))."""
     robin_l = robin_r = robin
     for _ in range(opts.picard_max_iters):
         if robin_l and abs(a) * h0 >= 1.0:
@@ -31,7 +31,7 @@ def picard(g, a, h0, hN, robin, opts):
             robin_r = False
         a_new = 0.5 * (a + g(a, robin_l, robin_r))
         if abs(a_new - a) <= opts.picard_tol * max(1.0, abs(a_new)):
-            return a_new, robin and not (robin_l and robin_r)
+            return a_new, (robin_l, robin_r)
         a = a_new
     raise StepRejected("reference picard iteration did not converge")
 
@@ -95,16 +95,16 @@ def preset_states(name, n_steps, every):
 
 def assert_agrees(coupling, prob, opts, states):
     """compute_a against the reference on every state;
-    returns the guard flags and the mean number of g evaluations of the
-    shared iteration."""
-    guarded, evals = [], 0
+    returns the end modes (robin_l, robin_r) and the mean number of g
+    evaluations of the shared iteration."""
+    ends, evals = [], 0
     for s in states:
         g, hoisted, h0, hN = coupling(prob, s)
-        a_ref, guarded_ref = picard(g, s.a, h0, hN, opts.trace_mode == "robin", opts)
+        a_ref, ends_ref = picard(g, s.a, h0, hN, opts.trace_mode == "robin", opts)
         a = compute_a(prob, s, opts)
         assert abs(a - a_ref) <= AGREE * max(1.0, abs(a_ref)), (s.a, a, a_ref)
-        assert s.trace_guarded == guarded_ref
-        guarded.append(s.trace_guarded)
+        assert s.robin_ends == ends_ref
+        ends.append(s.robin_ends)
 
         def counted(*args):
             nonlocal evals
@@ -112,29 +112,29 @@ def assert_agrees(coupling, prob, opts, states):
             return hoisted(*args)
 
         assert solve_coupling(counted, s.a, h0, hN, opts.trace_mode == "robin", opts)[0] == a
-    return guarded, evals / len(states)
+    return ends, evals / len(states)
 
 
 def test_coupling_matches_picard_along_critical_mass_exact():
     prob, opts, states = preset_states("critical_mass_exact", 900, 3)
     assert len(states) == 300
-    guarded, evals = assert_agrees(coupling_1d, prob, opts, states)
-    assert not any(guarded)  # Robin traces at both ends throughout
+    ends, evals = assert_agrees(coupling_1d, prob, opts, states)
+    assert set(ends) == {(True, True)}  # Robin traces at both ends throughout
     assert evals <= 4.0
 
 
 def test_coupling_matches_picard_along_cyl_blowup_with_latched_guard():
     prob, opts, states = preset_states("cyl_blowup", 400, 2)
-    guarded, evals = assert_agrees(coupling_cyl, prob, opts, states)
-    assert all(guarded)
+    ends, evals = assert_agrees(coupling_cyl, prob, opts, states)
+    assert not any(all(e) for e in ends)  # an end in cell mode on every state
     assert evals <= 4.0
 
 
 def test_coupling_matches_picard_in_cell_trace_mode():
     prob, opts, states = preset_states("critical_mass_exact", 300, 10)
     opts = StepOptions(trace_mode="cell", dt_max=opts.dt_max)
-    guarded, _ = assert_agrees(coupling_1d, prob, opts, states)
-    assert not any(guarded)
+    ends, _ = assert_agrees(coupling_1d, prob, opts, states)
+    assert set(ends) == {(False, False)}
 
 
 @pytest.mark.parametrize("r", [1.0, 1.3])
@@ -152,8 +152,8 @@ def test_coupling_matches_picard_when_iterates_cross_the_guard(r):
     g, _, h0, hN = coupling_1d(prob, s)
     assert abs(s.a) * hN < 1.0
     assert abs(0.5 * g(0.0, True, True)) * hN >= 1.0  # the first iterate trips the guard
-    guarded, _ = assert_agrees(coupling_1d, prob, opts, [s])
-    assert guarded == [True]
+    ends, _ = assert_agrees(coupling_1d, prob, opts, [s])
+    assert ends == [(False, False)]
 
 
 def test_tiny_iteration_budget_rejects_the_step():
@@ -218,7 +218,7 @@ def test_homogeneous_solve_evaluates_f_at_most_twice(monkeypatch, geometry, kind
     coupling = coupling_1d if geometry == "interval" else coupling_cyl
     opts = StepOptions()
     a = compute_a(prob, s, opts)
-    assert len(calls) <= 2 and not s.trace_guarded
+    assert len(calls) <= 2 and s.robin_ends == (True, True)
     # the reference iterates on f over every trace: several evaluations
     calls.clear()
     g, _, h0, hN = coupling(prob, s)
@@ -238,6 +238,6 @@ def test_coupling_matches_picard_on_a_saturating_cylinder():
         states.append(make_state(state.grid, state.c.copy()))
         states[-1].a = state.a
         state = step(prob, state, adapt_dt(prob, state, opts), opts)
-    guarded, evals = assert_agrees(coupling_cyl, prob, opts, states)
-    assert not any(guarded)
+    ends, evals = assert_agrees(coupling_cyl, prob, opts, states)
+    assert set(ends) == {(True, True)}
     assert evals > 2.0  # secant iterates, each evaluating f on both traces

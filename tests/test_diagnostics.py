@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellflux.diagnostics import (
+    Audit,
     FunctionalRecord,
     axial_coordinate,
     decay_tail,
@@ -16,10 +17,10 @@ from cellflux.diagnostics import (
     moment_residual,
     record,
 )
-from cellflux.grid import build_grid_1d, build_grid_cyl, integrate
+from cellflux.grid import build_grid_1d, build_grid_cyl, integrate, integrate_dot
 from cellflux.problem import DomainSpec, NonlinearitySpec, ProblemSpec
 from cellflux.runner import StopRule, run
-from cellflux.solver1d import StepOptions, adapt_dt, make_state, step
+from cellflux.solver1d import StepOptions, end_traces, make_state
 
 
 def interval_problem(m=1.0, kind="signed_power", chi=1.0):
@@ -40,17 +41,25 @@ def rec(t, linf=1.0, phi=0.0, a=0.0, dt=0.0):
 # --- record ----------------------------------------------------------------
 
 
+def sample(state, problem, p_list=(2.0,)):
+    """record() of a state, with the audit and traces the runner passes."""
+    c = state.c
+    au = Audit(mass=integrate_dot(state.grid, c), entropy=entropy_of(state.grid, c),
+               linf=float(np.max(np.abs(c))), x1c=axial_coordinate(state.grid) * c)
+    return record(state, problem, 0.0, p_list, end_traces(state), au)
+
+
 def test_record_constant_state_values():
     g = build_grid_1d(1.0, 64)
     s = make_state(g, np.ones(64))
-    r = record(s, interval_problem(), dt=0.0, p_list=(2.0,))
+    r = sample(s, interval_problem())
     assert r.mass == pytest.approx(1.0)
     assert r.entropy == pytest.approx(0.0, abs=1e-15)
     assert r.phi == pytest.approx(0.5, rel=1e-12)
     assert r.lp[2.0] == pytest.approx(1.0)
 
     s2 = make_state(g, np.full(64, 2.0))
-    r2 = record(s2, interval_problem(), dt=0.0, p_list=(2.0,))
+    r2 = sample(s2, interval_problem())
     assert r2.entropy == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
     assert r2.lp[2.0] == pytest.approx(2.0)
 
@@ -64,7 +73,7 @@ def test_record_cylinder_mass_and_velocity():
         domain=DomainSpec(geometry="cylinder", L=1.0, R=1.0, n=3),
         chi=3.0,
     )
-    r = record(s, p, dt=0.0)
+    r = sample(s, p)
     assert r.mass == pytest.approx(math.pi, rel=1e-13)
     # u = -chi a / |Omega|
     assert r.u == pytest.approx(3.0 * 2.0 / math.pi, rel=1e-13)

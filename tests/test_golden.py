@@ -2,8 +2,9 @@
 
 Each file in tests/data holds the first STEPS steps of one preset, marched
 with the runner's step loop (adapt dt, halve it on StepRejected): the
-committed `a`, the `dt` taken and the `trace_guarded` flag of every step, and
-the final cell averages `c`.
+committed `a`, the `dt` taken and the `trace_guarded` flag of every step
+(Robin mode asked for, and an end left in cell mode by the coupling solve),
+and the final cell averages `c`.
 
 All five agree to 1e-12 relative in `a`, `dt` and `c`, with `trace_guarded`
 equal.  The files were recorded from the increment-form diffusion solve; the
@@ -49,7 +50,7 @@ def trajectory(name: str) -> dict:
                 dt *= 0.5
         a.append(state.a)
         dts.append(dt)
-        guarded.append(state.trace_guarded)
+        guarded.append(opts.trace_mode == "robin" and not all(state.robin_ends))
     return {"a": np.array(a), "dt": np.array(dts), "trace_guarded": np.array(guarded), "c": state.c}
 
 

@@ -502,6 +502,29 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert "BLOWUP" in r.stdout
 
 
+@pytest.mark.parametrize("values, code, said", [
+    ([4.0, 0.0, 0.0, math.nan], 3, "non-finite field in the initial data"),
+    ([4.0, 0.0, 0.0, math.inf], 3, "non-finite field in the initial data"),
+    ([4.0, 0.0, 0.0, -1.0], 3, "negativity beyond tolerance"),
+    ([0.0, 0.0, 0.0, 0.0], 2, "error: initial data has no mass"),
+])
+def test_cli_bad_custom_data_exit_codes(tmp_path, values, code, said):
+    # bad initial data end as a classified failure (3) or a config error
+    # (2), never as a traceback (1)
+    p = tmp_path / "custom.json"
+    p.write_text(json.dumps({
+        "grid": {"N": 4},
+        "initial": {"family": "custom", "values": values},
+        "stop": {"t_end": 0.01},
+        "out_dir": str(tmp_path / "o"),
+    }))
+    r = cli("run", "--config", str(p))
+    assert r.returncode == code, r.stderr
+    assert said in r.stdout + r.stderr
+    if code == 3:
+        assert "NUMERICAL_FAILURE" in r.stdout and "after 0 steps" in r.stdout
+
+
 def test_cli_steady_and_list():
     r = cli("steady", "--m", "2", "--mass", "0.5")
     assert r.returncode == 0

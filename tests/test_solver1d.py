@@ -15,8 +15,8 @@ from cellflux.solver1d import (
     _advect_diffuse,
     adapt_dt,
     compute_a,
+    end_traces,
     make_state,
-    reconstruct_traces,
     solve_banded,
     step,
 )
@@ -37,35 +37,60 @@ def bump(grid, M, k):
 # --- traces ---------------------------------------------------------------
 
 
-def test_traces_zero_a_degenerates_to_cell_values():
-    g = build_grid_1d(1.0, 8)
-    s = make_state(g, np.linspace(2.0, 1.0, 8))
-    cl, cr, guarded = reconstruct_traces(s, 0.0, StepOptions())
-    assert cl == s.c[0] and cr == s.c[-1] and not guarded
+GEOMETRIES = ["interval", "cylinder"]
 
 
-def test_traces_robin_closure_value():
+def profile_state(geometry, prof, r=1.0):
+    """(problem, state) of the axial profile prof, rho-independent on a unit
+    cross-section (n = 2, R = 1/2) in the cylinder, so that both geometries
+    share the coupling and the traces."""
+    N, L = len(prof), 0.1 * len(prof)
+    if geometry == "interval":
+        return problem(L=L), make_state(build_grid_1d(L, N, r), np.array(prof, dtype=float))
+    prob = ProblemSpec(nonlinearity=NonlinearitySpec(kind="signed_power", m=1.0),
+                       domain=DomainSpec(geometry="cylinder", L=L, R=0.5, n=2))
+    return prob, make_state(build_grid_cyl(L, 0.5, 2, N, 3, r), np.tile(np.array(prof, float)[:, None], (1, 3)))
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_traces_zero_a_degenerates_to_cap_values(geometry):
+    _, s = profile_state(geometry, np.linspace(2.0, 1.0, 8))
+    cl, cr = end_traces(s)
+    assert cl == pytest.approx(2.0, rel=1e-15) and cr == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_traces_robin_closure_value(geometry):
     # (c1 - c_left)/(h/2) = a c_left  =>  c_left = c1/(1 + a h/2)
-    g = build_grid_1d(0.8, 8)  # h = 0.1
-    c = np.full(8, 2.0)
-    s = make_state(g, c)
-    cl, cr, _ = reconstruct_traces(s, 1.0, StepOptions())
+    _, s = profile_state(geometry, np.full(8, 2.0))  # h = 0.1
+    s.a = 1.0
+    cl, cr = end_traces(s)
     assert cl == pytest.approx(2.0 / 1.05, rel=1e-15)
     assert cr == pytest.approx(2.0 / 0.95, rel=1e-15)
 
 
-def test_traces_cell_mode_ignores_a():
-    g = build_grid_1d(1.0, 8)
-    s = make_state(g, np.linspace(2.0, 1.0, 8))
-    cl, cr, guarded = reconstruct_traces(s, 7.0, StepOptions(trace_mode="cell"))
-    assert cl == s.c[0] and cr == s.c[-1] and not guarded
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_traces_cell_mode_ignores_a(geometry):
+    prob, s = profile_state(geometry, np.linspace(2.0, 1.0, 8))
+    s.a = compute_a(prob, s, StepOptions(trace_mode="cell"))
+    assert s.a != 0.0 and s.robin_ends == (False, False)
+    cl, cr = end_traces(s)
+    assert cl == pytest.approx(2.0, rel=1e-15) and cr == pytest.approx(1.0, rel=1e-15)
 
 
-def test_traces_guard_falls_back_per_end():
-    g = build_grid_1d(0.8, 8)  # h = 0.1, guard trips at |a| h/2 >= 0.5 i.e. |a| >= 10
-    s = make_state(g, np.full(8, 2.0))
-    cl, cr, guarded = reconstruct_traces(s, 12.0, StepOptions())
-    assert guarded and cl == 2.0 and cr == 2.0
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_traces_guard_falls_back_per_end(geometry):
+    # graded grid (r = 1.3): an iterate crosses the guard at the coarse right
+    # end, which stays in cell mode although the converged a is back inside
+    # (|a| hN = 0.93); the fine left end keeps its Robin trace
+    prob, s = profile_state(geometry, np.linspace(5.0, 1.0, 8), r=1.3)
+    s.a = compute_a(prob, s, StepOptions())
+    h = s.grid.axial.widths
+    assert s.robin_ends == (True, False)
+    assert abs(s.a) * h[-1] == pytest.approx(0.925, abs=1e-3)
+    cl, cr = end_traces(s)
+    assert cl == pytest.approx(5.0 / (1.0 + 0.5 * s.a * h[0]), rel=1e-15)
+    assert cr == pytest.approx(1.0, rel=1e-15)
 
 
 # --- coupling -------------------------------------------------------------

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cellflux import solver1d
+from cellflux import harness, presets, solver1d
 from cellflux.diagnostics import axial_marginal
 from cellflux.grid import build_grid_1d, build_grid_cyl, integrate
 from cellflux.problem import DomainSpec, NonlinearitySpec, ProblemSpec
@@ -48,7 +49,8 @@ def test_a_scales_with_cross_section_volume():
     # same closure, coupling integrated over the end cap of area pi: the
     # fixed points satisfy a2 = pi * g(a2) vs a1 = g(a1), so compare against
     # a fresh evaluation of the weighted trace difference at a2
-    cl, cr, _ = solver1d.reconstruct_traces(s1, a2, StepOptions())
+    s1.a = a2
+    cl, cr = solver1d.end_traces(s1)
     assert a2 == pytest.approx(math.pi * (cr - cl), rel=1e-10)
     assert a2 < 0
 
@@ -93,6 +95,26 @@ def test_rho_independent_matches_1d_per_step():
         s1 = step(prob1, s1, dt, opts)
         s2 = step(prob2, s2, dt, opts)
         assert np.max(np.abs(s2.c - s1.c[:, None])) <= 1e-10
+
+
+def test_rho_independent_traces_match_1d_in_lockstep():
+    # the cyl_reduction setup: the cylinder's cap means through the Robin
+    # closure are the interval's end-cell traces, end modes included
+    cfg = presets.preset_config("cyl_reduction")
+    g2 = cfg.grid.build(cfg.problem.domain)
+    c0 = harness.build_initial(cfg.initial, g2, cfg.problem.domain, cfg.seed)
+    g1 = build_grid_1d(cfg.problem.domain.L, cfg.grid.N, cfg.grid.r)
+    prob1 = replace(cfg.problem, domain=DomainSpec(geometry="interval", L=cfg.problem.domain.L))
+    s2 = make_state(g2, c0)
+    s1 = make_state(g1, c0[:, 0].copy())
+    for _ in range(300):
+        dt = min(adapt_dt(prob1, s1, cfg.step), adapt_dt(cfg.problem, s2, cfg.step))
+        s1 = step(prob1, s1, dt, cfg.step)
+        s2 = step(cfg.problem, s2, dt, cfg.step)
+        assert s2.robin_ends == s1.robin_ends
+        t2, t1 = np.array(solver1d.end_traces(s2)), np.array(solver1d.end_traces(s1))
+        assert np.all(np.abs(t2 - t1) <= 1e-12 * np.abs(t1))
+    assert s1.a < 0 and np.all(t1 != s1.c[[0, -1]])  # the closure is active
 
 
 def test_x1_independent_data_reduces_to_radial_heat():
