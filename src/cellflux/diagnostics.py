@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid1D, GridCyl, integrate, integrate_dot
+from .grid import Grid1D, GridCyl, integrate
 from .problem import ProblemSpec
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -93,13 +93,12 @@ def axial_marginal(grid: GridCyl, c) -> np.ndarray:
 
 
 def entropy_of(grid, c, cmin: float | None = None) -> float:
-    """Integral of c log c with the integrand extended by 0 at c = 0, by the
-    dot-product quadrature (integrate_dot); cmin is c.min() if known."""
+    """Integral of c log c with the integrand extended by 0 at c = 0; cmin
+    is c.min() if known.  A NaN cell makes the integral NaN."""
     c = np.asarray(c)
     if (c.min() if cmin is None else cmin) > 1e-300:  # the usual case: no cell needs the extension
-        return integrate_dot(grid, c * np.log(c))
-    s = np.where(c > 1e-300, c * np.log(np.maximum(c, 1e-300)), 0.0)
-    return integrate_dot(grid, s)
+        return integrate(grid, c * np.log(c))
+    return integrate(grid, np.where(c <= 1e-300, 0.0, c * np.log(np.maximum(c, 1e-300))))
 
 
 def lp_norm(grid, c, p: float) -> float:
@@ -174,8 +173,8 @@ def dissipation_residuals(grid: Grid1D, fields, a_values, entropies, p: float):
     increase, the sign check of the m = 1 dissipation inequality for M <= 1.
 
     The intervals are evaluated _BLOCK at a time as rows of 2D arrays, with
-    every sum taken along a row, so each interval's terms are summed in the
-    same order as on its own field.
+    every sum taken along a row and each P as integrate's dot product, so each
+    interval's terms are summed in the same order as on its own field.
     """
     if len(fields) < 2:
         raise ValueError("need at least two snapshots")
@@ -188,7 +187,7 @@ def dissipation_residuals(grid: Grid1D, fields, a_values, entropies, p: float):
     for k0 in range(0, len(fields) - 1, _BLOCK):
         k1 = min(k0 + _BLOCK, len(fields) - 1)  # intervals k0 .. k1 - 1
         C = np.array([c for _t, c in fields[k0 : k1 + 1]], dtype=float)
-        P = np.sum(C**p * w, axis=1)
+        P = np.array([w @ row for row in C**p])
         dt = np.diff(ts[k0 : k1 + 1])
         skip = dt <= 0
         dt[skip] = 1.0  # their results are dropped; keeps the divisions finite

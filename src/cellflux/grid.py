@@ -148,22 +148,14 @@ def build_grid_cyl(
 
 
 def integrate(grid, field) -> float:
-    """Integral of a cellwise-constant field over the domain; exact up to roundoff."""
+    """Integral of a cellwise-constant field over the domain, exact up to
+    roundoff: dot products with the axial widths and, on the cylinder, the
+    radial volumes.  It is the package's one domain quadrature."""
     if not isinstance(grid, (Grid1D, GridCyl)):
         raise TypeError(f"not a grid: {type(grid)!r}")
     field = np.asarray(field)
     if field.shape != grid.shape:
         raise ValueError(f"field shape {field.shape} does not match grid {grid.shape}")
-    if isinstance(grid, Grid1D):
-        return float(np.sum(field * grid.widths))
-    return integrate_dot(grid, field)
-
-
-def integrate_dot(grid, field) -> float:
-    """integrate without its checks, as dot products with the cell weights
-    (the axial widths, then on the cylinder the radial volumes).  On the
-    interval this sums in a different order from integrate's, so the two
-    differ in the last bits; on the cylinder they are one expression."""
     if isinstance(grid, GridCyl):
         return float(grid.axial.widths @ field @ grid.vol)
     return float(grid.widths @ field)

@@ -77,9 +77,14 @@ class RunConfig:
     initial: InitialConfig = field(default_factory=InitialConfig)
     step: StepOptions = field(default_factory=StepOptions)
     stop: StopRule = field(default_factory=StopRule)
+    p_list: tuple = (2.0,)  # exponents of the recorded L^p norms
     seed: int = 0
     snapshot_times: tuple = ()
     out_dir: str = "out/run"
+
+    def __post_init__(self):
+        if not self.p_list:  # the dissipation residuals use p_list[0]
+            raise ConfigError("p_list must name at least one exponent")
 
 
 def _axial_cell_averages(grid1d: Grid1D, antiderivative) -> np.ndarray:
@@ -187,7 +192,7 @@ def _read(cls, doc: dict, path: str = ""):
     kw = {}
     for key, val in doc.items():
         name = f"{path}{key!r}"
-        if key not in types or (cls, key) == (StopRule, "p_list"):  # top-level key
+        if key not in types:
             raise ConfigError(f"unknown config key {name}")
         kind = types[key]
         if is_dataclass(kind):
@@ -207,10 +212,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     are rejected with their name."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    cfg = _read(RunConfig, {k: v for k, v in doc.items() if k != "p_list"})
-    if "p_list" in doc:  # stop.p_list is spelled as the top-level key p_list
-        cfg.stop = replace(cfg.stop, p_list=_tuple(doc["p_list"], "'p_list'"))
-    return cfg
+    return _read(RunConfig, doc)
 
 
 def load_config(path) -> RunConfig:
@@ -228,13 +230,8 @@ def _json_object(pairs) -> dict:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    """The JSON document of cfg, with stop.p_list as the top-level p_list."""
-    doc = {}
-    for key, val in asdict(cfg, dict_factory=_json_object).items():
-        doc[key] = val
-        if key == "stop":
-            doc["p_list"] = val.pop("p_list")
-    return doc
+    """The JSON document of cfg."""
+    return asdict(cfg, dict_factory=_json_object)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +311,7 @@ def run_config(cfg: RunConfig):
     """Execute the run described by cfg in memory; returns (grid, traj, report)."""
     grid = cfg.grid.build(cfg.problem.domain)
     c0 = build_initial(cfg.initial, grid, cfg.problem.domain, cfg.seed)
-    traj, rep = run(cfg.problem, grid, c0, cfg.step, cfg.stop)
+    traj, rep = run(cfg.problem, grid, c0, cfg.step, cfg.stop, cfg.p_list)
     return grid, traj, rep
 
 
@@ -339,7 +336,7 @@ def run_scenario(cfg: RunConfig, out_dir: str | None = None):
 
     out = resolve_out_dir(out_dir or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_timeseries(out / "timeseries.csv", traj.records, cfg.stop.p_list)
+    write_timeseries(out / "timeseries.csv", traj.records, cfg.p_list)
     write_snapshots(out / "snapshots.csv", snaps, grid)
     doc = {"config": config_to_dict(cfg), "report": _json_ready(asdict(rep))}
     with open(out / "report.json", "w", encoding="utf-8") as fh:

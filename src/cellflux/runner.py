@@ -5,8 +5,8 @@ The loop owns adaptive stepping, step rejection, outcome classification, and
 the per-step audits (mass drift, positivity, monotonicity, profile bounds,
 per-step entropy change).  The audit is one pass over each committed field:
 one max and one min (a NaN or inf shows in one of them, and linf is the
-larger of max and -min), mass and entropy as dot-product quadratures, and
-x1 c once.  adapt_dt reuses the audit's linf, each FunctionalRecord its mass,
+larger of max and -min), mass and entropy by grid.integrate, and x1 c
+once.  adapt_dt reuses the audit's linf, each FunctionalRecord its mass,
 entropy, linf and x1 c, and the post-run dissipation check each kept field's
 entropy and min.  Field snapshots past traj.fields[0] are kept only if asked.
 """
@@ -32,7 +32,7 @@ from .diagnostics import (
     moment_residual,
     record,
 )
-from .grid import Grid1D, GridCyl, integrate_dot
+from .grid import Grid1D, GridCyl, integrate
 from .problem import ConfigError, ProblemSpec, thresholds
 from .solver1d import StepOptions, StepRejected
 
@@ -52,15 +52,12 @@ class StopRule:
     converged_tol: float = 0.0  # 0 disables the convergence exit
     sample_every: int = 1
     store_fields_every: int = 0  # in units of samples; 0 keeps the t = 0 field only
-    p_list: tuple = (2.0,)  # the config document spells it as the top-level key p_list
 
     def __post_init__(self):
         if self.sample_every < 1:
             raise ConfigError(f"sample_every must be >= 1, got {self.sample_every}")
         if self.store_fields_every < 0:
             raise ConfigError(f"store_fields_every must be >= 0, got {self.store_fields_every}")
-        if not self.p_list:  # the dissipation residuals use p_list[0]
-            raise ConfigError("p_list must name at least one exponent")
 
 
 @dataclass
@@ -88,14 +85,29 @@ def _field_failure(linf: float, cmin: float) -> str | None:
     return None
 
 
-def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
-    """March from c0 until convergence, blow-up detection, or t_end.
+def _step_halving(problem: ProblemSpec, state, dt: float, opts: StepOptions):
+    """(new state, dt) of the first step accepted as dt halves after each
+    StepRejected; re-raises the rejection that takes dt to opts.dt_min."""
+    while True:
+        try:
+            return solver1d.step(problem, state, dt, opts), dt
+        except StepRejected:
+            dt *= 0.5
+            if dt <= opts.dt_min:
+                raise
+
+
+def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_list=(2.0,)):
+    """March from c0 until convergence, blow-up detection, or t_end,
+    recording the L^p norms of the exponents in p_list.
 
     Returns (Trajectory, RunReport).  Outcomes:
       CONVERGED          sup-deviation from the conserved mean fell below tol
-      BLOWUP             linf crossed the threshold, or dt hit the floor
+      BLOWUP             linf crossed the threshold, or the blow-up clamp
+                         of adapt_dt took dt to its floor
       BOUNDED            reached t_end without either
-      NUMERICAL_FAILURE  non-finite field or negativity beyond tolerance
+      NUMERICAL_FAILURE  non-finite field, negativity beyond tolerance, or
+                         step rejections that halved dt down to its floor
     The initial state and every committed one go through the same check
     (_field_failure); initial data that fail it end the run at t = 0 with
     its one record, before the mass check and with no thresholds or fits.
@@ -119,7 +131,7 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
             marg = axial_marginal(grid, c)
             mass = float(marg @ grid.vol)
         else:
-            marg, mass = None, integrate_dot(grid, c)
+            marg, mass = None, integrate(grid, c)
         # max(cmax, -cmin) is max |c|, and NaN (both extremes are) or inf
         # when c holds a NaN or an inf
         au = Audit(mass=mass, entropy=entropy_of(grid, c, cmin), linf=max(cmax, -cmin), x1c=x1 * c)
@@ -143,8 +155,7 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
     M0 = float(np.max(marg)) if cyl else None
 
     traj = Trajectory()
-    rep = RunReport(outcome=BOUNDED, t_final=0.0)
-    rep.min_c = cmin
+    rep = RunReport(outcome=BOUNDED, reason="reached t_end", min_c=cmin)
     ent_prev = au.entropy
     ent_inc_max = -math.inf
     mono_viol = -math.inf if monotone else None
@@ -152,9 +163,6 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
     marg_inc_max = -math.inf if cyl else None
     xpow_series = []
     kept = []  # the audit's entropy of each field in traj.fields, None unless min c > 0
-    a_sq = 0.0
-    n_guarded = 0
-    samples = 0
 
     # au is the audit of the current state in keep and sample
     def keep():
@@ -162,39 +170,28 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
         kept.append(au.entropy if cmin > 0.0 else None)
 
     def sample(dt: float):
-        nonlocal samples
-        traj.records.append(record(state, problem, dt, stop.p_list, solver1d.end_traces(state), au))
-        every = stop.store_fields_every
-        if samples == 0 or (every and samples % every == 0):
+        n, every = len(traj.records), stop.store_fields_every
+        traj.records.append(record(state, problem, dt, p_list, solver1d.end_traces(state), au))
+        if n == 0 or (every and n % every == 0):
             keep()
         xpow_series.append(xc if x1_pow is None else float(np.max(x1_pow * state.c)))
-        samples += 1
 
     sample(0.0)
     if failure is not None:
         rep.outcome, rep.reason = NUMERICAL_FAILURE, f"{failure} in the initial data"
         return traj, rep
-    outcome, reason, T_detect = None, "", None
     last_dt = 0.0
 
-    while outcome is None and state.t < stop.t_end - 1e-14:
+    while state.t < stop.t_end - 1e-14:
         dt = solver1d.adapt_dt(problem, state, opts, linf)
         if dt <= opts.dt_min:
-            outcome, reason, T_detect = BLOWUP, "dt reached its floor", state.t
+            rep.outcome, rep.reason, rep.T_detect = BLOWUP, "dt reached its floor", state.t
             break
-        dt = min(dt, stop.t_end - state.t)
-        while True:
-            try:
-                new_state = solver1d.step(problem, state, dt, opts)
-                break
-            except StepRejected:
-                dt *= 0.5
-                if dt <= opts.dt_min:
-                    outcome, reason, T_detect = BLOWUP, "dt reached its floor", state.t
-                    break
-        if outcome is not None:
+        try:
+            state, dt = _step_halving(problem, state, min(dt, stop.t_end - state.t), opts)
+        except StepRejected as e:
+            rep.outcome, rep.reason = NUMERICAL_FAILURE, f"step rejected down to the dt floor: {e}"
             break
-        state = new_state
         last_dt = dt
         c = state.c
         au, cmin, marg, xc = audit(state)
@@ -202,7 +199,7 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
         rep.min_c = min(rep.min_c, cmin)
         failure = _field_failure(linf, cmin)
         if failure is not None:
-            outcome, reason = NUMERICAL_FAILURE, failure
+            rep.outcome, rep.reason = NUMERICAL_FAILURE, failure
             break
 
         drift = abs(au.mass - mass0) / mass0
@@ -214,49 +211,43 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
         xc_max = max(xc_max, xc)
         if cyl:
             marg_inc_max = max(marg_inc_max, float(np.max(marg)) - M0)
-        a_sq += state.a**2 * dt
-        n_guarded += robin and not all(state.robin_ends)
+        rep.a_sq_integral += state.a**2 * dt
+        rep.trace_guard_steps += robin and not all(state.robin_ends)
 
         if state.step_count % stop.sample_every == 0:
             sample(dt)
         if linf >= opts.blowup_linf_threshold:
-            outcome, reason, T_detect = BLOWUP, "linf crossed the blow-up threshold", state.t
+            rep.outcome, rep.reason = BLOWUP, "linf crossed the blow-up threshold"
+            rep.T_detect = state.t
             break
         if stop.converged_tol > 0.0 and linf - mean < stop.converged_tol:
             if float(np.max(np.abs(c - mean))) < stop.converged_tol:
-                outcome, reason = CONVERGED, "sup-deviation below tolerance"
+                rep.outcome, rep.reason = CONVERGED, "sup-deviation below tolerance"
                 break
 
-    if outcome is None:
-        outcome, reason = BOUNDED, "reached t_end"
     if traj.records[-1].t < state.t:
         sample(last_dt)
     if stop.store_fields_every and traj.fields[-1][0] < state.t:
         keep()
 
-    rep.outcome = outcome
-    rep.reason = reason
     rep.t_final = state.t
     rep.steps = state.step_count
-    rep.T_detect = T_detect
     rep.entropy_step_increase_max = None if ent_inc_max == -math.inf else ent_inc_max
     rep.monotone_violation_max = mono_viol
     rep.xc_max_ratio = xc_max / mass0 if xc_max > -math.inf else None
     rep.x1c_max_ratio = (xc_max / M0) if (cyl and M0 and xc_max > -math.inf) else None
     rep.marginal_increase_max = marg_inc_max if cyl else None
-    rep.a_sq_integral = a_sq
-    rep.trace_guard_steps = n_guarded
     if len(xpow_series) >= 8:
         cut = max(1, (3 * len(xpow_series)) // 4)
         rep.xpow_sup_early = max(xpow_series[:cut])
         rep.xpow_sup_late = max(xpow_series[cut:])
 
     recs = traj.records
-    if outcome == BLOWUP:
+    if rep.outcome == BLOWUP:
         fit = fit_blowup(recs)
         if fit is not None:
             rep.Tstar_fit, rep.beta_fit = fit
-    if outcome == CONVERGED:
+    if rep.outcome == CONVERGED:
         rep.lambda_fit = fit_decay(decay_tail(recs, mean), mean)
     if problem.m == 1.0 and len(recs) >= 2:
         window = _active_window(recs)
@@ -266,7 +257,7 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
         fields = [(t, c) for t, c, _a in traj.fields]
         a_vals = [a for _t, _c, a in traj.fields]
         rep.entropy_residual, rep.lp_residual, _ = dissipation_residuals(
-            grid, fields, a_vals, kept, stop.p_list[0]
+            grid, fields, a_vals, kept, p_list[0]
         )
 
     phi0 = recs[0].phi
@@ -274,8 +265,8 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule):
     thr = thresholds(problem, mass0, phi0, p if p is not None else 0.0, M0=M0)
     rep.thresholds = asdict(thr)
     rep.half_moment_ok = phi0 < thr.half_moment_bound
-    if T_detect is not None and math.isfinite(thr.Tstar_upper_bound):
-        rep.tstar_bound_ratio = T_detect / thr.Tstar_upper_bound
+    if rep.T_detect is not None and math.isfinite(thr.Tstar_upper_bound):
+        rep.tstar_bound_ratio = rep.T_detect / thr.Tstar_upper_bound
     return traj, rep
 
 

@@ -17,7 +17,7 @@ from cellflux.diagnostics import (
     moment_residual,
     record,
 )
-from cellflux.grid import build_grid_1d, build_grid_cyl, integrate, integrate_dot
+from cellflux.grid import build_grid_1d, build_grid_cyl, integrate
 from cellflux.problem import DomainSpec, NonlinearitySpec, ProblemSpec
 from cellflux.runner import StopRule, run
 from cellflux.solver1d import StepOptions, end_traces, make_state
@@ -44,7 +44,7 @@ def rec(t, linf=1.0, phi=0.0, a=0.0, dt=0.0):
 def sample(state, problem, p_list=(2.0,)):
     """record() of a state, with the audit and traces the runner passes."""
     c = state.c
-    au = Audit(mass=integrate_dot(state.grid, c), entropy=entropy_of(state.grid, c),
+    au = Audit(mass=integrate(state.grid, c), entropy=entropy_of(state.grid, c),
                linf=float(np.max(np.abs(c))), x1c=axial_coordinate(state.grid) * c)
     return record(state, problem, 0.0, p_list, end_traces(state), au)
 

@@ -3,7 +3,7 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -98,6 +98,21 @@ def test_preset_config_echo_is_unchanged_and_round_trips(name):
     cfg = preset_config(name)
     assert json.dumps(config_to_dict(cfg)) == CONFIG_ECHO[name]
     assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+def lists_for_tuples(obj):
+    if isinstance(obj, dict):
+        return {k: lists_for_tuples(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [lists_for_tuples(v) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("name", list_presets())
+def test_config_document_is_the_dataclass_tree(name):
+    # the schema has no exception: every key is the field of that name
+    cfg = preset_config(name)
+    assert config_to_dict(cfg) == lists_for_tuples(asdict(cfg))
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -209,12 +224,12 @@ def test_run_scenario_writes_artifacts(tmp_path):
 
 def test_report_echoes_the_p_list_the_run_uses(tmp_path):
     cfg = quick_config(tmp_path)
-    cfg = replace(cfg, stop=replace(cfg.stop, p_list=(3.0,)))
+    cfg = replace(cfg, p_list=(3.0,))
     run_scenario(cfg)
     out = tmp_path / "run"
     assert json.loads((out / "report.json").read_text())["config"]["p_list"] == [3.0]
     assert "lp_3" in (out / "timeseries.csv").read_text().splitlines()[0].split(",")
-    assert config_from_dict(config_to_dict(cfg)).stop.p_list == (3.0,)
+    assert config_from_dict(config_to_dict(cfg)).p_list == (3.0,)
 
 
 def test_run_scenario_deterministic_bytes(tmp_path):
@@ -523,6 +538,39 @@ def test_cli_bad_custom_data_exit_codes(tmp_path, values, code, said):
     assert said in r.stdout + r.stderr
     if code == 3:
         assert "NUMERICAL_FAILURE" in r.stdout and "after 0 steps" in r.stdout
+
+
+def test_nan_initial_cell_records_nan_entropy():
+    # a NaN cell is not vacuum: the t = 0 record's entropy is NaN like its
+    # mass, linf and phi
+    cfg = config_from_dict({
+        "grid": {"N": 4},
+        "initial": {"family": "custom", "values": [4.0, 0.0, 0.0, math.nan]},
+    })
+    _g, traj, rep = run_config(cfg)
+    assert rep.outcome == NUMERICAL_FAILURE
+    r = traj.records[0]
+    assert all(math.isnan(v) for v in (r.mass, r.entropy, r.linf, r.phi))
+
+
+def test_sweep_probe_with_rejected_steps_ends_the_sweep(tmp_path):
+    # one evaluation of g never converges the coupling: every step is
+    # rejected down to the dt floor, a numerical failure and not a blow-up
+    doc = {
+        "problem": {"nonlinearity": {"m": 1.0}},
+        "grid": {"N": 32},
+        "initial": {"family": "concentration", "mass": 0.3, "k": 4.0},
+        "step": {"dt_max": 1e-3, "picard_max_iters": 1},
+        "stop": {"t_end": 0.05},
+    }
+    rep = sweep(config_from_dict(doc), "M", (0.5, 1.5), refinements=2)
+    assert rep.probes == [(0.5, NUMERICAL_FAILURE)] and rep.refined_probes == []
+    assert math.isnan(rep.threshold_estimate)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    r = cli("sweep", "--config", str(p), "--bracket", "0.5,1.5", "--refine", "2")
+    assert r.returncode == 3, r.stderr
+    assert "a probe failed numerically" in r.stdout
 
 
 def test_cli_steady_and_list():
