@@ -17,6 +17,9 @@ from functools import cached_property
 KINDS = ("signed_power", "negative_power", "sublinear_power", "saturating")
 HOMOGENEOUS = ("signed_power", "negative_power", "sublinear_power")  # f(s/lam) = lam^-m f(s), lam > 0
 GEOMETRIES = ("interval", "cylinder")
+# a measured mass within this of 1 is the critical mass: the mass bound a
+# run holds to, so which side of 1 the sum lands on is roundoff
+CRITICAL_MASS_TOL = 1e-12
 
 
 class DomainError(ValueError):
@@ -146,8 +149,8 @@ class ThresholdReport:
 
     Entries that do not apply to the given (m, M, phi0) are None:
     ell/K exist only for m > 1, the finite blow-up time bound only for
-    m = 1 with M > 1 and phi0 < M L / 2, and the Lyapunov constant only
-    for exponents p with p > 1 and m <= p < 2m.
+    m = 1 with M > 1 + CRITICAL_MASS_TOL and phi0 < M L / 2, and the
+    Lyapunov constant only for exponents p with p > 1 and m <= p < 2m.
     """
 
     N0: float
@@ -199,7 +202,7 @@ def thresholds(
         K = 0.5 * ell * M
 
     Tstar = math.inf
-    if m == 1.0 and M > 1.0 and phi0 < half_moment:
+    if m == 1.0 and M - 1.0 > CRITICAL_MASS_TOL and phi0 < half_moment:
         Tstar = phi0 / ((M - 1.0) * (M - 2.0 * phi0 / L) / L)
 
     K0 = radius = None

@@ -15,7 +15,10 @@ Layout of one step, the same in both geometries:
     explicit first-order upwind advection, J = -a c_upwind (upwind side
     picked by the sign of a), plus backward-Euler diffusion
     F = (y_{i+1} - y_i)/dist of the new field y; on the cylinder a second
-    pass diffuses along rho on c.T (GridCyl.rho_geom, no advection),
+    pass diffuses along rho on c.T (GridCyl.rho_geom, no advection).  On a
+    given grid a pass's system depends on dt alone, so each pass keeps the
+    LDL^T factors of the last dt it solved at (State.factors), and a step
+    at that same dt only back-substitutes (dpttrs),
   * every boundary interface flux is identically zero.  That, and not the
     Robin traces, is what conserves mass: the committed update is assembled
     from the face fluxes, so the telescoping sum is exact to roundoff.
@@ -33,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
+from scipy.linalg.lapack import dptsv, dpttrs
 
 from .grid import Grid1D, GridCyl, PassGeometry
 from .problem import HOMOGENEOUS, ConfigError, NonlinearitySpec, ProblemSpec, eval_f
@@ -68,7 +71,12 @@ class State:
     """Cell averages on an interval, c[i], or a cylinder, c[i, j] over axial
     index i and radial index j, with the committed coupling value a and, per
     end, whether the solve that gave a ended on the Robin trace (True) or in
-    cell mode (False: trace_mode "cell", or the guard latched the end)."""
+    cell mode (False: trace_mode "cell", or the guard latched the end).
+
+    factors holds, per pass (axial, then radial on the cylinder), the
+    (dt, d, e, dt/w) of the last dt that pass solved at: d and e are the
+    LDL^T factors that dptsv left in place, and a step at that dt solves
+    with them (_advect_diffuse).  None until the pass has solved once."""
 
     grid: Grid1D | GridCyl
     c: np.ndarray
@@ -76,6 +84,7 @@ class State:
     a: float = 0.0
     step_count: int = 0
     robin_ends: tuple[bool, bool] = (True, True)
+    factors: tuple = (None, None)
 
 
 def make_state(grid: Grid1D | GridCyl, c0) -> State:
@@ -199,26 +208,36 @@ def compute_a(problem: ProblemSpec, state: State, opts: StepOptions) -> float:
     return a
 
 
-def solve_banded(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
+def solve_banded(d: np.ndarray, e: np.ndarray, b: np.ndarray, factored: bool = False) -> np.ndarray:
     """Solve the symmetric positive-definite tridiagonal system with diagonal
     d and off-diagonal e for b, an (n,) vector or an (n, k) array of k
     right-hand sides, by LAPACK dptsv (LDL^T, no pivoting).  All three arrays
     are overwritten, even read-only ones (f2py ignores the flag), so never
     pass a grid's frozen arrays; a Fortran-ordered b is solved in place.
-    Raises StepRejected when dptsv fails, as on a matrix not positive definite."""
+    On return d and e hold the LDL^T factors, and a later call with
+    factored=True solves another b with them by dpttrs alone (dptsv is
+    dpttrf then dpttrs, so the result is bitwise that of a fresh dptsv) and
+    overwrites only b.  Raises StepRejected when dptsv fails, as on a matrix
+    not positive definite."""
     if len(d) == 1:
-        # SciPy's dptsv wrapper wants an off-diagonal of at least one entry
+        # SciPy's wrappers want an off-diagonal of at least one entry
         e = np.zeros(1)
-    x, info = dptsv(d, e, b, 1, 1, 1)[2:]
+    if factored:
+        x, info = dpttrs(d, e, b, 1)
+    else:
+        x, info = dptsv(d, e, b, 1, 1, 1)[2:]
     if info != 0:
-        raise StepRejected(f"tridiagonal solve failed (dptsv info = {info})")
+        raise StepRejected(f"tridiagonal solve failed (LAPACK info = {info})")
     return x
 
 
-def _advect_diffuse(c, dt, geom: PassGeometry, a=0.0, h_min=math.inf):
+def _advect_diffuse(c, dt, geom: PassGeometry, a=0.0, h_min=math.inf, factors=None):
     """One conservative advect-and-diffuse pass along axis 0 of c, an (N,)
     or (N, K) array of cell averages over the cells of geom, the pass's
-    dt-free factors (grid.PassGeometry).  Returns the updated array.
+    dt-free factors (grid.PassGeometry).  factors is the (dt, d, e, dt/w)
+    this pass returned last (State.factors) or None.  Returns the updated
+    array and the factors of this dt: the given ones when their dt equals
+    dt, whose system is then only back-substituted, else fresh ones.
 
     Rejects (StepRejected) an advective CFL violation dt |a| > h_min.  The
     face flux is T = J + F: explicit upwind advection J = -a c_up (upwind
@@ -244,13 +263,19 @@ def _advect_diffuse(c, dt, geom: PassGeometry, a=0.0, h_min=math.inf):
     np.subtract(c[1:], c[:-1], out=T)
     if a != 0.0:
         T += (c[:-1] if a >= 0.0 else c[1:]) * (-a * geom.inv_k)[col]
-    T = solve_banded(geom.inv_k + dt * geom.diag, -dt * geom.off, T)
+    if factors is not None and factors[0] == dt:
+        _dt, d, e, scale = factors
+        T = solve_banded(d, e, T, True)
+    else:
+        d, e = geom.inv_k + dt * geom.diag, -dt * geom.off
+        T = solve_banded(d, e, T)
+        scale = (dt * geom.inv_w)[col]
     # the sum is NaN or inf whenever an entry is (inf - inf is NaN)
     if not math.isfinite(float(T.sum())):
         raise StepRejected("tridiagonal solve produced non-finite values")
     if T.base is not pad:
         pad[1:-1] = T
-    return c + (dt * geom.inv_w)[col] * (pad[1:] - pad[:-1])
+    return c + scale * (pad[1:] - pad[:-1]), (dt, d, e, scale)
 
 
 def step(problem: ProblemSpec, state: State, dt: float, opts: StepOptions) -> State:
@@ -262,10 +287,12 @@ def step(problem: ProblemSpec, state: State, dt: float, opts: StepOptions) -> St
     grid = state.grid
     ax = grid.axial
     a = compute_a(problem, state, opts)
-    c = _advect_diffuse(state.c, dt, ax.geom, a, ax.h_min)
+    ax_factors, rho_factors = state.factors
+    c, ax_factors = _advect_diffuse(state.c, dt, ax.geom, a, ax.h_min, ax_factors)
     if c.ndim == 2:
-        c = _advect_diffuse(c.T, dt, grid.rho_geom).T
-    return State(grid, c, state.t + dt, a, state.step_count + 1, state.robin_ends)
+        c, rho_factors = _advect_diffuse(c.T, dt, grid.rho_geom, factors=rho_factors)
+        c = c.T
+    return State(grid, c, state.t + dt, a, state.step_count + 1, state.robin_ends, (ax_factors, rho_factors))
 
 
 def adapt_dt(problem: ProblemSpec, state: State, opts: StepOptions, linf: float | None = None) -> float:

@@ -176,6 +176,13 @@ def test_thresholds_m1_blowup_time():
     assert math.isinf(t3.Tstar_upper_bound)  # moment above M L / 2
 
 
+@pytest.mark.parametrize("M,finite", [(1.0 + 4.4e-16, False), (1.0 - 4.4e-16, False), (1.5, True)])
+def test_thresholds_critical_mass_has_no_blowup_time_bound(M, finite):
+    # a mass that sums to 1 up to roundoff is the critical mass on either side
+    t = thresholds(interval_problem(1.0), M=M, phi0=0.1, p=1.5)
+    assert math.isfinite(t.Tstar_upper_bound) == finite
+
+
 def test_thresholds_cylinder_needs_M0():
     p = ProblemSpec(
         nonlinearity=NonlinearitySpec(kind="signed_power", m=2.0),

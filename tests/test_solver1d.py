@@ -1,11 +1,13 @@
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dptsv
 from hypothesis import assume, given, settings, strategies as st
 
+from cellflux import harness, presets, solver1d
 from cellflux.grid import build_grid_1d, build_grid_cyl, integrate
 from cellflux.problem import DomainSpec, NonlinearitySpec, ProblemSpec, ball_volume, sphere_area
 from cellflux.runner import StopRule, run
@@ -311,7 +313,7 @@ def test_advect_diffuse_matches_the_reference_pass(seed):
     for c, widths, k, geom, h_min in passes:
         dt = h_min ** 2 * 10.0 ** rng.uniform(-2, 3)
         for a in (0.0, float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 1.0) * h_min / dt)):
-            got = _advect_diffuse(c, dt, geom, a, h_min)
+            got, _factors = _advect_diffuse(c, dt, geom, a, h_min)
             want = advect_diffuse_reference(c, dt, widths, k, a, h_min)
             assert got.shape == c.shape and got.flags.f_contiguous == c.flags.f_contiguous
             scale = 1.0 + dt * float(np.max(k * (1.0 / widths[:-1] + 1.0 / widths[1:])))
@@ -329,7 +331,7 @@ def test_advect_diffuse_keeps_data_constant_along_the_axis_bitwise(seed):
     for c, _widths, _k, geom, h_min in passes:
         flat = c.copy(order="K")
         flat[:] = c[:1]
-        assert np.array_equal(_advect_diffuse(flat, 1e3 * h_min**2, geom), flat)
+        assert np.array_equal(_advect_diffuse(flat, 1e3 * h_min**2, geom)[0], flat)
 
 
 def test_step_rejects_cfl_violation():
@@ -458,6 +460,26 @@ def test_solve_banded_one_face_system():
         assert_solves_the_nonsymmetric_system(got, widths, k, 1e-3, b)
 
 
+@pytest.mark.parametrize("shape", ["vector", "fortran in place", "one face"])
+def test_solve_banded_factored_bitwise_equal_to_a_fresh_dptsv(shape):
+    # a step at its previous dt solves on the d and e that the previous
+    # step's unfactored call overwrote with their LDL^T factors
+    rng = np.random.default_rng(7)
+    g = build_grid_cyl(1.0, 1.0, 3, 2 if shape == "one face" else 200, 12, 1.03)
+    d0, e0 = spd_bands(g.rho_geom if shape == "fortran in place" else g.axial.geom, 3e-4)
+    n = len(d0)
+    rhs = (n, 5) if shape == "fortran in place" else (n,)
+    d, e = d0.copy(), e0.copy()
+    solve_banded(d, e, np.ones(rhs, order="F"))
+    for _ in range(2):  # the factors stay as they are
+        b = np.asfortranarray(rng.standard_normal(rhs))
+        # SciPy's dptsv wants an off-diagonal of at least one entry
+        want = dptsv(d0.copy(), e0.copy() if n > 1 else np.zeros(1), b.copy(order="F"))[2]
+        got = solve_banded(d, e, b, factored=True)
+        assert got.shape == b.shape and np.array_equal(got, want)
+        assert np.shares_memory(got, b)  # solved in place
+
+
 def test_solve_banded_singular_system_rejects_step():
     with pytest.raises(StepRejected):
         solve_banded(np.zeros(4), np.zeros(3), np.ones(4))
@@ -490,6 +512,81 @@ def test_pass_rejects_a_non_finite_right_hand_side(geometry, bad):
     assert np.isposinf(rhs).any() == (bad != "nan") and np.isneginf(rhs).any() == (bad == "+inf and -inf")
     with pytest.raises(StepRejected, match="non-finite"):
         _advect_diffuse(c, 1e-3, geom)
+
+
+# --- factors reused across steps --------------------------------------------
+
+
+def factored_run(monkeypatch, cfg, refactor=False, poison=None):
+    """harness.run_config(cfg) with the stepper and solve_banded wrapped.
+    refactor=True drops the factors of each state before it is stepped, so
+    every pass factors afresh.  poison=i fills the solution of the i-th
+    solve (counting from 1) with NaN, which the pass then rejects.  Returns
+    (records, report, last committed field, the dt of every attempted step,
+    the (dt, factored) of every solve)."""
+    real_step, real_solve = solver1d.step, solver1d.solve_banded
+    dts, solves, last = [], [], []
+
+    def stepper(problem, state, dt, opts):
+        dts.append(dt)
+        new = real_step(problem, replace(state, factors=(None, None)) if refactor else state, dt, opts)
+        last[:] = [new.c]
+        return new
+
+    def solve(d, e, b, factored=False):
+        x = real_solve(d, e, b, factored)
+        solves.append((dts[-1], factored))
+        if len(solves) == poison:
+            x[...] = math.nan
+        return x
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver1d, "step", stepper)
+        mp.setattr(solver1d, "solve_banded", solve)
+        _grid, traj, rep = harness.run_config(cfg)
+    return traj.records, rep, last[0], dts, solves
+
+
+def assert_bitwise_equal_runs(got, want):
+    """Records, report and last field of two factored_run results agree
+    bitwise (repr round-trips every float exactly)."""
+    assert repr(got[0]) == repr(want[0])
+    assert repr(asdict(got[1])) == repr(asdict(want[1]))
+    assert got[2].tobytes() == want[2].tobytes()
+
+
+@pytest.mark.parametrize("name,stop,passes", [
+    ("heat_decay", {}, 1),  # dt stays at dt_max: every pass after the first reuses
+    ("cyl_reduction", {"t_end": 0.02}, 2),  # both passes reuse
+])
+def test_reused_factors_are_bitwise_those_of_refactoring_every_pass(monkeypatch, name, stop, passes):
+    cfg = presets.preset_config(name)
+    cfg = replace(cfg, stop=replace(cfg.stop, **stop))
+    got = factored_run(monkeypatch, cfg)
+    want = factored_run(monkeypatch, cfg, refactor=True)
+    assert_bitwise_equal_runs(got, want)
+    dts, solves = got[3], got[4]
+    assert got[1].steps == len(dts) > 100  # every attempted step committed
+    # a pass reuses exactly when its step's dt is the previous step's
+    assert solves == [(dt, i > 0 and dt == dts[i - 1]) for i, dt in enumerate(dts) for _ in range(passes)]
+    assert sum(f for _dt, f in solves) >= passes * (len(dts) - 2)
+    assert not any(f for _dt, f in want[4])
+
+
+def test_a_retried_step_and_the_clamped_last_step_factor_afresh(monkeypatch):
+    # heat_decay holds dt at dt_max = 1e-4; its fifth step is rejected after
+    # a solve on reused factors, retried at dt/2, and t_end leaves a last
+    # step of 8e-5
+    cfg = presets.preset_config("heat_decay")
+    cfg = replace(cfg, grid=replace(cfg.grid, N=32), stop=replace(cfg.stop, t_end=0.00113))
+    dt_max = cfg.step.dt_max
+    got = factored_run(monkeypatch, cfg, poison=5)
+    assert_bitwise_equal_runs(got, factored_run(monkeypatch, cfg, refactor=True, poison=5))
+    dts, solves = got[3], got[4]
+    assert got[1].outcome == "BOUNDED" and len(dts) == got[1].steps + 1
+    assert solves[3:7] == [(dt_max, True), (dt_max, True), (dt_max / 2, False), (dt_max, False)]
+    assert solves[7] == (dt_max, True)
+    assert dts[-1] < dt_max and solves[-1] == (dts[-1], False)
 
 
 # --- multi-step behavior against independent oracles ----------------------
