@@ -147,14 +147,20 @@ class ProblemSpec:
 class ThresholdReport:
     """Closed-form constants governing the global-vs-blow-up dichotomies.
 
-    Entries that do not apply to the given (m, M, phi0) are None:
-    ell/K exist only for m > 1, the finite blow-up time bound only for
-    m = 1 with M > 1 + CRITICAL_MASS_TOL and phi0 < M L / 2, and the
-    Lyapunov constant only for exponents p with p > 1 and m <= p < 2m.
+    Each entry holds only for some laws of f; for the others it is None
+    (inf for the T* bound):
+      critical_mass_m1   signed_power
+      N0                 signed_power, the steady family's threshold
+      ell, K             signed_power with m > 1
+      Tstar_upper_bound  signed_power with m = 1, finite only for
+                         M > 1 + CRITICAL_MASS_TOL and phi0 < M L / 2
+      K0_lyapunov,       the HOMOGENEOUS kinds, for an exponent p with
+      small_data_radius  p > 1 and m <= p < 2m
+    half_moment_bound, M L / 2, holds for every law.
     """
 
-    N0: float
-    critical_mass_m1: float
+    N0: float | None
+    critical_mass_m1: float | None
     half_moment_bound: float
     ell: float | None
     K: float | None
@@ -167,10 +173,12 @@ def thresholds(
     spec: ProblemSpec,
     M: float,
     phi0: float = 0.0,
-    p: float = 2.0,
+    p: float | None = None,
     M0: float | None = None,
 ) -> ThresholdReport:
-    """Evaluate every computable threshold for mass M and first moment phi0.
+    """Evaluate every threshold that holds for spec's law of f, for mass M
+    and first moment phi0, with the Lyapunov exponent p (when None, 2 for
+    1 < m <= 2, else 1.5 m, which is admissible for m > 2/3).
 
     For the cylinder branch of ell the caller must supply M0, the sup over the
     cross-section of the axial marginal of the initial data (this module does
@@ -182,12 +190,12 @@ def thresholds(
         raise DomainError(f"first moment must be >= 0, got {phi0}")
     m = spec.m
     L = spec.domain.L
-
-    N0 = m ** (-1.0 / m)
+    kind = spec.nonlinearity.kind
+    signed = kind == "signed_power"  # signed_power has m >= 1
     half_moment = 0.5 * M * L
 
     ell = K = None
-    if m > 1.0:
+    if signed and m > 1.0:
         # 2^{-(m+1)/(m-1)} M^{m/(m-1)} in the log domain; the exponents blow
         # up as m -> 1+ and a harmless overflow just drops this term from min
         lpw = (-(m + 1.0) * math.log(2.0) + m * math.log(M)) / (m - 1.0)
@@ -202,17 +210,19 @@ def thresholds(
         K = 0.5 * ell * M
 
     Tstar = math.inf
-    if m == 1.0 and M - 1.0 > CRITICAL_MASS_TOL and phi0 < half_moment:
+    if signed and m == 1.0 and M - 1.0 > CRITICAL_MASS_TOL and phi0 < half_moment:
         Tstar = phi0 / ((M - 1.0) * (M - 2.0 * phi0 / L) / L)
 
     K0 = radius = None
-    if p > 1.0 and m <= p < 2.0 * m:
+    if p is None:
+        p = 2.0 if 1.0 < m <= 2.0 else 1.5 * m
+    if kind in HOMOGENEOUS and p > 1.0 and m <= p < 2.0 * m:
         K0 = m / (p - 1.0) * spec.domain.volume ** ((p - m) / p)
         radius = K0 ** (-1.0 / m)
 
     return ThresholdReport(
-        N0=N0,
-        critical_mass_m1=1.0,
+        N0=m ** (-1.0 / m) if signed else None,
+        critical_mass_m1=1.0 if signed else None,
         half_moment_bound=half_moment,
         ell=ell,
         K=K,

@@ -9,6 +9,9 @@ larger of max and -min), mass and entropy by grid.integrate, and x1 c
 once.  adapt_dt reuses the audit's linf, each FunctionalRecord its mass,
 entropy, linf and x1 c, and the post-run dissipation check each kept field's
 entropy and min.  Field snapshots past traj.fields[0] are kept only if asked.
+What follows the loop (fits, identity residuals, thresholds) is _post_run;
+which of the paper's statements hold for the run's law of f is
+problem.thresholds' to decide.
 """
 
 from __future__ import annotations
@@ -66,15 +69,6 @@ class Trajectory:
     fields: list = field(default_factory=list)  # (t, c, a) snapshots; [0] is t = 0
 
 
-def default_lyapunov_p(m: float) -> float | None:
-    """An exponent p with p > 1 and m <= p < 2m, preferring p = 2; None when
-    the admissible interval is empty (sublinear m)."""
-    if 1.0 < m <= 2.0:
-        return 2.0
-    p = 1.5 * m
-    return p if p > 1.0 and m <= p < 2.0 * m else None
-
-
 def _field_failure(linf: float, cmin: float) -> str | None:
     """Why a field with max |c| = linf and min c = cmin is a numerical
     failure (non-finite, or negative beyond _NEG_TOL linf), or None."""
@@ -111,6 +105,8 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
     The initial state and every committed one go through the same check
     (_field_failure); initial data that fail it end the run at t = 0 with
     its one record, before the mass check and with no thresholds or fits.
+    Every other run ends in _post_run, which fills in the report's ratios,
+    fits, residuals and thresholds.
     """
     if not isinstance(grid, (Grid1D, GridCyl)):
         raise TypeError(f"not a grid: {type(grid)!r}")
@@ -118,8 +114,9 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
     robin = opts.trace_mode == "robin"
     state = solver1d.make_state(grid, c0)
     x1 = axial_coordinate(grid)
-    # for m = 1, x1 ** (1/m) is x1 bitwise, and the audit's max of x1 c serves
-    x1_pow = None if problem.m == 1.0 else x1 ** (1.0 / problem.m)
+    x1_pow = x1 ** (1.0 / problem.m)
+    if np.array_equal(x1_pow, x1):
+        x1_pow = None  # m = 1: the audit's max of x1 c serves
 
     def audit(state):
         """(Audit, min c, axial marginal or None, max x1 c) of the state's
@@ -229,31 +226,43 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
         sample(last_dt)
     if stop.store_fields_every and traj.fields[-1][0] < state.t:
         keep()
+    _post_run(problem, grid, traj, rep, state, p_list, M0, kept,
+              ent_inc_max, mono_viol, xc_max, marg_inc_max, xpow_series)
+    return traj, rep
 
-    rep.t_final = state.t
-    rep.steps = state.step_count
+
+def _post_run(problem, grid, traj, rep, state, p_list, M0, kept,
+              ent_inc_max, mono_viol, xc_max, marg_inc_max, xpow_series) -> None:
+    """Fill in rep once run's loop has ended: its tallies as ratios, the
+    outcome's rate fit, the first-moment and dissipation residuals, and the
+    thresholds that hold for the run's law of f.  M0 is the initial axial
+    marginal's max on the cylinder (None on the interval), kept the audit's
+    entropy of each field in traj.fields, and the rest the loop's running
+    maxima and samples of max x1^(1/m) c.  The fits and residuals are called
+    through this module's names, which perfbench's tracer patches."""
+    recs = traj.records
+    mass0 = recs[0].mass
+    rep.t_final, rep.steps = state.t, state.step_count
     rep.entropy_step_increase_max = None if ent_inc_max == -math.inf else ent_inc_max
     rep.monotone_violation_max = mono_viol
     rep.xc_max_ratio = xc_max / mass0 if xc_max > -math.inf else None
-    rep.x1c_max_ratio = (xc_max / M0) if (cyl and M0 and xc_max > -math.inf) else None
-    rep.marginal_increase_max = marg_inc_max if cyl else None
+    rep.x1c_max_ratio = (xc_max / M0) if (M0 and xc_max > -math.inf) else None
+    rep.marginal_increase_max = marg_inc_max
     if len(xpow_series) >= 8:
         cut = max(1, (3 * len(xpow_series)) // 4)
         rep.xpow_sup_early = max(xpow_series[:cut])
         rep.xpow_sup_late = max(xpow_series[cut:])
 
-    recs = traj.records
     if rep.outcome == BLOWUP:
         fit = fit_blowup(recs)
         if fit is not None:
             rep.Tstar_fit, rep.beta_fit = fit
     if rep.outcome == CONVERGED:
+        mean = mass0 / problem.domain.volume
         rep.lambda_fit = fit_decay(decay_tail(recs, mean), mean)
-    if problem.m == 1.0 and len(recs) >= 2:
-        window = _active_window(recs)
-        if len(window) >= 2:
-            rep.moment_residual = moment_residual(window, mass0, 1.0)
-    if not cyl and len(traj.fields) >= 2 and None not in kept:
+    if len(recs) >= 2:
+        rep.moment_residual = moment_residual(recs, mass0, problem.domain.cross_section_volume)
+    if isinstance(grid, Grid1D) and len(traj.fields) >= 2 and None not in kept:
         fields = [(t, c) for t, c, _a in traj.fields]
         a_vals = [a for _t, _c, a in traj.fields]
         rep.entropy_residual, rep.lp_residual, _ = dissipation_residuals(
@@ -261,19 +270,8 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
         )
 
     phi0 = recs[0].phi
-    p = default_lyapunov_p(problem.m)
-    thr = thresholds(problem, mass0, phi0, p if p is not None else 0.0, M0=M0)
+    thr = thresholds(problem, mass0, phi0, M0=M0)
     rep.thresholds = asdict(thr)
     rep.half_moment_ok = phi0 < thr.half_moment_bound
     if rep.T_detect is not None and math.isfinite(thr.Tstar_upper_bound):
         rep.tstar_bound_ratio = rep.T_detect / thr.Tstar_upper_bound
-    return traj, rep
-
-
-def _active_window(records):
-    """Record pairs where the coupling is a meaningful fraction of its peak,
-    so the moment-identity residual is not dominated by a near-zero RHS."""
-    peak = max(abs(r.a) for r in records)
-    if peak == 0.0:
-        return []
-    return [r for r in records if abs(r.a) >= 1e-3 * peak]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from cellflux import presets
-from cellflux.diagnostics import FunctionalRecord, fit_blowup, moment_residual
+from cellflux.diagnostics import FunctionalRecord, fit_blowup, moment_residual_m1
 from cellflux.grid import build_grid_1d
 from cellflux.harness import run_config, sweep
 from cellflux.problem import DomainSpec, NonlinearitySpec, ProblemSpec
@@ -100,8 +100,9 @@ def test_criterion_3_blowup_time_bound():
 
 
 def _moment_residual_at(N: int) -> float:
-    # m = 1 run with compactly supported monotone data; the window starts
-    # after the boundary-layer equilibration of the initial data
+    # m = 1 run with compactly supported monotone data, checked against the
+    # f(s) = s form phi' = (M - 1) a; the window starts after the
+    # boundary-layer equilibration of the initial data
     g = build_grid_1d(1.0, N)
     F = -0.25 * np.clip(1.0 - 4.0 * g.interfaces, 0.0, None) ** 3
     c0 = (F[1:] - F[:-1]) / g.widths
@@ -114,7 +115,7 @@ def _moment_residual_at(N: int) -> float:
         StopRule(t_end=0.17, sample_every=1),
     )
     recs = [r for r in traj.records if 0.05 <= r.t <= 0.15]
-    return moment_residual(recs, recs[0].mass, 1.0)
+    return moment_residual_m1(recs, recs[0].mass)
 
 
 def test_criterion_4_moment_identity():
@@ -126,6 +127,25 @@ def test_criterion_4_moment_identity():
         ok,
         f"residual {r512:.2e} at N=512, {r1024:.2e} at N=1024 (ratio {r1024 / r512:.2f})",
     )
+
+
+def test_reports_state_only_what_holds_for_the_law():
+    # every gated preset checks the first-moment identity that holds for
+    # every law, and the absorbing and saturating presets carry none of the
+    # constants of f(s) = s
+    worst = {}
+    for name in GATED_PRESETS:
+        rep = preset_result(name)[3]
+        assert rep.moment_residual is not None and rep.moment_residual < 0.2, name
+        worst[name] = rep.moment_residual
+    thr = {name: preset_result(name)[3].thresholds for name in ("absorbing_m1", "absorbing_m2", "heat_decay")}
+    assert math.isinf(thr["absorbing_m1"]["Tstar_upper_bound"]) and thr["absorbing_m1"]["N0"] is None
+    assert thr["absorbing_m2"]["N0"] is None and thr["absorbing_m2"]["ell"] is None
+    assert thr["absorbing_m2"]["K"] is None
+    for key in ("N0", "K0_lyapunov", "small_data_radius"):
+        assert thr["heat_decay"][key] is None, key
+    name = max(worst, key=worst.get)
+    report("report fields by law", True, f"worst moment residual {worst[name]:.2e} ({name})")
 
 
 def test_criterion_5_entropy_monotonicity():

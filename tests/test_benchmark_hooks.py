@@ -3,8 +3,9 @@ functions by their module attribute names to split one step into layers.  A
 refactor that renames one of them, or moves a call off the looked-up name,
 crashes traced runs or silently zeroes a per-layer metric; this test catches
 both on short runs in each geometry: every solver layer, the runner's
-entropy_of and record, and adapt_dt once per attempted step; and on a short
-scenario, the post-run dissipation check and both CSV writers.
+entropy_of and record, and adapt_dt once per attempted step; on a short
+scenario, the post-run dissipation check and both CSV writers; and on short
+runs that end in BLOWUP and in CONVERGED, each post-run fit and residual.
 
 Both geometries run solver1d's functions.  The tracer still wraps five names
 of cellflux.solver_cyl, which are aliases of them that nothing calls; the
@@ -95,6 +96,39 @@ def test_traced_scenario_records_the_post_run_check_and_both_writers(monkeypatch
         assert layers[name]["calls"] > 0, name
     assert layers["harness.write_timeseries"]["calls"] == layers["harness.write_snapshots"]["calls"] == 1
     assert cellflux.runner.dissipation_residuals.__module__ == "cellflux.diagnostics"
+
+
+POST_RUN = ("fit_blowup", "fit_decay", "decay_tail", "moment_residual")
+
+
+@pytest.mark.parametrize("preset,grid,step,stop,outcome,calls", [
+    # threshold 100 ends the m = 2 spike after 71 steps; on a coarser grid
+    # it settles and never blows up
+    ("superlinear_blowup", {}, {"blowup_linf_threshold": 100.0}, {}, "BLOWUP", (1, 0, 0, 1)),
+    ("heat_decay", {"N": 32}, {}, {"converged_tol": 0.05}, "CONVERGED", (0, 1, 1, 1)),
+])
+def test_traced_post_run_calls_each_fit_and_residual(monkeypatch, preset, grid, step, stop, outcome, calls):
+    # diagnostics.post_run.s sums the spans of these runner names: a post-run
+    # stage that stopped calling through them would zero it silently
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from child import install_trace
+    from spans import Tracer
+
+    cfg = cellflux.presets.preset_config(preset)
+    cfg = replace(cfg, grid=replace(cfg.grid, **grid), step=replace(cfg.step, **step),
+                  stop=replace(cfg.stop, **stop))
+    tr = Tracer()
+    try:
+        for name in POST_RUN:
+            tr.patch(cellflux.runner, name, lambda fn, name=name: tr.counted(name, fn))
+        install_trace(tr, cellflux)
+        _grid, _traj, rep = cellflux.harness.run_config(cfg)
+    finally:
+        tr.restore()
+    assert rep.outcome == outcome and not tr.errors
+    assert tuple(tr.counts.get(name, 0) for name in POST_RUN) == calls
+    assert tr.summary()["diagnostics.post_run"]["calls"] == sum(calls)
+    assert rep.moment_residual is not None
 
 
 def test_solver_cyl_holds_only_the_benchmark_aliases():

@@ -15,9 +15,11 @@ from cellflux.diagnostics import (
     fit_decay,
     lp_norm,
     moment_residual,
+    moment_residual_m1,
     record,
 )
 from cellflux.grid import build_grid_1d, build_grid_cyl, integrate
+from cellflux.harness import InitialConfig, build_initial
 from cellflux.problem import DomainSpec, NonlinearitySpec, ProblemSpec
 from cellflux.runner import StopRule, run
 from cellflux.solver1d import StepOptions, end_traces, make_state
@@ -31,10 +33,10 @@ def interval_problem(m=1.0, kind="signed_power", chi=1.0):
     )
 
 
-def rec(t, linf=1.0, phi=0.0, a=0.0, dt=0.0):
+def rec(t, linf=1.0, phi=0.0, a=0.0, dt=0.0, c_left=0.0, c_right=0.0):
     return FunctionalRecord(
         t=t, dt=dt, mass=1.0, entropy=0.0, lp={}, linf=linf, phi=phi, a=a,
-        u=0.0, c_left=0.0, c_right=0.0,
+        u=0.0, c_left=c_left, c_right=c_right,
     )
 
 
@@ -90,7 +92,8 @@ def test_entropy_extends_by_zero_at_vacuum():
 
 def test_moment_residual_zero_on_constant_records():
     recs = [rec(t=0.1 * i, phi=0.5, a=0.0) for i in range(5)]
-    assert moment_residual(recs, M=1.0, m=1.0) == 0.0
+    assert moment_residual_m1(recs, M=1.0) == 0.0
+    assert moment_residual(recs, M=1.0, B=1.0) == 0.0
 
 
 def test_moment_residual_exact_on_synthetic_identity():
@@ -99,14 +102,31 @@ def test_moment_residual_exact_on_synthetic_identity():
     M = 2.0
     ts = np.linspace(0.0, 1.0, 400)
     recs = [rec(t=t, phi=0.3 + (M - 1.0) * (1.0 - math.cos(t)), a=math.sin(t)) for t in ts]
-    assert moment_residual(recs, M=M, m=1.0) < 2e-6
+    assert moment_residual_m1(recs, M=M) < 2e-6
 
 
-def test_moment_residual_requires_m1():
+@pytest.mark.parametrize("B", [1.0, math.pi])
+def test_general_moment_residual_exact_on_synthetic_identity(B):
+    # phi' = a M - B (c_right - c_left) with a(t) = sin(t) and a trace
+    # difference 0.7 cos(2t) that is not a: midpoint-rule error only, about
+    # dt^2/24 times the curvature, 2e-6 at dt = 1/399
+    M = 1.5
+    ts = np.linspace(0.0, 1.0, 400)
+    recs = [
+        rec(t=t, phi=0.3 + M * (1.0 - math.cos(t)) - B * 0.35 * math.sin(2.0 * t),
+            a=math.sin(t), c_left=0.2, c_right=0.2 + 0.7 * math.cos(2.0 * t))
+        for t in ts
+    ]
+    assert moment_residual(recs, M=M, B=B) < 1e-5
+    # the (M - 1) a form misses the trace term
+    assert moment_residual_m1(recs, M=M) > 0.1
+
+
+def test_moment_residual_needs_two_records():
     with pytest.raises(ValueError):
-        moment_residual([rec(0.0), rec(0.1)], M=1.0, m=2.0)
+        moment_residual_m1([rec(0.0)], M=1.0)
     with pytest.raises(ValueError):
-        moment_residual([rec(0.0)], M=1.0, m=1.0)
+        moment_residual([rec(0.0)], M=1.0, B=1.0)
 
 
 def test_moment_residual_on_genuine_run_small_and_refining():
@@ -123,12 +143,39 @@ def test_moment_residual_on_genuine_run_small_and_refining():
             StopRule(t_end=0.17, sample_every=1),
         )
         recs = [r for r in traj.records if 0.05 <= r.t <= 0.15]
-        return moment_residual(recs, recs[0].mass, 1.0)
+        return moment_residual_m1(recs, recs[0].mass)
 
     r512 = residual(512)
     assert r512 <= 1e-3
     r1024 = residual(1024)
     assert r1024 <= 0.65 * r512
+
+
+LAWS = [("signed_power", 1.0), ("signed_power", 2.0), ("negative_power", 1.0),
+        ("negative_power", 2.0), ("sublinear_power", 0.5), ("saturating", 1.0)]
+
+
+@pytest.mark.parametrize("trace_mode", ["cell", "robin"])
+@pytest.mark.parametrize("geometry", ["interval", "cylinder"])
+@pytest.mark.parametrize("kind,m", LAWS)
+def test_general_moment_residual_small_on_every_law(kind, m, geometry, trace_mode):
+    # the report's moment_residual checks phi' = a M - B (c_right - c_left),
+    # which holds for every law of f (the (M - 1) a form reads 2.0 on the
+    # absorbing_m1 preset).  Data of mass 1 on both geometries; the unit
+    # cylinder's B = pi enters the identity.
+    N = 64
+    domain = DomainSpec(geometry="interval", L=1.0)
+    grid = build_grid_1d(1.0, N)
+    if geometry == "cylinder":
+        domain = DomainSpec(geometry="cylinder", L=1.0, R=1.0, n=3)
+        grid = build_grid_cyl(1.0, 1.0, 3, N, 4)
+    prob = ProblemSpec(nonlinearity=NonlinearitySpec(kind=kind, m=m), domain=domain)
+    B = domain.cross_section_volume
+    c0 = build_initial(InitialConfig(family="cosine", mean=1.0 / B, amp=0.3 / B), grid, domain)
+    _traj, rep = run(prob, grid, c0, StepOptions(dt_max=0.05 / N, trace_mode=trace_mode),
+                     StopRule(t_end=0.02))
+    assert rep.outcome == "BOUNDED"
+    assert rep.moment_residual < 0.2
 
 
 # --- dissipation residuals ---------------------------------------------------

@@ -212,3 +212,38 @@ def test_half_moment_bound_scales_linearly_in_L(M, L):
 def test_K_at_most_quarter_ML(m, M, L):
     t = thresholds(interval_problem(m, L=L), M=M, phi0=0.0, p=1.5 * m)
     assert t.K <= M * L / 4.0 + 1e-15  # ell <= L/2 always
+
+
+# which constants hold for which law: (kind, m) -> the entries that are set
+THRESHOLD_TABLE = [
+    ("signed_power", 1.0, {"N0", "critical_mass_m1", "Tstar_upper_bound", "K0_lyapunov", "small_data_radius"}),
+    ("signed_power", 2.0, {"N0", "critical_mass_m1", "ell", "K", "K0_lyapunov", "small_data_radius"}),
+    ("negative_power", 1.0, {"K0_lyapunov", "small_data_radius"}),
+    ("negative_power", 2.0, {"K0_lyapunov", "small_data_radius"}),
+    ("sublinear_power", 0.8, {"K0_lyapunov", "small_data_radius"}),
+    ("saturating", 1.0, set()),
+]
+
+
+@pytest.mark.parametrize("kind,m,present", THRESHOLD_TABLE)
+def test_thresholds_report_only_what_holds_for_the_law(kind, m, present):
+    # M = 2 and phi0 = 0.4 make the m = 1 T* bound finite wherever it holds
+    t = thresholds(interval_problem(m, kind=kind), M=2.0, phi0=0.4)
+    for name in ("N0", "critical_mass_m1", "ell", "K", "K0_lyapunov", "small_data_radius"):
+        assert (getattr(t, name) is not None) == (name in present), name
+    assert math.isfinite(t.Tstar_upper_bound) == ("Tstar_upper_bound" in present)
+    assert t.half_moment_bound == 1.0  # M L / 2 holds for every law
+
+
+@pytest.mark.parametrize("m,p", [(0.5, None), (1.0, 1.5), (1.5, 2.0), (2.0, 2.0), (3.0, 4.5)])
+def test_thresholds_default_lyapunov_exponent(m, p):
+    # without p: 2 for 1 < m <= 2, else 1.5 m, and no constant where 1.5 m
+    # is not admissible (p > 1 and m <= p < 2m)
+    kind = "sublinear_power" if m < 1.0 else "signed_power"
+    prob = interval_problem(m, L=2.0, kind=kind)
+    t = thresholds(prob, M=1.0)
+    if p is None:
+        assert t.K0_lyapunov is None and t.small_data_radius is None
+    else:
+        assert t == thresholds(prob, M=1.0, p=p)
+        assert t.K0_lyapunov == pytest.approx(m / (p - 1.0) * 2.0 ** ((p - m) / p), rel=1e-14)

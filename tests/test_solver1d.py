@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cellflux import harness, presets, solver1d
 from cellflux.grid import build_grid_1d, build_grid_cyl, integrate
-from cellflux.problem import DomainSpec, NonlinearitySpec, ProblemSpec, ball_volume, sphere_area
+from cellflux.problem import KINDS, DomainSpec, NonlinearitySpec, ProblemSpec, ball_volume, sphere_area
 from cellflux.runner import StopRule, run
 from cellflux.solver1d import (
     StepOptions,
@@ -147,6 +147,17 @@ def test_constant_state_is_fixed_point():
     assert out.step_count == 1
 
 
+def law(kind: str, u: float) -> NonlinearitySpec:
+    """The law of the given kind with m at fraction u of the kind's range:
+    [1, 3] for the signed and negative powers, [0.1, 0.9] for the
+    sublinear power (saturating has no m)."""
+    if kind == "sublinear_power":
+        return NonlinearitySpec(kind=kind, m=0.1 + 0.8 * u)
+    if kind == "saturating":
+        return NonlinearitySpec(kind=kind)
+    return NonlinearitySpec(kind=kind, m=1.0 + 2.0 * u)
+
+
 @given(
     st.sampled_from(["interval", "cylinder"]),
     st.integers(8, 200),
@@ -157,14 +168,21 @@ def test_constant_state_is_fixed_point():
     st.booleans(),
     st.floats(0.2, 5.0),
     st.integers(0, 10_000),
+    st.sampled_from(KINDS),
+    st.floats(0.0, 1.0),
+    st.sampled_from(["cell", "robin"]),
 )
 @settings(max_examples=40, deadline=None)
 def test_mass_conserved_and_nonnegative_on_random_data(
-    geometry, N, r, Nr, n, monotone, rho_independent, M, seed
+    geometry, N, r, Nr, n, monotone, rho_independent, M, seed, kind, u, trace_mode
 ):
-    # after every step: mass, positivity and (for nonincreasing data)
-    # monotonicity in either geometry; rho-independent data on a cylinder of
-    # unit cross-section is also marched on the interval, and must match it
+    # after every step, for every law of f and either trace mode: mass,
+    # positivity and (for nonincreasing data) monotonicity in either
+    # geometry; rho-independent data on a cylinder of unit cross-section is
+    # also marched on the interval, and must match it.  negative_power is
+    # exempt from monotonicity: nonincreasing data give a > 0 under an
+    # absorbing law, and the no-flux condition c_x = a c then makes c
+    # increase near x = L.
     rng = np.random.default_rng(seed)
     g1 = build_grid_1d(1.0, N, r)
     prof = rng.random(N) + 1e-3
@@ -174,19 +192,17 @@ def test_mass_conserved_and_nonnegative_on_random_data(
     # keep the boundary layer resolvable (c1 h/2 < 1/4 is where the Robin
     # closure is well posed); spiky data on coarse grids is the guarded regime
     assume(float(prof[0]) * g1.widths[0] < 0.3)
-    opts = StepOptions(dt_max=1e-3)
+    nl = law(kind, u)
+    opts = StepOptions(dt_max=1e-3, trace_mode=trace_mode)
     runs = []  # (grid, problem, state)
     if geometry == "cylinder":
         R = ball_volume(n - 1, 1.0) ** (-1.0 / (n - 1))  # |B'_R| = 1
         gc = build_grid_cyl(1.0, R, n, N, Nr, r)
         radial = np.ones(Nr) if rho_independent else 1.0 + rng.random(Nr)
-        prob = ProblemSpec(
-            nonlinearity=NonlinearitySpec(kind="signed_power", m=1.0),
-            domain=DomainSpec(geometry="cylinder", L=1.0, R=R, n=n),
-        )
+        prob = ProblemSpec(nonlinearity=nl, domain=DomainSpec(geometry="cylinder", L=1.0, R=R, n=n))
         runs.append((gc, prob, make_state(gc, prof[:, None] * radial)))
     if geometry == "interval" or rho_independent:
-        runs.append((g1, problem(m=1.0), make_state(g1, prof)))
+        runs.append((g1, problem(kind=nl.kind, m=nl.m), make_state(g1, prof)))
     mass0 = [integrate(g, s.c) for g, _p, s in runs]
     for _ in range(20):
         dt = min(adapt_dt(p, s, opts) for _g, p, s in runs)
@@ -204,7 +220,7 @@ def test_mass_conserved_and_nonnegative_on_random_data(
             linf = np.abs(s.c).max()
             assert abs(integrate(g, s.c) - m0) <= 1e-13 * m0
             assert s.c.min() >= -1e-12 * linf
-            if monotone:
+            if monotone and kind != "negative_power":
                 assert np.max(np.diff(s.c, axis=0)) <= 1e-12 * linf
         if len(runs) == 2:
             assert np.max(np.abs(runs[0][2].c - runs[1][2].c[:, None])) <= 1e-10
