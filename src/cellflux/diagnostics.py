@@ -36,11 +36,15 @@ class FunctionalRecord:
     u: float  # reported cell velocity component, -chi a / |Omega|
     c_left: float
     c_right: float
+    xpow: float | None = None  # max x1^(1/m) c, which the runner sets; not a CSV column
 
 
 @dataclass
 class RunReport:
-    """Outcome classification plus every bound/identity audit of one run."""
+    """Outcome classification plus every bound/identity audit of one run.
+
+    The runner's loop updates the per-step tallies as it audits each step;
+    a per-step maximum is None where it does not apply or no step passed."""
 
     outcome: str  # CONVERGED | BOUNDED | BLOWUP | NUMERICAL_FAILURE
     reason: str = ""
@@ -72,12 +76,16 @@ class RunReport:
 @dataclass
 class Audit:
     """Functionals of one field that the runner's per-step audit computes
-    once and record() reuses instead of recomputing."""
+    once: record() reuses its mass, entropy, linf and x1 c instead of
+    recomputing them, and the runner's bound audits its min and maxima."""
 
     mass: float
     entropy: float
     linf: float
+    min: float
     x1c: np.ndarray  # x1 c, the integrand of the first axial moment
+    x1c_max: float
+    marg_max: float | None  # max of the axial marginal; None on the interval
 
 
 def axial_coordinate(grid) -> np.ndarray:

@@ -238,14 +238,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
 # Scenario execution and file output
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return f"{x:.17g}"  # also nan, inf and -inf
-    return str(x)
-
-
 def _json_ready(obj):
     if isinstance(obj, float):
         if math.isinf(obj):
@@ -278,7 +270,7 @@ def _row_format(*specs: str) -> str:
 
 def write_timeseries(path: Path, records, p_list) -> None:
     cols = ["t", "dt", "mass", "entropy", "linf"]
-    cols += [f"lp_{_fmt(p)}" for p in p_list]
+    cols += [f"lp_{p:.17g}" for p in p_list]
     cols += ["phi", "a", "u", "c_left", "c_right"]
     row = _row_format(*["%.17g"] * len(cols))
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -328,8 +320,8 @@ def run_scenario(cfg: RunConfig, out_dir: str | None = None):
     if want and cfg.stop.store_fields_every == 0:
         run_cfg = replace(cfg, stop=replace(cfg.stop, store_fields_every=1))
     grid, traj, rep = run_config(run_cfg)
-    snaps = [traj.fields[0][:2]]
-    for t, c, _a in traj.fields:
+    snaps = [traj.fields[0]]
+    for t, c in traj.fields:
         while want and t >= want[0]:
             want.pop(0)
             snaps.append((t, c))

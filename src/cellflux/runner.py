@@ -3,15 +3,15 @@ solver1d.step, with solver1d.adapt_dt and solver1d.compute_a.
 
 The loop owns adaptive stepping, step rejection, outcome classification, and
 the per-step audits (mass drift, positivity, monotonicity, profile bounds,
-per-step entropy change).  The audit is one pass over each committed field:
-one max and one min (a NaN or inf shows in one of them, and linf is the
-larger of max and -min), mass and entropy by grid.integrate, and x1 c
-once.  adapt_dt reuses the audit's linf, each FunctionalRecord its mass,
-entropy, linf and x1 c, and the post-run dissipation check each kept field's
-entropy and min.  Field snapshots past traj.fields[0] are kept only if asked.
-What follows the loop (fits, identity residuals, thresholds) is _post_run;
-which of the paper's statements hold for the run's law of f is
-problem.thresholds' to decide.
+per-step entropy change), each on one Audit of one pass over the committed
+field: one max and one min (a NaN or inf shows in one of them), mass and
+entropy by grid.integrate, x1 c once, and the cylinder's axial marginal.
+adapt_dt and each FunctionalRecord reuse it.  The loop's only products are
+traj and rep: per-step tallies go on the RunReport, each sample's max
+x1^(1/m) c on its record, and (t, c) snapshots past traj.fields[0] are kept,
+at samples, only if asked.  _post_run, a function of traj and rep, adds the
+fits, identity residuals, and the thresholds problem.thresholds gives the
+run's law of f.
 """
 
 from __future__ import annotations
@@ -65,8 +65,11 @@ class StopRule:
 
 @dataclass
 class Trajectory:
+    """A FunctionalRecord per sample, and (t, c) field snapshots, each taken
+    at a sample; fields[0] is t = 0."""
+
     records: list = field(default_factory=list)
-    fields: list = field(default_factory=list)  # (t, c, a) snapshots; [0] is t = 0
+    fields: list = field(default_factory=list)
 
 
 def _field_failure(linf: float, cmin: float) -> str | None:
@@ -105,8 +108,8 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
     The initial state and every committed one go through the same check
     (_field_failure); initial data that fail it end the run at t = 0 with
     its one record, before the mass check and with no thresholds or fits.
-    Every other run ends in _post_run, which fills in the report's ratios,
-    fits, residuals and thresholds.
+    Every other run ends in _post_run, which fills in the report's fits,
+    residuals and thresholds.
     """
     if not isinstance(grid, (Grid1D, GridCyl)):
         raise TypeError(f"not a grid: {type(grid)!r}")
@@ -118,25 +121,26 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
     if np.array_equal(x1_pow, x1):
         x1_pow = None  # m = 1: the audit's max of x1 c serves
 
-    def audit(state):
-        """(Audit, min c, axial marginal or None, max x1 c) of the state's
-        field.  The cylinder's mass is the weighted sum of its axial
-        marginal, so the marginal bound costs no extra pass."""
+    def audit(state) -> Audit:
+        """The Audit of the state's field.  The cylinder's mass is the
+        weighted sum of its axial marginal, so the marginal bound costs no
+        extra pass."""
         c = state.c
         cmax, cmin = float(c.max()), float(c.min())
         if cyl:
             marg = axial_marginal(grid, c)
-            mass = float(marg @ grid.vol)
+            mass, marg_max = float(marg @ grid.vol), float(np.max(marg))
         else:
-            marg, mass = None, integrate(grid, c)
+            mass, marg_max = integrate(grid, c), None
+        x1c = x1 * c
         # max(cmax, -cmin) is max |c|, and NaN (both extremes are) or inf
         # when c holds a NaN or an inf
-        au = Audit(mass=mass, entropy=entropy_of(grid, c, cmin), linf=max(cmax, -cmin), x1c=x1 * c)
-        return au, cmin, marg, float(au.x1c.max())
+        return Audit(mass=mass, entropy=entropy_of(grid, c, cmin), linf=max(cmax, -cmin),
+                     min=cmin, x1c=x1c, x1c_max=float(x1c.max()), marg_max=marg_max)
 
-    au, cmin, marg, xc = audit(state)
+    au = audit(state)
     mass0 = au.mass
-    failure = _field_failure(au.linf, cmin)
+    failure = _field_failure(au.linf, au.min)
     if failure is None and not mass0 > 0:
         raise ValueError("initial data must carry positive mass")
     mean = mass0 / problem.domain.volume
@@ -146,41 +150,37 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
         state.a = solver1d.compute_a(problem, state, opts)
     except StepRejected:
         pass  # unresolvable closure at t = 0; the step loop will classify
-    linf = au.linf
-    # (c[1:] - c[:-1]).max() is np.max(np.diff(c, axis=0)) without its overhead
-    monotone = float((state.c[1:] - state.c[:-1]).max()) <= 1e-12 * linf
-    M0 = float(np.max(marg)) if cyl else None
-
     traj = Trajectory()
-    rep = RunReport(outcome=BOUNDED, reason="reached t_end", min_c=cmin)
-    ent_prev = au.entropy
-    ent_inc_max = -math.inf
-    mono_viol = -math.inf if monotone else None
-    xc_max = -math.inf
-    marg_inc_max = -math.inf if cyl else None
-    xpow_series = []
-    kept = []  # the audit's entropy of each field in traj.fields, None unless min c > 0
 
-    # au is the audit of the current state in keep and sample
+    # au is the audit of the current state in sample
     def keep():
-        traj.fields.append((state.t, state.c.copy(), state.a))
-        kept.append(au.entropy if cmin > 0.0 else None)
+        traj.fields.append((state.t, state.c.copy()))
 
     def sample(dt: float):
         n, every = len(traj.records), stop.store_fields_every
-        traj.records.append(record(state, problem, dt, p_list, solver1d.end_traces(state), au))
+        r = record(state, problem, dt, p_list, solver1d.end_traces(state), au)
+        r.xpow = au.x1c_max if x1_pow is None else float(np.max(x1_pow * state.c))
+        traj.records.append(r)
         if n == 0 or (every and n % every == 0):
             keep()
-        xpow_series.append(xc if x1_pow is None else float(np.max(x1_pow * state.c)))
 
     sample(0.0)
     if failure is not None:
-        rep.outcome, rep.reason = NUMERICAL_FAILURE, f"{failure} in the initial data"
-        return traj, rep
+        reason = f"{failure} in the initial data"
+        return traj, RunReport(outcome=NUMERICAL_FAILURE, reason=reason, min_c=au.min)
+    # (c[1:] - c[:-1]).max() is np.max(np.diff(c, axis=0)) without its overhead
+    monotone = float((state.c[1:] - state.c[:-1]).max()) <= 1e-12 * au.linf
+    # each per-step maximum starts at -inf, or None where it does not apply
+    rep = RunReport(outcome=BOUNDED, reason="reached t_end", min_c=au.min,
+                    entropy_step_increase_max=-math.inf, xc_max_ratio=-math.inf,
+                    monotone_violation_max=-math.inf if monotone else None,
+                    x1c_max_ratio=-math.inf if cyl else None,
+                    marginal_increase_max=-math.inf if cyl else None)
+    M0 = au.marg_max
     last_dt = 0.0
 
     while state.t < stop.t_end - 1e-14:
-        dt = solver1d.adapt_dt(problem, state, opts, linf)
+        dt = solver1d.adapt_dt(problem, state, opts, au.linf)
         if dt <= opts.dt_min:
             rep.outcome, rep.reason, rep.T_detect = BLOWUP, "dt reached its floor", state.t
             break
@@ -190,24 +190,24 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
             rep.outcome, rep.reason = NUMERICAL_FAILURE, f"step rejected down to the dt floor: {e}"
             break
         last_dt = dt
-        c = state.c
-        au, cmin, marg, xc = audit(state)
-        linf = au.linf
-        rep.min_c = min(rep.min_c, cmin)
-        failure = _field_failure(linf, cmin)
+        prev, au = au, audit(state)
+        rep.min_c = min(rep.min_c, au.min)
+        failure = _field_failure(au.linf, au.min)
         if failure is not None:
             rep.outcome, rep.reason = NUMERICAL_FAILURE, failure
             break
 
-        drift = abs(au.mass - mass0) / mass0
-        rep.mass_drift_max = max(rep.mass_drift_max, drift)
-        ent_inc_max = max(ent_inc_max, au.entropy - ent_prev)
-        ent_prev = au.entropy
+        c, linf = state.c, au.linf
+        rep.mass_drift_max = max(rep.mass_drift_max, abs(au.mass - mass0) / mass0)
+        rep.entropy_step_increase_max = max(rep.entropy_step_increase_max, au.entropy - prev.entropy)
         if monotone:
-            mono_viol = max(mono_viol, float((c[1:] - c[:-1]).max()) / max(linf, 1e-300))
-        xc_max = max(xc_max, xc)
+            rep.monotone_violation_max = max(rep.monotone_violation_max,
+                                             float((c[1:] - c[:-1]).max()) / max(linf, 1e-300))
+        # bitwise max(x1c_max) / M: dividing by M > 0 and rounding keep order
+        rep.xc_max_ratio = max(rep.xc_max_ratio, au.x1c_max / mass0)
         if cyl:
-            marg_inc_max = max(marg_inc_max, float(np.max(marg)) - M0)
+            rep.x1c_max_ratio = max(rep.x1c_max_ratio, au.x1c_max / M0)
+            rep.marginal_increase_max = max(rep.marginal_increase_max, au.marg_max - M0)
         rep.a_sq_integral += state.a**2 * dt
         rep.trace_guard_steps += robin and not all(state.robin_ends)
 
@@ -222,36 +222,31 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
                 rep.outcome, rep.reason = CONVERGED, "sup-deviation below tolerance"
                 break
 
+    rep.t_final, rep.steps = state.t, state.step_count
     if traj.records[-1].t < state.t:
         sample(last_dt)
     if stop.store_fields_every and traj.fields[-1][0] < state.t:
         keep()
-    _post_run(problem, grid, traj, rep, state, p_list, M0, kept,
-              ent_inc_max, mono_viol, xc_max, marg_inc_max, xpow_series)
+    _post_run(problem, grid, traj, rep, p_list)
     return traj, rep
 
 
-def _post_run(problem, grid, traj, rep, state, p_list, M0, kept,
-              ent_inc_max, mono_viol, xc_max, marg_inc_max, xpow_series) -> None:
-    """Fill in rep once run's loop has ended: its tallies as ratios, the
-    outcome's rate fit, the first-moment and dissipation residuals, and the
-    thresholds that hold for the run's law of f.  M0 is the initial axial
-    marginal's max on the cylinder (None on the interval), kept the audit's
-    entropy of each field in traj.fields, and the rest the loop's running
-    maxima and samples of max x1^(1/m) c.  The fits and residuals are called
-    through this module's names, which perfbench's tracer patches."""
+def _post_run(problem, grid, traj, rep, p_list) -> None:
+    """Fill in rep from what run recorded, once its loop has ended: the
+    per-step maxima as None if no step passed the audit, the split of the
+    samples' max x1^(1/m) c, the outcome's rate fit, the first-moment and
+    dissipation residuals, and the thresholds that hold for the run's law
+    of f.  The fits and residuals are called through this module's names,
+    which perfbench's tracer patches."""
     recs = traj.records
     mass0 = recs[0].mass
-    rep.t_final, rep.steps = state.t, state.step_count
-    rep.entropy_step_increase_max = None if ent_inc_max == -math.inf else ent_inc_max
-    rep.monotone_violation_max = mono_viol
-    rep.xc_max_ratio = xc_max / mass0 if xc_max > -math.inf else None
-    rep.x1c_max_ratio = (xc_max / M0) if (M0 and xc_max > -math.inf) else None
-    rep.marginal_increase_max = marg_inc_max
-    if len(xpow_series) >= 8:
-        cut = max(1, (3 * len(xpow_series)) // 4)
-        rep.xpow_sup_early = max(xpow_series[:cut])
-        rep.xpow_sup_late = max(xpow_series[cut:])
+    if rep.xc_max_ratio == -math.inf:
+        rep.entropy_step_increase_max = rep.monotone_violation_max = rep.xc_max_ratio = None
+        rep.x1c_max_ratio = rep.marginal_increase_max = None
+    if len(recs) >= 8:
+        cut = max(1, (3 * len(recs)) // 4)
+        rep.xpow_sup_early = max(r.xpow for r in recs[:cut])
+        rep.xpow_sup_late = max(r.xpow for r in recs[cut:])
 
     if rep.outcome == BLOWUP:
         fit = fit_blowup(recs)
@@ -262,13 +257,15 @@ def _post_run(problem, grid, traj, rep, state, p_list, M0, kept,
         rep.lambda_fit = fit_decay(decay_tail(recs, mean), mean)
     if len(recs) >= 2:
         rep.moment_residual = moment_residual(recs, mass0, problem.domain.cross_section_volume)
-    if isinstance(grid, Grid1D) and len(traj.fields) >= 2 and None not in kept:
-        fields = [(t, c) for t, c, _a in traj.fields]
-        a_vals = [a for _t, _c, a in traj.fields]
+    if isinstance(grid, Grid1D) and len(traj.fields) >= 2 and rep.min_c > 0.0:
+        # every kept field was kept at a sample: its a and entropy are that record's
+        at = {r.t: r for r in recs}
+        field_recs = [at[t] for t, _c in traj.fields]
         rep.entropy_residual, rep.lp_residual, _ = dissipation_residuals(
-            grid, fields, a_vals, kept, p_list[0]
+            grid, traj.fields, [r.a for r in field_recs], [r.entropy for r in field_recs], p_list[0]
         )
 
+    M0 = None if isinstance(grid, Grid1D) else float(np.max(axial_marginal(grid, traj.fields[0][1])))
     phi0 = recs[0].phi
     thr = thresholds(problem, mass0, phi0, M0=M0)
     rep.thresholds = asdict(thr)

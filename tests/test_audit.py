@@ -158,8 +158,9 @@ def test_one_pass_audit_matches_separate_passes(monkeypatch, name, stop):
         assert rep.x1c_max_ratio == pytest.approx(want["x1c_max_ratio"], rel=REL, abs=0.0)
         assert abs(rep.marginal_increase_max - want["marginal_increase_max"]) <= REL * M0
 
-    # x1^(1/m) c over the samples, split 3:1 as the runner splits it
+    # x1^(1/m) c of each sample, on its record and split 3:1 as the runner splits it
     xpow = [float(np.max(ref_x1(grid) ** (1.0 / prob.m) * by_t[r.t][1].c)) for r in traj.records]
+    assert [r.xpow for r in traj.records] == xpow
     cut = max(1, (3 * len(xpow)) // 4)
     assert (rep.xpow_sup_early, rep.xpow_sup_late) == (max(xpow[:cut]), max(xpow[cut:]))
 
@@ -225,6 +226,10 @@ def test_rejections_down_to_the_dt_floor_are_a_numerical_failure(monkeypatch, na
     assert rep.reason.startswith(f"step rejected down to the dt floor: {said}")
     assert rep.steps == 0 and rep.t_final == 0.0 and rep.T_detect is None
     assert len(traj.records) == 1
+    # no committed step: each per-step maximum is null, never its -inf start
+    for key in ("entropy_step_increase_max", "monotone_violation_max", "xc_max_ratio",
+                "x1c_max_ratio", "marginal_increase_max"):
+        assert getattr(rep, key) is None, key
 
 
 def test_blowup_clamp_at_the_dt_floor_stays_a_blowup(monkeypatch):

@@ -8,6 +8,7 @@ from cellflux.diagnostics import (
     Audit,
     FunctionalRecord,
     axial_coordinate,
+    axial_marginal,
     decay_tail,
     dissipation_residuals,
     entropy_of,
@@ -18,7 +19,7 @@ from cellflux.diagnostics import (
     moment_residual_m1,
     record,
 )
-from cellflux.grid import build_grid_1d, build_grid_cyl, integrate
+from cellflux.grid import GridCyl, build_grid_1d, build_grid_cyl, integrate
 from cellflux.harness import InitialConfig, build_initial
 from cellflux.problem import DomainSpec, NonlinearitySpec, ProblemSpec
 from cellflux.runner import StopRule, run
@@ -46,8 +47,12 @@ def rec(t, linf=1.0, phi=0.0, a=0.0, dt=0.0, c_left=0.0, c_right=0.0):
 def sample(state, problem, p_list=(2.0,)):
     """record() of a state, with the audit and traces the runner passes."""
     c = state.c
+    x1c = axial_coordinate(state.grid) * c
     au = Audit(mass=integrate(state.grid, c), entropy=entropy_of(state.grid, c),
-               linf=float(np.max(np.abs(c))), x1c=axial_coordinate(state.grid) * c)
+               linf=float(np.max(np.abs(c))), min=float(np.min(c)), x1c=x1c,
+               x1c_max=float(np.max(x1c)),
+               marg_max=float(np.max(axial_marginal(state.grid, c)))
+               if isinstance(state.grid, GridCyl) else None)
     return record(state, problem, 0.0, p_list, end_traces(state), au)
 
 
@@ -210,9 +215,9 @@ def test_dissipation_residuals_heat_oracle_first_order():
             prob, g, c0, StepOptions(dt_max=0.02 / N),
             StopRule(t_end=0.02, sample_every=4, store_fields_every=1),
         )
-        fields = [(t, c) for t, c, _a in traj.fields]
-        a_vals = [a for _t, _c, a in traj.fields]
-        ent, lp, _ = dissipation_residuals(g, fields, a_vals, entropies(g, fields), p=2.0)
+        # with a field kept at every sample, fields and records align one to one
+        a_vals = [r.a for r in traj.records]
+        ent, lp, _ = dissipation_residuals(g, traj.fields, a_vals, entropies(g, traj.fields), p=2.0)
         return ent, lp
 
     e1, l1 = resid(64)
@@ -230,9 +235,8 @@ def test_entropy_sign_check_on_subcritical_run():
         interval_problem(), g, c0, StepOptions(dt_max=2e-4),
         StopRule(t_end=0.5, sample_every=10, store_fields_every=1),
     )
-    fields = [(t, c) for t, c, _a in traj.fields]
-    a_vals = [a for _t, _c, a in traj.fields]
-    _, _, inc = dissipation_residuals(g, fields, a_vals, entropies(g, fields), p=2.0)
+    a_vals = [r.a for r in traj.records]  # one record per kept field
+    _, _, inc = dissipation_residuals(g, traj.fields, a_vals, entropies(g, traj.fields), p=2.0)
     assert inc <= 1e-8  # entropy nonincreasing for M <= 1
     assert rep.entropy_step_increase_max <= 1e-8
 
