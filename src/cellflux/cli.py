@@ -94,9 +94,7 @@ def _cmd_steady(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    names = [args.preset] if args.preset else [
-        n for n in presets.list_presets() if n in presets._GATES
-    ]
+    names = [args.preset] if args.preset else presets.gated_presets()
     all_ok = True
     for name in names:
         t0 = time.perf_counter()
@@ -110,7 +108,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_list(_args) -> int:
     for name in presets.list_presets():
-        print(f"{name:22s} {presets.DESCRIPTIONS.get(name, '')}")
+        print(f"{name:22s} {presets.description(name)}")
     return 0
 
 

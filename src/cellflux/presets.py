@@ -4,14 +4,18 @@ The preset map is the executable form of the theory checklist: critical mass
 below/above, the explicit blow-up time bound, the subquadratic global regime,
 absorbing (sign-reversed) nonlinearities, small-data exponential convergence,
 superquadratic blow-up at small mass, entropy monotonicity, pure-heat decay
-oracles, and the cylinder runs.  `check_preset` runs one preset and verifies
-its gate; the full map is what CI executes.
+oracles, and the cylinder runs.  Each `_PRESETS` entry states its regime
+once: a description, a gate and a config document.  `judge` gives a run's
+verdict; `check_preset` runs one preset and judges it, as `cellflux check`
+does for every gated preset.  The full map is what CI executes:
+tests/test_acceptance.py runs each gated preset once and judges every run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,193 +23,11 @@ from . import solver1d
 from .grid import build_grid_1d
 from .harness import RunConfig, build_initial, config_from_dict, run_config
 from .problem import ConfigError, DomainSpec
-from .runner import BLOWUP, BOUNDED, CONVERGED
+from .runner import BLOWUP, BOUNDED, CONVERGED, NUMERICAL_FAILURE
 
 PI2 = math.pi**2
-
-
-_PRESETS: dict[str, dict] = {
-    # m = 1, mass below critical: global existence and convergence to the mean
-    "critical_below": dict(
-        problem={"nonlinearity": {"kind": "signed_power", "m": 1.0}},
-        grid={"N": 512},
-        initial={"family": "concentration", "mass": 0.9, "k": 4.0},
-        step={"dt_max": 5e-4},
-        stop={"t_end": 12.0, "converged_tol": 1e-4, "sample_every": 5},
-        out_dir="out/critical_below",
-    ),
-    # m = 1, supercritical mass, concentrated monotone data: finite-time
-    # blow-up within the explicit moment bound
-    "critical_above": dict(
-        problem={"nonlinearity": {"kind": "signed_power", "m": 1.0}},
-        grid={"N": 512, "r": 1.012},
-        initial={"family": "concentration", "mass": 1.5, "k": 4.0},
-        step={"dt_max": 1e-4, "blowup_linf_threshold": 2000.0},
-        stop={"t_end": 3.0},
-        out_dir="out/critical_above",
-    ),
-    # m = 1, M = 2, first moment 0.4: detection must beat the closed-form
-    # upper bound 1/3 (with 10% slack)
-    "moment_bound": dict(
-        problem={"nonlinearity": {"kind": "signed_power", "m": 1.0}},
-        grid={"N": 512, "r": 1.01},
-        initial={"family": "concentration", "mass": 2.0, "k": 1.25},
-        step={"dt_max": 1e-4, "blowup_linf_threshold": 2000.0},
-        stop={"t_end": 2.0},
-        out_dir="out/moment_bound",
-    ),
-    # subquadratic growth: global for arbitrarily large mass
-    "subquadratic": dict(
-        problem={"nonlinearity": {"kind": "sublinear_power", "m": 0.5}},
-        grid={"N": 256},
-        initial={"family": "concentration", "mass": 50.0, "k": 16.0},
-        step={"dt_max": 1e-4, "blowup_linf_threshold": 1e5},
-        stop={"t_end": 1.0, "converged_tol": 1e-5, "sample_every": 5},
-        out_dir="out/subquadratic",
-    ),
-    # absorbing coupling f = -c: global and convergent for any mass
-    "absorbing_m1": dict(
-        problem={"nonlinearity": {"kind": "negative_power", "m": 1.0}},
-        grid={"N": 512},
-        initial={"family": "concentration", "mass": 2.0, "k": 4.0},
-        step={"dt_max": 5e-5},
-        stop={"t_end": 5.0, "converged_tol": 1e-6, "sample_every": 5},
-        out_dir="out/absorbing_m1",
-    ),
-    "absorbing_m2": dict(
-        problem={"nonlinearity": {"kind": "negative_power", "m": 2.0}},
-        grid={"N": 512},
-        initial={"family": "concentration", "mass": 2.0, "k": 2.0},
-        step={"dt_max": 2e-5},
-        stop={"t_end": 5.0, "converged_tol": 1e-6, "sample_every": 5},
-        out_dir="out/absorbing_m2",
-    ),
-    # m = 2 with small L2 data: the L2 norm is a Lyapunov functional and the
-    # solution converges exponentially
-    "small_data_m2": dict(
-        problem={"nonlinearity": {"kind": "signed_power", "m": 2.0}},
-        grid={"N": 256},
-        initial={"family": "cosine", "mean": 0.35, "amp": 0.2},
-        step={"dt_max": 1e-4},
-        stop={"t_end": 5.0, "converged_tol": 1e-7, "sample_every": 5},
-        out_dir="out/small_data_m2",
-    ),
-    # m = 2: blow-up at mass well below the m = 1 critical value, under the
-    # explicit small-first-moment condition
-    # cell traces here: the Robin closure's fixed point degenerates once
-    # |a| h/2 nears 1/(m+1), which for m = 2 sits inside the fit range
-    "superlinear_blowup": dict(
-        problem={"nonlinearity": {"kind": "signed_power", "m": 2.0}},
-        grid={"N": 512, "r": 1.01},
-        initial={"family": "concentration", "mass": 1.0, "k": 4.5},
-        step={
-            "dt_max": 1e-4, "blowup_linf_threshold": 1600.0, "c_bu": 0.35,
-            "dt_min": 1e-14, "trace_mode": "cell",
-        },
-        stop={"t_end": 1.0},
-        out_dir="out/superlinear_blowup",
-    ),
-    # entropy is nonincreasing for m = 1 whenever M <= 1
-    "entropy_low_mass": dict(
-        problem={"nonlinearity": {"kind": "signed_power", "m": 1.0}},
-        grid={"N": 512},
-        initial={"family": "concentration", "mass": 0.5, "k": 4.0},
-        step={"dt_max": 2e-4},
-        stop={"t_end": 8.0, "converged_tol": 1e-5, "sample_every": 5},
-        out_dir="out/entropy_low_mass",
-    ),
-    "critical_mass_exact": dict(
-        problem={"nonlinearity": {"kind": "signed_power", "m": 1.0}},
-        grid={"N": 512},
-        initial={"family": "concentration", "mass": 1.0, "k": 4.0},
-        step={"dt_max": 2e-4},
-        stop={"t_end": 5.0, "sample_every": 5},
-        out_dir="out/critical_mass_exact",
-    ),
-    # vanishing coupling (saturating with tiny level): a pure heat run whose
-    # decay rate is the first Neumann eigenvalue pi^2/L^2
-    "heat_decay": dict(
-        problem={"nonlinearity": {"kind": "saturating", "level": 1e-30, "alpha": 1.0}},
-        grid={"N": 256},
-        initial={"family": "cosine", "mean": 1.0, "amp": 0.1},
-        step={"dt_max": 1e-4},
-        stop={"t_end": 2.0, "converged_tol": 1e-6, "sample_every": 2},
-        out_dir="out/heat_decay",
-    ),
-    # genuinely coupled m = 1 run with mirror-symmetric data: a vanishes by
-    # symmetry and the mode decays at the heat rate of its own wavelength,
-    # (2 pi / L)^2
-    "sym_cosine_m1": dict(
-        problem={"nonlinearity": {"kind": "signed_power", "m": 1.0}},
-        grid={"N": 256},
-        initial={"family": "cosine", "mean": 1.0, "amp": 0.1, "modes": 2},
-        step={"dt_max": 2e-5},
-        stop={"t_end": 0.5, "converged_tol": 1e-6, "sample_every": 2},
-        out_dir="out/sym_cosine_m1",
-    ),
-    # cylinder with unit cross-section and rho-independent data: must shadow
-    # the 1D run (checked stepwise by its gate)
-    "cyl_reduction": dict(
-        problem={
-            "nonlinearity": {"kind": "signed_power", "m": 1.0},
-            "domain": {"geometry": "cylinder", "L": 1.0, "R": 0.5, "n": 2},
-        },
-        grid={"N": 256, "Nr": 8},
-        initial={"family": "concentration", "mass": 0.9, "k": 4.0},
-        step={"dt_max": 2.5e-5},
-        stop={"t_end": 0.3, "sample_every": 10},
-        out_dir="out/cyl_reduction",
-    ),
-    # axisymmetric cylinder blow-up with the axial-marginal profile bound
-    "cyl_blowup": dict(
-        problem={
-            "nonlinearity": {"kind": "signed_power", "m": 1.0},
-            "domain": {"geometry": "cylinder", "L": 1.0, "R": 1.0, "n": 3},
-        },
-        grid={"N": 256, "r": 1.03, "Nr": 16},
-        initial={"family": "concentration", "mass": 2.0, "k": 6.0, "radial_amp": 0.5},
-        step={"dt_max": 2e-5, "cfl": 0.35, "blowup_linf_threshold": 600.0},
-        stop={"t_end": 2.0},
-        out_dir="out/cyl_blowup",
-    ),
-    # sweep base config for the critical-mass bisection (use with `sweep`)
-    "sweep_critical": dict(
-        problem={"nonlinearity": {"kind": "signed_power", "m": 1.0}},
-        grid={"N": 512, "r": 1.002},
-        initial={"family": "concentration", "mass": 1.0, "k": 8.0},
-        step={"dt_max": 1e-3, "cfl": 0.8, "blowup_linf_threshold": 100.0},
-        stop={"t_end": 2.0, "converged_tol": 1e-3, "sample_every": 50},
-        out_dir="out/sweep_critical",
-    ),
-}
-
-DESCRIPTIONS = {
-    "critical_below": "m=1, M=0.9 concentrated: converges to the mean",
-    "critical_above": "m=1, M=1.5 concentrated: blow-up within the moment bound",
-    "moment_bound": "m=1, M=2, phi(0)=0.4: detection beats the 1/3 bound",
-    "subquadratic": "m=0.5, M=50: stays bounded, no blow-up",
-    "absorbing_m1": "f=-c, M=2: global, converges with positive rate",
-    "absorbing_m2": "f=-c^2, M=2: global, converges with positive rate",
-    "small_data_m2": "m=2 small L2 data: L2 monotone, exponential convergence",
-    "superlinear_blowup": "m=2, M=1 concentrated: blow-up below critical mass",
-    "entropy_low_mass": "m=1, M=0.5: per-step entropy decrease",
-    "critical_mass_exact": "m=1, M=1.0: bounded with per-step entropy decrease",
-    "heat_decay": "vanishing coupling: decay rate pi^2 (heat oracle)",
-    "sym_cosine_m1": "m=1 symmetric cosine: a=0, decay rate (2pi)^2",
-    "cyl_reduction": "cylinder, rho-independent data: shadows the 1D run",
-    "cyl_blowup": "n=3 cylinder blow-up with the x1*c <= M0 bound",
-    "sweep_critical": "base config for the critical-mass sweep",
-}
-
-
-def list_presets() -> list[str]:
-    return sorted(_PRESETS)
-
-
-def preset_config(name: str) -> RunConfig:
-    if name not in _PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; try one of {', '.join(list_presets())}")
-    return config_from_dict(_PRESETS[name])
+# the largest relative mass drift a gated run may show (AC1's bound)
+MASS_DRIFT_BOUND = 1e-12
 
 
 def _gate_converged(traj, rep, cfg, msgs) -> bool:
@@ -309,34 +131,198 @@ def _gate_cyl_blowup(traj, rep, cfg, msgs) -> bool:
     )
 
 
-_GATES = {
-    "critical_below": _gate_converged,
-    "critical_above": _gate_blowup_bound,
-    "moment_bound": _gate_blowup_bound,
-    "subquadratic": _gate_no_blowup,
-    "absorbing_m1": _gate_converged,
-    "absorbing_m2": _gate_converged,
-    "small_data_m2": _gate_small_data,
-    "superlinear_blowup": _gate_superlinear,
-    "entropy_low_mass": _gate_entropy,
-    "critical_mass_exact": _gate_entropy,
-    "heat_decay": _gate_rate(PI2),
-    "sym_cosine_m1": _gate_sym_cosine,
-    "cyl_reduction": _gate_cyl_reduction,
-    "cyl_blowup": _gate_cyl_blowup,
+class _Preset(NamedTuple):
+    description: str
+    gate: Callable | None  # gate(traj, rep, cfg, msgs) -> ok; None for a sweep base config
+    doc: dict  # the config document, less its out_dir
+
+
+def _preset(description: str, gate: Callable | None, **doc) -> _Preset:
+    return _Preset(description, gate, doc)
+
+
+_PRESETS = {
+    "critical_below": _preset(
+        "m=1, M=0.9 concentrated: converges to the mean", _gate_converged,
+        problem={"nonlinearity": {"kind": "signed_power", "m": 1.0}},
+        grid={"N": 512},
+        initial={"family": "concentration", "mass": 0.9, "k": 4.0},
+        step={"dt_max": 5e-4},
+        stop={"t_end": 12.0, "converged_tol": 1e-4, "sample_every": 5},
+    ),
+    "critical_above": _preset(
+        "m=1, M=1.5 concentrated: blow-up within the moment bound", _gate_blowup_bound,
+        problem={"nonlinearity": {"kind": "signed_power", "m": 1.0}},
+        grid={"N": 512, "r": 1.012},
+        initial={"family": "concentration", "mass": 1.5, "k": 4.0},
+        step={"dt_max": 1e-4, "blowup_linf_threshold": 2000.0},
+        stop={"t_end": 3.0},
+    ),
+    "moment_bound": _preset(
+        "m=1, M=2, phi(0)=0.4: detection beats the 1/3 bound", _gate_blowup_bound,
+        problem={"nonlinearity": {"kind": "signed_power", "m": 1.0}},
+        grid={"N": 512, "r": 1.01},
+        initial={"family": "concentration", "mass": 2.0, "k": 1.25},
+        step={"dt_max": 1e-4, "blowup_linf_threshold": 2000.0},
+        stop={"t_end": 2.0},
+    ),
+    "subquadratic": _preset(
+        "m=0.5, M=50: stays bounded, no blow-up", _gate_no_blowup,
+        problem={"nonlinearity": {"kind": "sublinear_power", "m": 0.5}},
+        grid={"N": 256},
+        initial={"family": "concentration", "mass": 50.0, "k": 16.0},
+        step={"dt_max": 1e-4, "blowup_linf_threshold": 1e5},
+        stop={"t_end": 1.0, "converged_tol": 1e-5, "sample_every": 5},
+    ),
+    "absorbing_m1": _preset(
+        "f=-c, M=2: global, converges with positive rate", _gate_converged,
+        problem={"nonlinearity": {"kind": "negative_power", "m": 1.0}},
+        grid={"N": 512},
+        initial={"family": "concentration", "mass": 2.0, "k": 4.0},
+        step={"dt_max": 5e-5},
+        stop={"t_end": 5.0, "converged_tol": 1e-6, "sample_every": 5},
+    ),
+    "absorbing_m2": _preset(
+        "f=-c^2, M=2: global, converges with positive rate", _gate_converged,
+        problem={"nonlinearity": {"kind": "negative_power", "m": 2.0}},
+        grid={"N": 512},
+        initial={"family": "concentration", "mass": 2.0, "k": 2.0},
+        step={"dt_max": 2e-5},
+        stop={"t_end": 5.0, "converged_tol": 1e-6, "sample_every": 5},
+    ),
+    "small_data_m2": _preset(
+        "m=2 small L2 data: L2 monotone, exponential convergence", _gate_small_data,
+        problem={"nonlinearity": {"kind": "signed_power", "m": 2.0}},
+        grid={"N": 256},
+        initial={"family": "cosine", "mean": 0.35, "amp": 0.2},
+        step={"dt_max": 1e-4},
+        stop={"t_end": 5.0, "converged_tol": 1e-7, "sample_every": 5},
+    ),
+    # cell traces here: the Robin closure's fixed point degenerates once
+    # |a| h/2 nears 1/(m+1), which for m = 2 sits inside the fit range
+    "superlinear_blowup": _preset(
+        "m=2, M=1 concentrated: blow-up below critical mass", _gate_superlinear,
+        problem={"nonlinearity": {"kind": "signed_power", "m": 2.0}},
+        grid={"N": 512, "r": 1.01},
+        initial={"family": "concentration", "mass": 1.0, "k": 4.5},
+        step={
+            "dt_max": 1e-4, "blowup_linf_threshold": 1600.0, "c_bu": 0.35,
+            "dt_min": 1e-14, "trace_mode": "cell",
+        },
+        stop={"t_end": 1.0},
+    ),
+    # the entropy is nonincreasing for m = 1 whenever M <= 1
+    "entropy_low_mass": _preset(
+        "m=1, M=0.5: per-step entropy decrease", _gate_entropy,
+        problem={"nonlinearity": {"kind": "signed_power", "m": 1.0}},
+        grid={"N": 512},
+        initial={"family": "concentration", "mass": 0.5, "k": 4.0},
+        step={"dt_max": 2e-4},
+        stop={"t_end": 8.0, "converged_tol": 1e-5, "sample_every": 5},
+    ),
+    "critical_mass_exact": _preset(
+        "m=1, M=1.0: bounded with per-step entropy decrease", _gate_entropy,
+        problem={"nonlinearity": {"kind": "signed_power", "m": 1.0}},
+        grid={"N": 512},
+        initial={"family": "concentration", "mass": 1.0, "k": 4.0},
+        step={"dt_max": 2e-4},
+        stop={"t_end": 5.0, "sample_every": 5},
+    ),
+    # a saturating law with a tiny level makes the coupling vanish, so the
+    # decay rate is the first Neumann eigenvalue pi^2/L^2
+    "heat_decay": _preset(
+        "vanishing coupling: decay rate pi^2 (heat oracle)", _gate_rate(PI2),
+        problem={"nonlinearity": {"kind": "saturating", "level": 1e-30, "alpha": 1.0}},
+        grid={"N": 256},
+        initial={"family": "cosine", "mean": 1.0, "amp": 0.1},
+        step={"dt_max": 1e-4},
+        stop={"t_end": 2.0, "converged_tol": 1e-6, "sample_every": 2},
+    ),
+    # a genuinely coupled run: mirror-symmetric data make a vanish, so the
+    # mode decays at the heat rate of its own wavelength, (2 pi / L)^2
+    "sym_cosine_m1": _preset(
+        "m=1 symmetric cosine: a=0, decay rate (2pi)^2", _gate_sym_cosine,
+        problem={"nonlinearity": {"kind": "signed_power", "m": 1.0}},
+        grid={"N": 256},
+        initial={"family": "cosine", "mean": 1.0, "amp": 0.1, "modes": 2},
+        step={"dt_max": 2e-5},
+        stop={"t_end": 0.5, "converged_tol": 1e-6, "sample_every": 2},
+    ),
+    "cyl_reduction": _preset(
+        "cylinder, rho-independent data: shadows the 1D run", _gate_cyl_reduction,
+        problem={
+            "nonlinearity": {"kind": "signed_power", "m": 1.0},
+            "domain": {"geometry": "cylinder", "L": 1.0, "R": 0.5, "n": 2},
+        },
+        grid={"N": 256, "Nr": 8},
+        initial={"family": "concentration", "mass": 0.9, "k": 4.0},
+        step={"dt_max": 2.5e-5},
+        stop={"t_end": 0.3, "sample_every": 10},
+    ),
+    "cyl_blowup": _preset(
+        "n=3 cylinder blow-up with the x1*c <= M0 bound", _gate_cyl_blowup,
+        problem={
+            "nonlinearity": {"kind": "signed_power", "m": 1.0},
+            "domain": {"geometry": "cylinder", "L": 1.0, "R": 1.0, "n": 3},
+        },
+        grid={"N": 256, "r": 1.03, "Nr": 16},
+        initial={"family": "concentration", "mass": 2.0, "k": 6.0, "radial_amp": 0.5},
+        step={"dt_max": 2e-5, "cfl": 0.35, "blowup_linf_threshold": 600.0},
+        stop={"t_end": 2.0},
+    ),
+    "sweep_critical": _preset(
+        "base config for the critical-mass sweep", None,
+        problem={"nonlinearity": {"kind": "signed_power", "m": 1.0}},
+        grid={"N": 512, "r": 1.002},
+        initial={"family": "concentration", "mass": 1.0, "k": 8.0},
+        step={"dt_max": 1e-3, "cfl": 0.8, "blowup_linf_threshold": 100.0},
+        stop={"t_end": 2.0, "converged_tol": 1e-3, "sample_every": 50},
+    ),
 }
 
+# name -> gate, looked up at each verdict (perfbench wraps its entries)
+_GATES = {name: p.gate for name, p in _PRESETS.items() if p.gate is not None}
 
-def check_preset(name: str):
-    """Run the preset and evaluate its gate.  Returns (ok, messages)."""
+
+def list_presets() -> list[str]:
+    return sorted(_PRESETS)
+
+
+def gated_presets() -> list[str]:
+    """The presets with a gate, sorted: what `cellflux check` runs by default."""
+    return sorted(_GATES)
+
+
+def description(name: str) -> str:
+    return _PRESETS[name].description
+
+
+def preset_config(name: str) -> RunConfig:
+    """The preset's RunConfig, writing to out/NAME."""
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; try one of {', '.join(list_presets())}")
+    return config_from_dict({**_PRESETS[name].doc, "out_dir": f"out/{name}"})
+
+
+def judge(name: str, cfg: RunConfig, traj, rep) -> tuple[bool, list[str]]:
+    """The gated preset's verdict on a run of `cfg`: (ok, messages).  A run
+    that ended NUMERICAL_FAILURE fails on its reason, before the gate; any
+    other run must pass its gate and hold mass to MASS_DRIFT_BOUND."""
+    if rep.outcome == NUMERICAL_FAILURE:
+        return False, [f"outcome {rep.outcome} after {rep.steps} steps: {rep.reason}"]
+    msgs: list[str] = []
+    ok = _GATES[name](traj, rep, cfg, msgs)
+    if rep.mass_drift_max > MASS_DRIFT_BOUND:
+        ok = False
+        msgs.append(f"mass drift {rep.mass_drift_max:.3e} exceeds {MASS_DRIFT_BOUND:g}")
+    msgs.append(f"mass drift {rep.mass_drift_max:.2e} over {rep.steps} steps")
+    return ok, msgs
+
+
+def check_preset(name: str) -> tuple[bool, list[str]]:
+    """Run the preset and judge it.  Returns (ok, messages)."""
     if name not in _GATES:
         raise ConfigError(f"preset {name!r} has no gate (is it a sweep base config?)")
     cfg = preset_config(name)
     _grid, traj, rep = run_config(cfg)
-    msgs: list[str] = []
-    ok = _GATES[name](traj, rep, cfg, msgs)
-    if rep.mass_drift_max > 1e-12:
-        ok = False
-        msgs.append(f"mass drift {rep.mass_drift_max:.3e} exceeds 1e-12")
-    msgs.append(f"mass drift {rep.mass_drift_max:.2e} over {rep.steps} steps")
-    return ok, msgs
+    return judge(name, cfg, traj, rep)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import DomainError
+from .problem import CRITICAL_MASS_TOL, DomainError
 
 
 class SteadyStateError(RuntimeError):
@@ -121,14 +121,14 @@ def find_steady(
         raise DomainError("find_steady expects m >= 1, M > 0, L > 0")
     if m == 1.0:
         # the mass curve is identically 1 for every rate
-        return DEGENERATE_FAMILY if abs(M - 1.0) <= 1e-12 else None
+        return DEGENERATE_FAMILY if abs(M - 1.0) <= CRITICAL_MASS_TOL else None
 
     a_grid = np.logspace(-8, math.log10(a_max), scan_points)
     vals = np.array([mass_of_rate(m, L, a) for a in a_grid])
     if np.any(np.diff(vals) > 1e-14 * vals[:-1]):
         raise SteadyStateError("mass curve is not monotone on the scanned bracket")
 
-    M_top = mass_of_rate(m, L, a_grid[0])  # numerically the a -> 0+ limit
+    M_top = vals[0]  # numerically the a -> 0+ limit
     if M >= M_top:
         return None  # at or above the zero-rate limit (N0 on the unit interval)
     if M < vals[-1]:

@@ -23,7 +23,7 @@ from cellflux.runner import BLOWUP, BOUNDED, CONVERGED, StopRule, run
 from cellflux.solver1d import StepOptions
 from cellflux.steady import find_steady, mass_of_rate
 
-GATED_PRESETS = sorted(set(presets.list_presets()) - {"sweep_critical"})
+GATED_PRESETS = presets.gated_presets()
 
 _cache = {}
 
@@ -62,6 +62,14 @@ def test_criterion_1_mass_conservation():
         True,
         f"worst drift {worst_drift:.2e}, min steps {worst_steps}, max wall {worst_wall:.1f}s",
     )
+
+
+@pytest.mark.parametrize("name", GATED_PRESETS)
+def test_gate(name):
+    # the verdict `cellflux check` prints, on the run this suite shares
+    cfg, _grid, traj, rep, _wall = preset_result(name)
+    ok, msgs = presets.judge(name, cfg, traj, rep)
+    report(f"gate {name}", ok, "; ".join(msgs))
 
 
 def test_criterion_2_critical_mass_sweep():
@@ -251,5 +259,6 @@ def test_criterion_9_global_regimes():
 def test_criterion_10_dimensional_reduction():
     # rho-independent cylinder data with unit cross-section shadows the 1D
     # run stepwise; the gate marches both solvers 1000 steps in lockstep
-    ok, msgs = presets.check_preset("cyl_reduction")
+    cfg, _grid, traj, rep, _wall = preset_result("cyl_reduction")
+    ok, msgs = presets.judge("cyl_reduction", cfg, traj, rep)
     report("AC10 dimensional reduction", ok, "; ".join(msgs))

@@ -5,7 +5,8 @@ crashes traced runs or silently zeroes a per-layer metric; this test catches
 both on short runs in each geometry: every solver layer, the runner's
 entropy_of and record, and adapt_dt once per attempted step; on a short
 scenario, the post-run dissipation check and both CSV writers; and on short
-runs that end in BLOWUP and in CONVERGED, each post-run fit and residual.
+runs that end in BLOWUP and in CONVERGED, each post-run fit and residual;
+and on a short check_preset, its run and its gate.
 
 Both geometries run solver1d's functions.  The tracer still wraps five names
 of cellflux.solver_cyl, which are aliases of them that nothing calls; the
@@ -96,6 +97,33 @@ def test_traced_scenario_records_the_post_run_check_and_both_writers(monkeypatch
         assert layers[name]["calls"] > 0, name
     assert layers["harness.write_timeseries"]["calls"] == layers["harness.write_snapshots"]["calls"] == 1
     assert cellflux.runner.dissipation_residuals.__module__ == "cellflux.diagnostics"
+
+
+def test_traced_check_preset_records_its_run_and_its_gate(monkeypatch):
+    # the gated workloads run check_preset: presets.gate_pct is the span of
+    # the gate entry the verdict looks up, and the run goes through the
+    # run_config name presets imported
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from child import install_trace
+    from spans import Tracer
+
+    preset_config = cellflux.presets.preset_config
+
+    def short(name):
+        cfg = preset_config(name)
+        return replace(cfg, grid=replace(cfg.grid, N=32), stop=replace(cfg.stop, t_end=0.01))
+
+    monkeypatch.setattr(cellflux.presets, "preset_config", short)
+    tr = Tracer()
+    try:
+        install_trace(tr, cellflux)
+        ok, msgs = cellflux.presets.check_preset("critical_mass_exact")
+    finally:
+        tr.restore()
+    layers = tr.summary()
+    assert ok and not tr.errors, msgs
+    assert layers["presets.gate"]["calls"] == 1
+    assert layers["harness.run_config"]["calls"] == 1
 
 
 POST_RUN = ("fit_blowup", "fit_decay", "decay_tail", "moment_residual")

@@ -584,7 +584,7 @@ def test_cli_steady_and_list():
     assert "moment_bound" in r.stdout
 
 
-GATED = [n for n in list_presets() if n != "sweep_critical"]
+GATED = presets.gated_presets()
 
 
 @pytest.mark.parametrize("failing", [None, "heat_decay"])
@@ -602,6 +602,20 @@ def test_cli_check_without_preset_checks_every_gated_preset(monkeypatch, capsys,
     assert "  detail of cyl_blowup\ncyl_blowup: PASS (" in out
     if failing:
         assert f"\n{failing}: FAIL (" in out
+
+
+@pytest.mark.parametrize("name", ["critical_mass_exact", "entropy_low_mass", "cyl_blowup", "cyl_reduction"])
+def test_a_numerical_failure_fails_its_gate_on_its_reason(name):
+    # one coupling iteration rejects the first step down to the dt floor;
+    # read anyway, these gates would format the maxima of no step, or march
+    # the solvers into the same rejection
+    cfg = preset_config(name)
+    cfg = replace(cfg, step=replace(cfg.step, picard_max_iters=1))
+    _grid, traj, rep = run_config(cfg)
+    assert (rep.outcome, rep.steps) == (NUMERICAL_FAILURE, 0)
+    ok, msgs = presets.judge(name, cfg, traj, rep)
+    assert not ok
+    assert rep.reason and rep.reason in " ".join(msgs)
 
 
 def test_cli_config_takes_a_preset_name_unless_a_file_has_it(tmp_path, monkeypatch, capsys):
