@@ -17,8 +17,8 @@ from .grid import Grid1D, GridCyl, integrate
 from .problem import ProblemSpec
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_BLOCK = 16  # field pairs per batch of dissipation_residuals; at 64 the
-# temporaries raise a 5,835-field run's peak RSS by about 1 MB
+_BLOCK = 16  # intervals per block of dissipation_residuals; the runner checks
+# one block at a time as it samples, so it holds at most _BLOCK + 1 fields for it
 
 
 @dataclass

@@ -303,7 +303,7 @@ def run_config(cfg: RunConfig):
     """Execute the run described by cfg in memory; returns (grid, traj, report)."""
     grid = cfg.grid.build(cfg.problem.domain)
     c0 = build_initial(cfg.initial, grid, cfg.problem.domain, cfg.seed)
-    traj, rep = run(cfg.problem, grid, c0, cfg.step, cfg.stop, cfg.p_list)
+    traj, rep = run(cfg.problem, grid, c0, cfg.step, cfg.stop, cfg.p_list, cfg.snapshot_times)
     return grid, traj, rep
 
 
@@ -311,15 +311,12 @@ def run_scenario(cfg: RunConfig, out_dir: str | None = None):
     """run_config(cfg), then write timeseries.csv, snapshots.csv, report.json.
 
     Returns the RunReport.  snapshots.csv holds the initial field
-    (traj.fields[0]) and the first sampled field at or after each requested
-    time; a time the run never reaches gets no row.  report.json echoes cfg
-    as given, without the field-keeping override that requested times make.
+    (traj.fields[0]) and the first sample at or after each requested time,
+    which the runner keeps in traj.fields; a time the run never reaches gets
+    no row.  report.json echoes cfg as given.
     """
     want = sorted(cfg.snapshot_times)
-    run_cfg = cfg
-    if want and cfg.stop.store_fields_every == 0:
-        run_cfg = replace(cfg, stop=replace(cfg.stop, store_fields_every=1))
-    grid, traj, rep = run_config(run_cfg)
+    grid, traj, rep = run_config(cfg)
     snaps = [traj.fields[0]]
     for t, c in traj.fields:
         while want and t >= want[0]:

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 KINDS = ("signed_power", "negative_power", "sublinear_power", "saturating")
 HOMOGENEOUS = ("signed_power", "negative_power", "sublinear_power")  # f(s/lam) = lam^-m f(s), lam > 0
 GEOMETRIES = ("interval", "cylinder")
@@ -76,13 +78,14 @@ class NonlinearitySpec:
 
 
 def eval_f(spec: NonlinearitySpec, s):
-    """f(s), the one body of f: Python operators only, so s is a float or an
-    ndarray.  Kinds defined on s >= 0 take the nonnegative part of s, since
-    cells may carry roundoff negatives."""
+    """f(s), the one body of f, for s a float or an ndarray.  Kinds defined
+    on s >= 0 take the nonnegative part of s, since cells may carry roundoff
+    negatives: one comparison of a float, which stays a Python float, or one
+    np.maximum of an array.  Neither can overflow, and NaN stays NaN."""
     k = spec.kind
     if k == "signed_power":
         return s * abs(s) ** (spec.m - 1.0)
-    s = (s + abs(s)) * 0.5
+    s = (0.0 if s <= 0.0 else s) if isinstance(s, float) else np.maximum(s, 0.0)
     if k == "negative_power":
         return -(s**spec.m)
     if k == "sublinear_power":

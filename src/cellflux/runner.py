@@ -9,9 +9,11 @@ entropy by grid.integrate, x1 c once, and the cylinder's axial marginal.
 adapt_dt and each FunctionalRecord reuse it.  The loop's only products are
 traj and rep: per-step tallies go on the RunReport, each sample's max
 x1^(1/m) c on its record, and (t, c) snapshots past traj.fields[0] are kept,
-at samples, only if asked.  _post_run, a function of traj and rep, adds the
-fits, identity residuals, and the thresholds problem.thresholds gives the
-run's law of f.
+at samples, only if asked.  On the interval the loop also checks the entropy
+and L^p dissipation identities as it samples, one block of dissipation_residuals
+per _BLOCK intervals, so no field is held for them longer than its block.
+_post_run, a function of traj and rep, adds the fits, the first-moment
+residual, and the thresholds problem.thresholds gives the run's law of f.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 from . import solver1d
 from .diagnostics import (
+    _BLOCK,
     Audit,
     RunReport,
     axial_coordinate,
@@ -94,7 +97,8 @@ def _step_halving(problem: ProblemSpec, state, dt: float, opts: StepOptions):
                 raise
 
 
-def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_list=(2.0,)):
+def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_list=(2.0,),
+        snapshot_times=()):
     """March from c0 until convergence, blow-up detection, or t_end,
     recording the L^p norms of the exponents in p_list.
 
@@ -109,7 +113,15 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
     (_field_failure); initial data that fail it end the run at t = 0 with
     its one record, before the mass check and with no thresholds or fits.
     Every other run ends in _post_run, which fills in the report's fits,
-    residuals and thresholds.
+    moment residual and thresholds.
+
+    traj.fields keeps the t = 0 field, every store_fields_every-th sample and
+    then the final state, and the first sample at or after each of
+    snapshot_times.  The dissipation residuals, on the interval only, cover
+    the t = 0 field, every store_fields_every-th sample (every sample if it
+    is 0 and snapshot_times is not empty) and the final state; they are None
+    unless at least 2 fields are covered and every committed field is
+    positive.
     """
     if not isinstance(grid, (Grid1D, GridCyl)):
         raise TypeError(f"not a grid: {type(grid)!r}")
@@ -151,18 +163,43 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
     except StepRejected:
         pass  # unresolvable closure at t = 0; the step loop will classify
     traj = Trajectory()
+    every = stop.store_fields_every
+    cover = 0 if cyl else every or (1 if snapshot_times else 0)  # residual cadence, in samples
+    want = sorted(snapshot_times)
+    win = []  # (record, field) of each covered sample since the last block
+
+    def fold():
+        """Fold the window's intervals, one block of dissipation_residuals,
+        into rep's residual maxima, then hold only the window's last field."""
+        if rep.min_c > 0.0:  # else the residuals end as None
+            ent, lp, _ = dissipation_residuals(grid, [(r.t, c) for r, c in win], [r.a for r, _c in win],
+                                               [r.entropy for r, _c in win], p_list[0])
+            rep.entropy_residual = ent if rep.entropy_residual is None else max(rep.entropy_residual, ent)
+            rep.lp_residual = lp if rep.lp_residual is None else max(rep.lp_residual, lp)
+        del win[:-1]
+
+    def take(r, kept: bool, covered: bool):
+        """Copy the state's field once: into traj.fields if kept, and into
+        the residual window, with its record r, if covered."""
+        if kept or covered:
+            c = state.c.copy()
+            if kept:
+                traj.fields.append((state.t, c))
+            if covered:
+                win.append((r, c))
+                if len(win) > _BLOCK:
+                    fold()
 
     # au is the audit of the current state in sample
-    def keep():
-        traj.fields.append((state.t, state.c.copy()))
-
     def sample(dt: float):
-        n, every = len(traj.records), stop.store_fields_every
+        n = len(traj.records)
         r = record(state, problem, dt, p_list, solver1d.end_traces(state), au)
         r.xpow = au.x1c_max if x1_pow is None else float(np.max(x1_pow * state.c))
         traj.records.append(r)
-        if n == 0 or (every and n % every == 0):
-            keep()
+        snap = bool(want) and state.t >= want[0]
+        while want and state.t >= want[0]:
+            want.pop(0)
+        take(r, n == 0 or (every and n % every == 0) or snap, cover and n % cover == 0)
 
     sample(0.0)
     if failure is not None:
@@ -225,8 +262,13 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
     rep.t_final, rep.steps = state.t, state.step_count
     if traj.records[-1].t < state.t:
         sample(last_dt)
-    if stop.store_fields_every and traj.fields[-1][0] < state.t:
-        keep()
+    # the final state is kept when fields are kept on a cadence, and covered
+    # whenever the residuals are checked
+    take(traj.records[-1], every and traj.fields[-1][0] < state.t, cover and win[-1][0].t < state.t)
+    if len(win) >= 2:
+        fold()
+    if rep.min_c <= 0.0:
+        rep.entropy_residual = rep.lp_residual = None
     _post_run(problem, grid, traj, rep, p_list)
     return traj, rep
 
@@ -234,10 +276,10 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
 def _post_run(problem, grid, traj, rep, p_list) -> None:
     """Fill in rep from what run recorded, once its loop has ended: the
     per-step maxima as None if no step passed the audit, the split of the
-    samples' max x1^(1/m) c, the outcome's rate fit, the first-moment and
-    dissipation residuals, and the thresholds that hold for the run's law
-    of f.  The fits and residuals are called through this module's names,
-    which perfbench's tracer patches."""
+    samples' max x1^(1/m) c, the outcome's rate fit, the first-moment
+    residual, and the thresholds that hold for the run's law of f.  The fits
+    and the residual are called through this module's names, which
+    perfbench's tracer patches."""
     recs = traj.records
     mass0 = recs[0].mass
     if rep.xc_max_ratio == -math.inf:
@@ -257,13 +299,6 @@ def _post_run(problem, grid, traj, rep, p_list) -> None:
         rep.lambda_fit = fit_decay(decay_tail(recs, mean), mean)
     if len(recs) >= 2:
         rep.moment_residual = moment_residual(recs, mass0, problem.domain.cross_section_volume)
-    if isinstance(grid, Grid1D) and len(traj.fields) >= 2 and rep.min_c > 0.0:
-        # every kept field was kept at a sample: its a and entropy are that record's
-        at = {r.t: r for r in recs}
-        field_recs = [at[t] for t, _c in traj.fields]
-        rep.entropy_residual, rep.lp_residual, _ = dissipation_residuals(
-            grid, traj.fields, [r.a for r in field_recs], [r.entropy for r in field_recs], p_list[0]
-        )
 
     M0 = None if isinstance(grid, Grid1D) else float(np.max(axial_marginal(grid, traj.fields[0][1])))
     phi0 = recs[0].phi

@@ -4,15 +4,17 @@ refactor that renames one of them, or moves a call off the looked-up name,
 crashes traced runs or silently zeroes a per-layer metric; this test catches
 both on short runs in each geometry: every solver layer, the runner's
 entropy_of and record, and adapt_dt once per attempted step; on a short
-scenario, the post-run dissipation check and both CSV writers; and on short
-runs that end in BLOWUP and in CONVERGED, each post-run fit and residual;
-and on a short check_preset, its run and its gate.
+scenario, each block of the dissipation check the runner streams as it
+samples, and both CSV writers; on short runs that end in BLOWUP and in
+CONVERGED, each post-run fit and residual; and on a short check_preset,
+its run and its gate.
 
 Both geometries run solver1d's functions.  The tracer still wraps five names
 of cellflux.solver_cyl, which are aliases of them that nothing calls; the
 last test pins that module to exactly those aliases.
 """
 
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +26,7 @@ import cellflux.presets
 import cellflux.runner
 import cellflux.solver1d
 import cellflux.solver_cyl
+from cellflux.diagnostics import _BLOCK
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -74,8 +77,9 @@ def test_traced_run_records_every_solver_layer(monkeypatch, preset, stop, names,
 
 
 def test_traced_scenario_records_the_post_run_check_and_both_writers(monkeypatch, tmp_path):
-    # heat_scenario's tail: snapshot times keep every sampled field, so the
-    # runner's dissipation check runs on them, and run_scenario writes both CSVs
+    # heat_scenario's tail: with snapshot times the runner's dissipation check
+    # covers every sample, one call per block of _BLOCK intervals, and
+    # run_scenario writes both CSVs
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from child import install_trace
     from spans import Tracer
@@ -92,7 +96,8 @@ def test_traced_scenario_records_the_post_run_check_and_both_writers(monkeypatch
         tr.restore()
     layers = tr.summary()
     assert rep.entropy_residual is not None and not tr.errors
-    assert tr.counts["dissipation_residuals"] == 1
+    samples = len((tmp_path / "run" / "timeseries.csv").read_text().splitlines()) - 1
+    assert tr.counts["dissipation_residuals"] == math.ceil((samples - 1) / _BLOCK) == 4
     for name in ("diagnostics.post_run", "harness.write_timeseries", "harness.write_snapshots"):
         assert layers[name]["calls"] > 0, name
     assert layers["harness.write_timeseries"]["calls"] == layers["harness.write_snapshots"]["calls"] == 1

@@ -19,8 +19,10 @@ from cellflux.diagnostics import (
     moment_residual_m1,
     record,
 )
+from cellflux import runner, solver1d
 from cellflux.grid import GridCyl, build_grid_1d, build_grid_cyl, integrate
 from cellflux.harness import InitialConfig, build_initial
+from cellflux.presets import preset_config
 from cellflux.problem import DomainSpec, NonlinearitySpec, ProblemSpec
 from cellflux.runner import StopRule, run
 from cellflux.solver1d import StepOptions, end_traces, make_state
@@ -306,6 +308,87 @@ def test_dissipation_residuals_match_the_per_interval_loop_bitwise(pairs, p):
         want = dissipation_residuals_reference(g, fields, a_vals, p)
         assert all(math.isfinite(x) for x in want)
         assert [float(x).hex() for x in got] == [x.hex() for x in want]
+
+
+# --- dissipation residuals as the runner streams them ------------------------
+
+
+def field_records(traj):
+    """The record of each kept field: every field is kept at a sample."""
+    at = {r.t: r for r in traj.records}
+    return [at[t] for t, _c in traj.fields]
+
+
+def streamed_and_batched(monkeypatch, prob, g, c0, opts, stop):
+    """(traj, rep, block sizes) of a run whose fields are the covered ones,
+    and the residuals of dissipation_residuals over all of them at once."""
+    sizes = []
+    real = runner.dissipation_residuals
+
+    def counted(grid, fields, *args):
+        sizes.append(len(fields))
+        return real(grid, fields, *args)
+
+    monkeypatch.setattr(runner, "dissipation_residuals", counted)
+    traj, rep = run(prob, g, c0, opts, stop)
+    monkeypatch.undo()
+    recs = field_records(traj)
+    want = dissipation_residuals(g, traj.fields, [r.a for r in recs], [r.entropy for r in recs], 2.0)
+    return traj, rep, sizes, want
+
+
+@pytest.mark.parametrize("every,steps", [(1, 1), (1, 16), (1, 17), (1, 33), (3, 50)])
+def test_streamed_residuals_are_the_batched_ones_bitwise(monkeypatch, every, steps):
+    # dt = 2^-12 is exact and below the CFL limit, so t_end fixes the step
+    # count; with every = 1 the covered fields are the 2, 17, 18 and 34
+    # samples that put the intervals at the block edges
+    g = build_grid_1d(1.0, 32)
+    c0 = 0.9 + 0.3 * np.cos(math.pi * g.centers) + 0.01 * np.random.default_rng(3).random(32)
+    dt = 2.0**-12
+    traj, rep, sizes, want = streamed_and_batched(
+        monkeypatch, interval_problem(), g, c0, StepOptions(dt_max=dt),
+        StopRule(t_end=steps * dt, store_fields_every=every))
+    assert rep.steps == steps and len(traj.records) == steps + 1
+    intervals = len(traj.fields) - 1
+    assert sizes == [17] * (intervals // 16) + ([intervals % 16 + 1] if intervals % 16 else [])
+    assert [rep.entropy_residual.hex(), rep.lp_residual.hex()] == [x.hex() for x in want[:2]]
+    assert rep.entropy_residual > 0.0 and rep.lp_residual > 0.0
+
+
+def test_streamed_residuals_drop_a_nan_interval(monkeypatch):
+    # a NaN cell at step 30 ends the run; its NaN does not lower min_c, so the
+    # residuals are reported over the intervals before it
+    cfg = preset_config("heat_decay")
+    g = cfg.grid.build(cfg.problem.domain)
+    c0 = build_initial(cfg.initial, g, cfg.problem.domain, cfg.seed)
+    real = solver1d.step
+
+    def poisoned(problem, state, dt, opts):
+        new = real(problem, state, dt, opts)
+        if new.step_count == 30:
+            new.c[5] = np.nan
+        return new
+
+    monkeypatch.setattr(solver1d, "step", poisoned)
+    stop = StopRule(t_end=cfg.stop.t_end, sample_every=cfg.stop.sample_every, store_fields_every=1)
+    traj, rep, sizes, want = streamed_and_batched(monkeypatch, cfg.problem, g, c0, cfg.step, stop)
+    assert (rep.outcome, rep.steps) == ("NUMERICAL_FAILURE", 30)
+    assert np.isnan(traj.fields[-1][1][5]) and sizes == [16]
+    assert math.isfinite(rep.entropy_residual) and math.isfinite(rep.lp_residual)
+    assert [rep.entropy_residual.hex(), rep.lp_residual.hex()] == [x.hex() for x in want[:2]]
+
+
+def test_streamed_residuals_are_none_once_a_field_is_not_positive(monkeypatch):
+    # step data are 0 beyond their width: min_c is 0 from t = 0, so no block
+    # is computed and both residuals are None
+    g = build_grid_1d(1.0, 32)
+    prob = interval_problem()
+    c0 = build_initial(InitialConfig(family="step", mass=0.5, width=0.5), g, prob.domain)
+    assert c0.min() == 0.0
+    _traj, rep, sizes, _want = streamed_and_batched(
+        monkeypatch, prob, g, c0, StepOptions(dt_max=2.0**-12), StopRule(t_end=0.01, store_fields_every=1))
+    assert rep.min_c == 0.0 and sizes == []
+    assert rep.entropy_residual is None and rep.lp_residual is None
 
 
 # --- fits --------------------------------------------------------------------

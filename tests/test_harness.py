@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import cellflux.harness
+import cellflux.runner
 from cellflux import cli as cellflux_cli
 from cellflux import presets
-from cellflux.diagnostics import FunctionalRecord
+from cellflux.diagnostics import _BLOCK, FunctionalRecord
 from cellflux.grid import GridCyl, build_grid_1d, build_grid_cyl, integrate
 from cellflux.harness import (
     InitialConfig,
@@ -243,6 +244,57 @@ def test_run_scenario_deterministic_bytes(tmp_path):
     sa = (tmp_path / "a" / "run" / "snapshots.csv").read_bytes()
     sb = (tmp_path / "b" / "run" / "snapshots.csv").read_bytes()
     assert sa == sb
+
+
+def heat_scenario_config(tmp_path, every):
+    """heat_decay with seeded noise and three snapshot times, stopped at 0.6."""
+    doc = config_to_dict(preset_config("heat_decay"))
+    doc["initial"]["noise_amp"] = 0.01
+    doc["seed"] = 1
+    doc["snapshot_times"] = [0.02, 0.25, 0.5]
+    doc["stop"].update(t_end=0.6, store_fields_every=every)
+    doc["out_dir"] = str(tmp_path / f"every{every}")
+    return config_from_dict(doc)
+
+
+def test_snapshots_are_the_first_samples_whatever_fields_are_kept(tmp_path):
+    # the first samples at or after 0.02, 0.25 and 0.5 are 0.0202, 0.2502 and
+    # 0.5002; the first fields kept every 7 samples would be 0.0210, 0.2506
+    # and 0.5012
+    out = []
+    for every in (0, 1, 7):
+        run_scenario(heat_scenario_config(tmp_path, every))
+        out.append((tmp_path / f"every{every}" / "snapshots.csv").read_bytes())
+    assert out[0] == out[1] == out[2]
+    ts = sorted({float(line.split(",")[0]) for line in out[0].decode().splitlines()[1:]})
+    samples = [float(line.split(",")[0]) for line in
+               (tmp_path / "every7" / "timeseries.csv").read_text().splitlines()[1:]]
+    assert ts == [0.0] + [min(t for t in samples if t >= want) for want in (0.02, 0.25, 0.5)]
+    assert [round(t, 4) for t in ts] == [0.0, 0.0202, 0.2502, 0.5002]
+
+
+def test_run_scenario_keeps_only_the_snapshot_fields(monkeypatch, tmp_path):
+    # the dissipation check covers every sample, yet the runner holds at most
+    # one block of fields for it, and keeps t = 0 and the two snapshots
+    runs, sizes = [], []
+    real_run, real_check = cellflux.harness.run, cellflux.runner.dissipation_residuals
+
+    def kept(*args):
+        runs.append(real_run(*args))
+        return runs[-1]
+
+    def check(grid, fields, *args):
+        sizes.append(len(fields))
+        return real_check(grid, fields, *args)
+
+    monkeypatch.setattr(cellflux.harness, "run", kept)
+    monkeypatch.setattr(cellflux.runner, "dissipation_residuals", check)
+    cfg = heat_scenario_config(tmp_path, 0)
+    cfg = replace(cfg, stop=replace(cfg.stop, t_end=0.05), snapshot_times=(0.01, 0.03))
+    rep = run_scenario(cfg)
+    (traj, _rep), = runs
+    assert len(traj.fields) == 3 and rep.entropy_residual is not None
+    assert max(sizes) == _BLOCK + 1 and sum(n - 1 for n in sizes) == len(traj.records) - 1
 
 
 def _fmt_reference(x) -> str:

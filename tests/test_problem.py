@@ -52,6 +52,32 @@ def test_eval_f_takes_the_nonnegative_part_on_floats_and_arrays():
     assert eval_f(f, -4.0) == -8.0
 
 
+@pytest.mark.parametrize("kind,m,want", [
+    ("saturating", 1.0, 1.0),  # level 1, alpha 1: 1e308 / (1e308 + 1)
+    ("sublinear_power", 0.5, 1e154),
+    ("negative_power", 1.0, -1e308),
+])
+def test_eval_f_nonnegative_part_does_not_overflow(kind, m, want):
+    # 2s overflows at s = 1e308; f must not, as a float or in an array
+    f = spec(kind, m)
+    got = eval_f(f, 1e308)
+    assert type(got) is float and got == want
+    assert eval_f(f, np.array([1e308, -1e308])).tolist() == [want, 0.0]
+    assert math.isnan(eval_f(f, math.nan)) and np.isnan(eval_f(f, np.array([math.nan]))).all()
+
+
+@pytest.mark.parametrize("kind,m", [("saturating", 1.0), ("sublinear_power", 0.5), ("negative_power", 1.0)])
+def test_eval_f_nonnegative_part_equals_the_sum_form_where_2s_is_finite(kind, m):
+    # (s + |s|) / 2, the nonnegative part before it took one operation
+    rng = np.random.default_rng(7)
+    s = np.concatenate([rng.standard_normal(64) * 10.0 ** rng.integers(-320, 300, 64),
+                        [0.0, -0.0, 5e-324, -5e-324, 8.9e307, -8.9e307]])
+    f = spec(kind, m)
+    # f of an argument that is already nonnegative takes it as it is
+    assert (eval_f(f, s) == eval_f(f, (s + abs(s)) * 0.5)).all()
+    assert all(eval_f(f, v) == eval_f(f, (v + abs(v)) * 0.5) for v in s.tolist())
+
+
 # The two bodies of f that eval_f replaced, kept as references: the
 # interval's scalar f at a trace and the cylinder's vectorized f.
 def f_at_trace_reference(nl, s):
