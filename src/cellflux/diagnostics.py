@@ -1,6 +1,8 @@
 """Monitored functionals, identity residuals, and asymptotic-rate fits.
 
-Everything here is a pure function of sampled data.  The discrete gradient is
+A run's samples are one Records table, a float64 column per functional, and
+everything here is a pure function of sampled data: the residuals, fits and
+tails are array arithmetic on the columns.  The discrete gradient is
 the central difference at interior faces; the identity right-hand sides reuse
 exactly those faces, so a residual isolates time-discretization and
 trace-closure error rather than mixing in a second spatial discretization.
@@ -21,22 +23,54 @@ _BLOCK = 16  # intervals per block of dissipation_residuals; the runner checks
 # one block at a time as it samples, so it holds at most _BLOCK + 1 fields for it
 
 
-@dataclass
-class FunctionalRecord:
-    """One time sample of every monitored functional."""
+COLUMNS = ("t", "dt", "mass", "entropy", "linf", "phi", "a", "u", "c_left", "c_right", "xpow")
 
-    t: float
-    dt: float
-    mass: float
-    entropy: float
-    lp: dict[float, float]
-    linf: float
-    phi: float  # first axial moment, integral of x1 c
-    a: float
-    u: float  # reported cell velocity component, -chi a / |Omega|
-    c_left: float
-    c_right: float
-    xpow: float | None = None  # max x1^(1/m) c, which the runner sets; not a CSV column
+
+class Records:
+    """Every monitored functional of a run's samples, one float64 column each.
+
+    The columns are COLUMNS, read as records.t, records.linf and so on, then
+    one L^p norm per exponent of p_list, read as records.lp[p].  phi is the
+    first axial moment, the integral of x1 c; u the reported cell velocity
+    component, -chi a / |Omega|; xpow the max of x1^(1/m) c, which is not a
+    CSV column.  Each column is a view of the first len(records) entries of
+    one row of a (columns, capacity) buffer, which doubles when full: a
+    sample is one row write of 8 bytes per column, and no Python object.
+    records[rows], for a slice or a boolean mask, is a Records of those
+    samples."""
+
+    def __init__(self, p_list=()):
+        self.p_list = tuple(p_list)
+        self._buf = np.empty((len(COLUMNS) + len(self.p_list), 64))
+        self._n = 0
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, rows) -> Records:
+        out = Records(self.p_list)
+        out._buf = self._buf[:, : self._n][:, rows]
+        out._n = out._buf.shape[1]
+        return out
+
+    def append(self, t, dt, mass, entropy, linf, phi, a, u, c_left, c_right, xpow, lp=()) -> None:
+        """Write one sample as the next row; lp holds its L^p norms in
+        p_list order."""
+        n = self._n
+        if n == self._buf.shape[1]:
+            grown = np.empty((self._buf.shape[0], max(2 * n, 16)))
+            grown[:, :n] = self._buf[:, :n]
+            self._buf = grown
+        self._buf[:, n] = (t, dt, mass, entropy, linf, phi, a, u, c_left, c_right, xpow, *lp)
+        self._n = n + 1
+
+    @property
+    def lp(self) -> dict:
+        return {p: self._buf[len(COLUMNS) + i, : self._n] for i, p in enumerate(self.p_list)}
+
+
+for _k, _name in enumerate(COLUMNS):  # records.t, records.dt, ...: views of their rows
+    setattr(Records, _name, property(lambda self, k=_k: self._buf[k, : self._n]))
 
 
 @dataclass
@@ -113,29 +147,31 @@ def lp_norm(grid, c, p: float) -> float:
     return integrate(grid, np.abs(np.asarray(c)) ** p) ** (1.0 / p)
 
 
-def record(
-    state, problem: ProblemSpec, dt: float, p_list, traces: tuple[float, float], audit: Audit
-) -> FunctionalRecord:
-    """Sample all monitored functionals of a 1D or cylinder state.
+def record(records: Records, state, problem: ProblemSpec, dt: float, traces: tuple[float, float],
+           audit: Audit, xpow: float) -> None:
+    """Sample all monitored functionals of a 1D or cylinder state as the
+    next row of records, with the L^p norms of its p_list.
 
     traces are the state's (c_left, c_right), solver1d.end_traces(state).
     audit is the state's mass, entropy, linf and x1 c as the runner's
-    per-step audit computed them; they are reused, not recomputed.
+    per-step audit computed them; they are reused, not recomputed.  xpow is
+    the state's max x1^(1/m) c, which the runner computes.
     """
     grid = state.grid
-    return FunctionalRecord(
-        t=state.t,
-        dt=dt,
-        mass=audit.mass,
-        entropy=audit.entropy,
-        lp={p: lp_norm(grid, state.c, p) for p in p_list},
-        linf=audit.linf,
-        phi=integrate(grid, audit.x1c),
-        a=state.a,
-        u=-problem.chi * state.a / problem.domain.volume,
-        c_left=traces[0],
-        c_right=traces[1],
-    )
+    records.append(state.t, dt, audit.mass, audit.entropy, audit.linf, integrate(grid, audit.x1c),
+                   state.a, -problem.chi * state.a / problem.domain.volume, traces[0], traces[1], xpow,
+                   [lp_norm(grid, state.c, p) for p in records.p_list])
+
+
+def _pairs(records) -> tuple[np.ndarray, np.ndarray]:
+    """(dt, skip) of consecutive record pairs: the time steps, with 1 in
+    place of each dt <= 0, and where those were; a NaN dt is not skipped."""
+    if len(records) < 2:
+        raise ValueError("need at least two consecutive records")
+    dt = np.diff(records.t)
+    skip = dt <= 0
+    dt[skip] = 1.0  # their results are dropped; keeps the divisions finite
+    return dt, skip
 
 
 def moment_residual(records, M: float, B: float, eps: float = 1e-10) -> float:
@@ -147,42 +183,33 @@ def moment_residual(records, M: float, B: float, eps: float = 1e-10) -> float:
     it holds for every law of f) over consecutive record pairs, with
     midpoint-averaged a and trace difference.  B is the cross-section
     volume, 1 on the interval.  Each defect is taken relative to
-    max(|a M|, B |c_right - c_left|, eps) at the midpoint."""
-    if len(records) < 2:
-        raise ValueError("need at least two consecutive records")
-    worst = 0.0
-    for r0, r1 in zip(records[:-1], records[1:]):
-        dt = r1.t - r0.t
-        if dt <= 0:
-            continue
-        coupling = 0.5 * (r0.a + r1.a) * M
-        boundary = 0.5 * (r0.c_right - r0.c_left + r1.c_right - r1.c_left) * B
-        res = abs((r1.phi - r0.phi) / dt - coupling + boundary)
-        worst = max(worst, res / max(abs(coupling), abs(boundary), eps))
-    return worst
+    max(|a M|, B |c_right - c_left|, eps) at the midpoint.  Pairs with
+    dt <= 0 are skipped, and a NaN defect never wins the max."""
+    dt, skip = _pairs(records)
+    a, cl, cr = records.a, records.c_left, records.c_right
+    with np.errstate(all="ignore"):  # a non-finite final sample's defect is dropped
+        coupling = 0.5 * (a[:-1] + a[1:]) * M
+        boundary = 0.5 * (cr[:-1] - cl[:-1] + cr[1:] - cl[1:]) * B
+        res = np.abs(np.diff(records.phi) / dt - coupling + boundary)
+        rel = res / np.maximum(np.maximum(np.abs(coupling), np.abs(boundary)), eps)
+    return _running_max(0.0, rel[~skip])
 
 
 def moment_residual_m1(records, M: float, eps: float = 1e-10) -> float:
     """Max relative defect of the m = 1 moment identity phi' = (M - 1) a
     over consecutive record pairs, with midpoint-averaged a.  It is the
     identity above with a = B (c_right - c_left), which is f(s) = s."""
-    if len(records) < 2:
-        raise ValueError("need at least two consecutive records")
-    worst = 0.0
-    for r0, r1 in zip(records[:-1], records[1:]):
-        dt = r1.t - r0.t
-        if dt <= 0:
-            continue
-        abar = 0.5 * (r0.a + r1.a)
-        rhs = (M - 1.0) * abar
-        res = abs((r1.phi - r0.phi) / dt - rhs) / max(abs(rhs), eps)
-        worst = max(worst, res)
-    return worst
+    dt, skip = _pairs(records)
+    a = records.a
+    with np.errstate(all="ignore"):
+        rhs = (M - 1.0) * (0.5 * (a[:-1] + a[1:]))
+        rel = np.abs(np.diff(records.phi) / dt - rhs) / np.maximum(np.abs(rhs), eps)
+    return _running_max(0.0, rel[~skip])
 
 
 def _running_max(running: float, vals: np.ndarray) -> float:
     """max(running, *vals) as Python's max takes it left to right: a NaN
-    never wins."""
+    in vals never wins, and a NaN running value always does."""
     vals = vals[~np.isnan(vals)]
     return max(running, float(vals.max())) if vals.size else running
 
@@ -252,8 +279,7 @@ def fit_blowup(records, min_samples: int = 20, decades: float = 2.0):
     (Tstar_fit, beta_fit), or None when the tail spans fewer than `decades`
     decades of linf or fewer than min_samples samples.
     """
-    ts = np.array([r.t for r in records])
-    linf = np.array([r.linf for r in records])
+    ts, linf = records.t, records.linf
     if len(ts) < min_samples:
         return None
     top = linf.max()
@@ -298,19 +324,16 @@ def fit_blowup(records, min_samples: int = 20, decades: float = 2.0):
 def fit_decay(records, mean: float):
     """Exponential decay rate of the sup-side deviation linf - mean.
 
-    Least-squares slope of log(linf - mean) against t over the given records;
-    returns lambda > 0 for decay, or None if fewer than two usable samples.
+    Least-squares slope of log(linf - mean) against t over the records where
+    it is positive; returns lambda > 0 for decay, or None if fewer than two
+    usable samples.
     """
-    ts, ys = [], []
-    for r in records:
-        dev = r.linf - mean
-        if dev > 0.0:
-            ts.append(r.t)
-            ys.append(math.log(dev))
-    if len(ts) < 2:
+    dev = records.linf - mean
+    keep = dev > 0.0
+    if np.count_nonzero(keep) < 2:
         return None
-    ts = np.array(ts)
-    ys = np.array(ys)
+    ts = records.t[keep]
+    ys = np.log(dev[keep])
     tm = ts.mean()
     vx = float(np.sum((ts - tm) ** 2))
     if vx == 0.0:
@@ -323,14 +346,8 @@ def decay_tail(records, mean: float, skip_fraction: float = 0.5):
     """Trailing slice of records on which linf - mean is positive and
     nonincreasing, skipping the leading transient."""
     start = int(len(records) * skip_fraction)
-    tail = records[start:]
-    out = []
-    prev = 0.0  # deviations grow while walking backward along a decaying tail
-    for r in reversed(tail):
-        dev = r.linf - mean
-        if dev <= 0.0 or dev < prev:
-            break
-        out.append(r)
-        prev = dev
-    out.reverse()
-    return out
+    dev = records.linf[start:] - mean
+    # walking backward from the end, a sample ends the tail if its deviation
+    # is not positive or is below the one after it (0 after the last)
+    bad = np.flatnonzero((dev <= 0.0) | (dev < np.append(dev[1:], 0.0)))
+    return records[start + (bad[-1] + 1 if bad.size else 0) :]

@@ -4,8 +4,8 @@ Configs are plain JSON documents mirroring the dataclasses below; unknown
 keys are rejected by name so typos never silently change an experiment.  A
 run writes three artifacts into its output directory:
 
-  timeseries.csv   one row per sampled FunctionalRecord (RFC 4180, 17
-                   significant digits, '.' decimal separator)
+  timeseries.csv   one row per sample of the run's Records table (RFC 4180,
+                   17 significant digits, '.' decimal separator)
   snapshots.csv    cellwise fields at t = 0 and at the first sample at or
                    after each requested snapshot time
   report.json      RunReport + threshold constants + the echoed config
@@ -268,18 +268,22 @@ def _row_format(*specs: str) -> str:
     return ",".join(specs) + "\r\n"
 
 
+_ROWS = 1024  # rows of timeseries.csv formatted per batch
+
+
 def write_timeseries(path: Path, records, p_list) -> None:
     cols = ["t", "dt", "mass", "entropy", "linf"]
     cols += [f"lp_{p:.17g}" for p in p_list]
     cols += ["phi", "a", "u", "c_left", "c_right"]
     row = _row_format(*["%.17g"] * len(cols))
+    columns = [records.t, records.dt, records.mass, records.entropy, records.linf,
+               *[records.lp[p] for p in p_list], records.phi, records.a, records.u,
+               records.c_left, records.c_right]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_row_format(*cols))
-        fh.writelines(
-            row % (r.t, r.dt, r.mass, r.entropy, r.linf, *[r.lp[p] for p in p_list],
-                   r.phi, r.a, r.u, r.c_left, r.c_right)
-            for r in records
-        )
+        # _ROWS rows at a time become Python floats, never every column at once
+        for i in range(0, len(records), _ROWS):
+            fh.writelines(row % vals for vals in zip(*[col[i : i + _ROWS].tolist() for col in columns]))
 
 
 def write_snapshots(path: Path, snaps, grid) -> None:

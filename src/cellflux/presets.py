@@ -28,6 +28,14 @@ from .runner import BLOWUP, BOUNDED, CONVERGED, NUMERICAL_FAILURE
 PI2 = math.pi**2
 # the largest relative mass drift a gated run may show (AC1's bound)
 MASS_DRIFT_BOUND = 1e-12
+# the largest entropy increase over one step (_gate_entropy, AC5)
+ENTROPY_STEP_INCREASE_BOUND = 1e-8
+# the largest L2 increase from one sample to the next, relative to L2 at
+# t = 0 (_gate_small_data, AC9)
+L2_STEP_INCREASE_BOUND = 1e-10
+# the largest max x1 c over the initial max axial marginal M0 on the
+# cylinder (_gate_cyl_blowup, AC7)
+X1C_RATIO_BOUND = 1.0 + 1e-6
 
 
 def _gate_converged(traj, rep, cfg, msgs) -> bool:
@@ -56,27 +64,28 @@ def _gate_no_blowup(traj, rep, cfg, msgs) -> bool:
 
 def _gate_entropy(traj, rep, cfg, msgs) -> bool:
     msgs.append(f"outcome {rep.outcome}, max entropy step increase {rep.entropy_step_increase_max:.3e}")
-    return rep.outcome in (BOUNDED, CONVERGED) and rep.entropy_step_increase_max <= 1e-8
+    return rep.outcome in (BOUNDED, CONVERGED) and rep.entropy_step_increase_max <= ENTROPY_STEP_INCREASE_BOUND
 
 
 def _gate_small_data(traj, rep, cfg, msgs) -> bool:
     if not _gate_converged(traj, rep, cfg, msgs):
         return False
     radius = rep.thresholds["small_data_radius"]
-    l2 = [r.lp[2.0] for r in traj.records]
-    msgs.append(f"initial L2 {l2[0]:.4g} vs radius {radius:.4g}")
-    if not l2[0] < radius:
+    l2 = traj.records.lp[2.0]
+    l2_0 = float(l2[0])
+    msgs.append(f"initial L2 {l2_0:.4g} vs radius {radius:.4g}")
+    if not l2_0 < radius:
         return False
-    worst = max(b - a for a, b in zip(l2[:-1], l2[1:]))
+    worst = float(np.max(np.diff(l2)))
     msgs.append(f"max L2 increase per sample {worst:.3e}")
-    return worst <= 1e-10 * l2[0]
+    return worst <= L2_STEP_INCREASE_BOUND * l2_0
 
 
 def _gate_superlinear(traj, rep, cfg, msgs) -> bool:
     msgs.append(f"outcome {rep.outcome}, beta_fit {rep.beta_fit}")
     if rep.outcome != BLOWUP or rep.beta_fit is None:
         return False
-    phi0 = traj.records[0].phi
+    phi0 = float(traj.records.phi[0])
     K = rep.thresholds["K"]
     msgs.append(f"phi(0) {phi0:.4g} vs K {K:.4g}")
     return phi0 <= K and rep.beta_fit >= 1.0 / (2.0 * cfg.problem.m) - 0.1
@@ -95,7 +104,7 @@ def _gate_rate(target: float):
 
 
 def _gate_sym_cosine(traj, rep, cfg, msgs) -> bool:
-    a_max = max(abs(r.a) for r in traj.records)
+    a_max = float(np.max(np.abs(traj.records.a)))
     msgs.append(f"max |a| {a_max:.3e}")
     return a_max <= 1e-10 and _gate_rate(4.0 * PI2)(traj, rep, cfg, msgs)
 
@@ -126,7 +135,7 @@ def _gate_cyl_blowup(traj, rep, cfg, msgs) -> bool:
     return (
         rep.outcome == BLOWUP
         and rep.x1c_max_ratio is not None
-        and rep.x1c_max_ratio <= 1.0 + 1e-6
+        and rep.x1c_max_ratio <= X1C_RATIO_BOUND
         and rep.marginal_increase_max <= 1e-8
     )
 

@@ -81,13 +81,21 @@ def eval_f(spec: NonlinearitySpec, s):
     """f(s), the one body of f, for s a float or an ndarray.  Kinds defined
     on s >= 0 take the nonnegative part of s, since cells may carry roundoff
     negatives: one comparison of a float, which stays a Python float, or one
-    np.maximum of an array.  Neither can overflow, and NaN stays NaN."""
+    np.maximum of an array.  Neither can overflow, and NaN stays NaN.  Where
+    a power overflows, a float gives the array form's signed inf, not
+    Python's OverflowError."""
     k = spec.kind
     if k == "signed_power":
-        return s * abs(s) ** (spec.m - 1.0)
+        try:
+            return s * abs(s) ** (spec.m - 1.0)
+        except OverflowError:  # only a float's ** raises
+            return math.copysign(math.inf, s)
     s = (0.0 if s <= 0.0 else s) if isinstance(s, float) else np.maximum(s, 0.0)
     if k == "negative_power":
-        return -(s**spec.m)
+        try:
+            return -(s**spec.m)
+        except OverflowError:
+            return -math.inf
     if k == "sublinear_power":
         return s**spec.m
     return spec.level * s / (s + spec.alpha)  # saturating

@@ -6,14 +6,16 @@ the per-step audits (mass drift, positivity, monotonicity, profile bounds,
 per-step entropy change), each on one Audit of one pass over the committed
 field: one max and one min (a NaN or inf shows in one of them), mass and
 entropy by grid.integrate, x1 c once, and the cylinder's axial marginal.
-adapt_dt and each FunctionalRecord reuse it.  The loop's only products are
-traj and rep: per-step tallies go on the RunReport, each sample's max
-x1^(1/m) c on its record, and (t, c) snapshots past traj.fields[0] are kept,
-at samples, only if asked.  On the interval the loop also checks the entropy
-and L^p dissipation identities as it samples, one block of dissipation_residuals
-per _BLOCK intervals, so no field is held for them longer than its block.
+adapt_dt and each sample reuse it.  The loop's only products are traj and
+rep: per-step tallies go on the RunReport, each sample, its max x1^(1/m) c
+included, is one row of traj.records (a diagnostics.Records table, one
+float64 column per functional), and (t, c) snapshots past traj.fields[0] are
+kept, at samples, only if asked.  On the interval the loop also checks the
+entropy and L^p dissipation identities as it samples, one block of
+dissipation_residuals per _BLOCK intervals, so no field is held for them longer than its block.
 _post_run, a function of traj and rep, adds the fits, the first-moment
-residual, and the thresholds problem.thresholds gives the run's law of f.
+residual, and the thresholds problem.thresholds gives the run's law of f,
+each as arithmetic on the columns of traj.records.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from . import solver1d
 from .diagnostics import (
     _BLOCK,
     Audit,
+    Records,
     RunReport,
+    _running_max,
     axial_coordinate,
     axial_marginal,
     decay_tail,
@@ -68,10 +72,10 @@ class StopRule:
 
 @dataclass
 class Trajectory:
-    """A FunctionalRecord per sample, and (t, c) field snapshots, each taken
-    at a sample; fields[0] is t = 0."""
+    """The samples' functionals as one Records table, a row per sample, and
+    (t, c) field snapshots, each taken at a sample; fields[0] is t = 0."""
 
-    records: list = field(default_factory=list)
+    records: Records = field(default_factory=Records)
     fields: list = field(default_factory=list)
 
 
@@ -162,44 +166,45 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
         state.a = solver1d.compute_a(problem, state, opts)
     except StepRejected:
         pass  # unresolvable closure at t = 0; the step loop will classify
-    traj = Trajectory()
+    traj = Trajectory(Records(p_list))
+    recs = traj.records
     every = stop.store_fields_every
     cover = 0 if cyl else every or (1 if snapshot_times else 0)  # residual cadence, in samples
     want = sorted(snapshot_times)
-    win = []  # (record, field) of each covered sample since the last block
+    win = []  # (sample index, field) of each covered sample since the last block
 
     def fold():
         """Fold the window's intervals, one block of dissipation_residuals,
         into rep's residual maxima, then hold only the window's last field."""
         if rep.min_c > 0.0:  # else the residuals end as None
-            ent, lp, _ = dissipation_residuals(grid, [(r.t, c) for r, c in win], [r.a for r, _c in win],
-                                               [r.entropy for r, _c in win], p_list[0])
+            idx = [n for n, _c in win]
+            ent, lp, _ = dissipation_residuals(grid, [(recs.t[n], c) for n, c in win], recs.a[idx],
+                                               recs.entropy[idx], p_list[0])
             rep.entropy_residual = ent if rep.entropy_residual is None else max(rep.entropy_residual, ent)
             rep.lp_residual = lp if rep.lp_residual is None else max(rep.lp_residual, lp)
         del win[:-1]
 
-    def take(r, kept: bool, covered: bool):
+    def take(n: int, kept: bool, covered: bool):
         """Copy the state's field once: into traj.fields if kept, and into
-        the residual window, with its record r, if covered."""
+        the residual window, with its sample index n, if covered."""
         if kept or covered:
             c = state.c.copy()
             if kept:
                 traj.fields.append((state.t, c))
             if covered:
-                win.append((r, c))
+                win.append((n, c))
                 if len(win) > _BLOCK:
                     fold()
 
     # au is the audit of the current state in sample
     def sample(dt: float):
-        n = len(traj.records)
-        r = record(state, problem, dt, p_list, solver1d.end_traces(state), au)
-        r.xpow = au.x1c_max if x1_pow is None else float(np.max(x1_pow * state.c))
-        traj.records.append(r)
+        n = len(recs)
+        xpow = au.x1c_max if x1_pow is None else float(np.max(x1_pow * state.c))
+        record(recs, state, problem, dt, solver1d.end_traces(state), au, xpow)
         snap = bool(want) and state.t >= want[0]
         while want and state.t >= want[0]:
             want.pop(0)
-        take(r, n == 0 or (every and n % every == 0) or snap, cover and n % cover == 0)
+        take(n, n == 0 or (every and n % every == 0) or snap, cover and n % cover == 0)
 
     sample(0.0)
     if failure is not None:
@@ -260,11 +265,11 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
                 break
 
     rep.t_final, rep.steps = state.t, state.step_count
-    if traj.records[-1].t < state.t:
+    if recs.t[-1] < state.t:
         sample(last_dt)
     # the final state is kept when fields are kept on a cadence, and covered
     # whenever the residuals are checked
-    take(traj.records[-1], every and traj.fields[-1][0] < state.t, cover and win[-1][0].t < state.t)
+    take(len(recs) - 1, every and traj.fields[-1][0] < state.t, cover and recs.t[win[-1][0]] < state.t)
     if len(win) >= 2:
         fold()
     if rep.min_c <= 0.0:
@@ -281,14 +286,16 @@ def _post_run(problem, grid, traj, rep, p_list) -> None:
     and the residual are called through this module's names, which
     perfbench's tracer patches."""
     recs = traj.records
-    mass0 = recs[0].mass
+    mass0 = float(recs.mass[0])
     if rep.xc_max_ratio == -math.inf:
         rep.entropy_step_increase_max = rep.monotone_violation_max = rep.xc_max_ratio = None
         rep.x1c_max_ratio = rep.marginal_increase_max = None
     if len(recs) >= 8:
         cut = max(1, (3 * len(recs)) // 4)
-        rep.xpow_sup_early = max(r.xpow for r in recs[:cut])
-        rep.xpow_sup_late = max(r.xpow for r in recs[cut:])
+        # as Python's max takes them: a NaN wins only as a first sample
+        xpow = recs.xpow
+        rep.xpow_sup_early = _running_max(float(xpow[0]), xpow[1:cut])
+        rep.xpow_sup_late = _running_max(float(xpow[cut]), xpow[cut + 1 :])
 
     if rep.outcome == BLOWUP:
         fit = fit_blowup(recs)
@@ -301,7 +308,7 @@ def _post_run(problem, grid, traj, rep, p_list) -> None:
         rep.moment_residual = moment_residual(recs, mass0, problem.domain.cross_section_volume)
 
     M0 = None if isinstance(grid, Grid1D) else float(np.max(axial_marginal(grid, traj.fields[0][1])))
-    phi0 = recs[0].phi
+    phi0 = float(recs.phi[0])
     thr = thresholds(problem, mass0, phi0, M0=M0)
     rep.thresholds = asdict(thr)
     rep.half_moment_ok = phi0 < thr.half_moment_bound

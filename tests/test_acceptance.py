@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from cellflux import presets
-from cellflux.diagnostics import FunctionalRecord, fit_blowup, moment_residual_m1
+from cellflux.diagnostics import COLUMNS, Records, fit_blowup, moment_residual_m1
 from cellflux.grid import build_grid_1d
 from cellflux.harness import run_config, sweep
 from cellflux.problem import DomainSpec, NonlinearitySpec, ProblemSpec
@@ -122,8 +122,9 @@ def _moment_residual_at(N: int) -> float:
         prob, g, c0, StepOptions(dt_max=0.05 / N, trace_mode="cell"),
         StopRule(t_end=0.17, sample_every=1),
     )
-    recs = [r for r in traj.records if 0.05 <= r.t <= 0.15]
-    return moment_residual_m1(recs, recs[0].mass)
+    t = traj.records.t
+    recs = traj.records[(0.05 <= t) & (t <= 0.15)]
+    return moment_residual_m1(recs, recs.mass[0])
 
 
 def test_criterion_4_moment_identity():
@@ -163,7 +164,7 @@ def test_criterion_5_entropy_monotonicity():
                     ("critical_mass_exact", 1.0)]:
         _cfg, _grid, _traj, rep, _w = preset_result(name)
         inc = rep.entropy_step_increase_max
-        ok = ok and inc <= 1e-8
+        ok = ok and inc <= presets.ENTROPY_STEP_INCREASE_BOUND
         detail.append(f"M={M}: max step increase {inc:.2e}")
     report("AC5 entropy monotonicity", ok, "; ".join(detail))
 
@@ -202,7 +203,7 @@ def test_criterion_7_profile_bounds():
             f"x^(1/m)c late/early {rep.xpow_sup_late / rep.xpow_sup_early:.3f}"
         )
     _cfg, _grid, _traj, rep, _w = preset_result("cyl_blowup")
-    ok = ok and rep.x1c_max_ratio <= 1.0 + 1e-6
+    ok = ok and rep.x1c_max_ratio <= presets.X1C_RATIO_BOUND
     detail.append(f"cyl: x1c/M0 {rep.x1c_max_ratio:.4f}")
     report("AC7 profile bounds", ok, "; ".join(detail))
 
@@ -210,12 +211,9 @@ def test_criterion_7_profile_bounds():
 def test_criterion_8_blowup_rate_exponents():
     def synth(tstar, beta):
         t_max = tstar * (1.0 - 10.0 ** (-2.2 / beta))
-        recs = [
-            FunctionalRecord(t=t, dt=0.0, mass=1.0, entropy=0.0, lp={}, phi=0.0,
-                             a=0.0, u=0.0, c_left=0.0, c_right=0.0,
-                             linf=(tstar - t) ** -beta)
-            for t in np.linspace(0.0, t_max, 400)
-        ]
+        recs = Records()
+        for t in np.linspace(0.0, t_max, 400):
+            recs.append(**{**dict.fromkeys(COLUMNS, 0.0), "mass": 1.0, "t": t, "linf": (tstar - t) ** -beta})
         return fit_blowup(recs)
 
     ts1, b1 = synth(1.0, 0.5)
@@ -247,11 +245,11 @@ def test_criterion_9_global_regimes():
         detail.append(f"{name}: {rep.outcome} lambda {rep.lambda_fit:.2f}")
 
     cfg, _g, traj, rep, _w = preset_result("small_data_m2")
-    l2 = [r.lp[2.0] for r in traj.records]
+    l2 = traj.records.lp[2.0]
     radius = rep.thresholds["small_data_radius"]
     ok = ok and l2[0] < radius
     ok = ok and rep.outcome == CONVERGED and rep.lambda_fit > 0
-    ok = ok and max(b - a for a, b in zip(l2[:-1], l2[1:])) <= 1e-10 * l2[0]
+    ok = ok and np.max(np.diff(l2)) <= presets.L2_STEP_INCREASE_BOUND * l2[0]
     detail.append(f"small m=2: {rep.outcome} lambda {rep.lambda_fit:.2f}, L2 monotone")
     report("AC9 global regimes", ok, "; ".join(detail))
 

@@ -6,7 +6,7 @@ quantity per pass: isfinite, max |c|, min c, mass by `integrate`, entropy by
 the masked `np.where` integrand, x1 c and the axial marginal each on their
 own, and each sampled record from scratch.  Every domain integral is
 grid.integrate on both sides, so the run must give bitwise the same t, dt,
-a, linf, mass, entropy, phi and lp in every FunctionalRecord (the audit's
+a, linf, mass, entropy, phi and lp in every sample of traj.records (the audit's
 linf is the one adapt_dt uses, so dt pins it), and bitwise the same report
 fields built from them.  Only the cylinder's marginal fields agree to 1e-13
 relative: the reference sums the axial marginal as np.sum over the axis, in
@@ -19,10 +19,14 @@ Robin trace.
 A third test drives the runner with a stepper that returns non-finite
 fields: NaN, +inf alone or -inf alone must each end as NUMERICAL_FAILURE
 with reason "non-finite field", never as BLOWUP or a negativity failure.
+Their reports' first-moment residual and x1^(1/m) c split come from the
+columns of traj.records; they must equal Python's max over the samples as
+a loop takes it, where a NaN sample never wins unless it comes first.
 A fourth has every step rejected, by the coupling or by a NaN solve, so
 that halving takes dt to its floor: a NUMERICAL_FAILURE too, never a BLOWUP.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -99,6 +103,41 @@ def ref_audit(grid, states, m):
     return out, mass0, M0
 
 
+def moment_residual_reference(recs, M, B, eps=1e-10):
+    """diagnostics.moment_residual as one Python loop over the record pairs,
+    each defect folded in by Python's max."""
+    t, a, phi, cl, cr = (getattr(recs, key).tolist() for key in ("t", "a", "phi", "c_left", "c_right"))
+    worst = 0.0
+    for k in range(len(t) - 1):
+        dt = t[k + 1] - t[k]
+        if dt <= 0:
+            continue
+        coupling = 0.5 * (a[k] + a[k + 1]) * M
+        boundary = 0.5 * (cr[k] - cl[k] + cr[k + 1] - cl[k + 1]) * B
+        res = abs((phi[k + 1] - phi[k]) / dt - coupling + boundary)
+        worst = max(worst, res / max(abs(coupling), abs(boundary), eps))
+    return worst
+
+
+def poisoned_run(monkeypatch, name, bad, at):
+    """(cfg, traj, rep) of the preset's run with one cell of the field that
+    step `at` commits set to bad."""
+    cfg = presets.preset_config(name)
+    grid = cfg.grid.build(cfg.problem.domain)
+    c0 = harness.build_initial(cfg.initial, grid, cfg.problem.domain, cfg.seed)
+    real = solver1d.step
+
+    def poisoned(problem, state, dt, opts):
+        new = real(problem, state, dt, opts)
+        if new.step_count == at:
+            new.c[(1,) * new.c.ndim] = bad
+        return new
+
+    monkeypatch.setattr(solver1d, "step", poisoned)
+    traj, rep = runner.run(cfg.problem, grid, c0, cfg.step, cfg.stop)
+    return cfg, traj, rep
+
+
 def capture_states(monkeypatch):
     """Wrap the stepper so every committed state and the dt it was asked
     for are kept; returns the list they go into."""
@@ -127,19 +166,21 @@ def test_one_pass_audit_matches_separate_passes(monkeypatch, name, stop):
 
     # the initial state as the runner saw it: c0 with its self-consistent a
     state0 = solver1d.make_state(grid, c0)
-    state0.a = traj.records[0].a
+    state0.a = traj.records.a[0]
     states = [state0] + [s for _dt, s in committed]
     dts = [0.0] + [dt for dt, _s in committed]
     by_t = {s.t: (dt, s) for dt, s in zip(dts, states)}
 
     # records bitwise
-    assert len(traj.records) >= 8
-    for r in traj.records:
-        dt, s = by_t[r.t]
+    recs = traj.records
+    assert len(recs) >= 8
+    for k, t in enumerate(recs.t):
+        dt, s = by_t[t]
         want = ref_record(grid, s.c, cfg.p_list)
-        assert (r.t, r.dt, r.a, r.linf) == (s.t, dt, s.a, want["linf"])
-        for key in ("mass", "entropy", "phi", "lp"):
-            assert getattr(r, key) == want[key], key
+        assert (recs.t[k], recs.dt[k], recs.a[k], recs.linf[k]) == (s.t, dt, s.a, want["linf"])
+        for key in ("mass", "entropy", "phi"):
+            assert getattr(recs, key)[k] == want[key], key
+        assert {p: col[k] for p, col in recs.lp.items()} == want["lp"]
 
     # dt of every step from the separate-pass linf (no rejections, no t_end clamp)
     for prev, (dt, _s) in zip(states[:-1], committed):
@@ -159,8 +200,8 @@ def test_one_pass_audit_matches_separate_passes(monkeypatch, name, stop):
         assert abs(rep.marginal_increase_max - want["marginal_increase_max"]) <= REL * M0
 
     # x1^(1/m) c of each sample, on its record and split 3:1 as the runner splits it
-    xpow = [float(np.max(ref_x1(grid) ** (1.0 / prob.m) * by_t[r.t][1].c)) for r in traj.records]
-    assert [r.xpow for r in traj.records] == xpow
+    xpow = [float(np.max(ref_x1(grid) ** (1.0 / prob.m) * by_t[t][1].c)) for t in recs.t]
+    assert recs.xpow.tolist() == xpow
     cut = max(1, (3 * len(xpow)) // 4)
     assert (rep.xpow_sup_early, rep.xpow_sup_late) == (max(xpow[:cut]), max(xpow[cut:]))
 
@@ -176,33 +217,42 @@ def test_cylinder_records_robin_closed_cap_means(monkeypatch):
     traj, _rep = runner.run(cfg.problem, grid, c0, cfg.step, cfg.stop)
     by_t = {s.t: s for _dt, s in committed}
     h0, B = float(grid.axial.widths[0]), grid.ball_volume
-    assert len(traj.records) > 8
-    for r in traj.records[1:]:
-        s = by_t[r.t]
+    recs = traj.records
+    assert len(recs) > 8
+    for t, c_left, c_right in zip(recs.t[1:], recs.c_left[1:], recs.c_right[1:]):
+        s = by_t[t]
         assert s.robin_ends == (True, False)
-        assert r.c_left == pytest.approx((grid.vol @ s.c[0] / B) / (1.0 + 0.5 * s.a * h0), rel=1e-14)
-        assert r.c_right == pytest.approx(grid.vol @ s.c[-1] / B, rel=1e-14)
+        assert c_left == pytest.approx((grid.vol @ s.c[0] / B) / (1.0 + 0.5 * s.a * h0), rel=1e-14)
+        assert c_right == pytest.approx(grid.vol @ s.c[-1] / B, rel=1e-14)
 
 
 @pytest.mark.parametrize("name", ["critical_mass_exact", "cyl_blowup"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_field_is_a_numerical_failure(monkeypatch, name, bad):
-    cfg = presets.preset_config(name)
-    grid = cfg.grid.build(cfg.problem.domain)
-    c0 = harness.build_initial(cfg.initial, grid, cfg.problem.domain, cfg.seed)
-    real = solver1d.step
-
-    def poisoned(problem, state, dt, opts):
-        new = real(problem, state, dt, opts)
-        if new.step_count == 3:
-            new.c[(1,) * new.c.ndim] = bad
-        return new
-
-    monkeypatch.setattr(solver1d, "step", poisoned)
-    traj, rep = runner.run(cfg.problem, grid, c0, cfg.step, cfg.stop)
+    cfg, traj, rep = poisoned_run(monkeypatch, name, bad, 3)
     assert (rep.outcome, rep.reason) == ("NUMERICAL_FAILURE", "non-finite field")
     assert rep.steps == 3 and rep.T_detect is None
-    assert traj.records[-1].t == rep.t_final
+    assert traj.records.t[-1] == rep.t_final
+    # the non-finite final sample is recorded; a NaN defect of its pair is dropped
+    recs = traj.records
+    assert not math.isfinite(recs.linf[-1])
+    want = moment_residual_reference(recs, recs.mass[0], cfg.problem.domain.cross_section_volume)
+    assert rep.moment_residual.hex() == want.hex()
+    assert math.isfinite(want) == (bad != bad)  # NaN: finite; inf: an inf defect
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_final_sample_splits_xpow_as_a_loop_does(monkeypatch, bad):
+    # cyl_blowup samples every step: 13 samples, split 9:4, the last one
+    # non-finite; a NaN never wins either maximum, an inf does
+    cfg, traj, rep = poisoned_run(monkeypatch, "cyl_blowup", bad, 12)
+    recs = traj.records
+    assert (rep.outcome, len(recs)) == ("NUMERICAL_FAILURE", 13)
+    xpow = recs.xpow.tolist()
+    assert (rep.xpow_sup_early, rep.xpow_sup_late) == (max(xpow[:9]), max(xpow[9:]))
+    assert math.isfinite(rep.xpow_sup_early) and math.isfinite(rep.xpow_sup_late) == (bad != np.inf)
+    want = moment_residual_reference(recs, recs.mass[0], cfg.problem.domain.cross_section_volume)
+    assert rep.moment_residual.hex() == want.hex()
 
 
 @pytest.mark.parametrize("name", ["critical_mass_exact", "cyl_blowup"])

@@ -1,12 +1,16 @@
+import gc
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellflux.diagnostics import (
+    COLUMNS,
     Audit,
-    FunctionalRecord,
+    Records,
     axial_coordinate,
     axial_marginal,
     decay_tail,
@@ -36,18 +40,24 @@ def interval_problem(m=1.0, kind="signed_power", chi=1.0):
     )
 
 
-def rec(t, linf=1.0, phi=0.0, a=0.0, dt=0.0, c_left=0.0, c_right=0.0):
-    return FunctionalRecord(
-        t=t, dt=dt, mass=1.0, entropy=0.0, lp={}, linf=linf, phi=phi, a=a,
-        u=0.0, c_left=c_left, c_right=c_right,
-    )
+def table(t, **cols):
+    """A Records of samples at the times t, with the given columns, each a
+    sequence as long as t; mass is 1 and every other column 0."""
+    vals = {name: np.zeros(len(t)) for name in COLUMNS}
+    vals["mass"] = np.ones(len(t))
+    vals.update(t=t, **cols)
+    recs = Records()
+    for k in range(len(t)):
+        recs.append(**{name: vals[name][k] for name in COLUMNS})
+    return recs
 
 
 # --- record ----------------------------------------------------------------
 
 
 def sample(state, problem, p_list=(2.0,)):
-    """record() of a state, with the audit and traces the runner passes."""
+    """The one-row Records that record() makes of a state, with the audit
+    and traces the runner passes."""
     c = state.c
     x1c = axial_coordinate(state.grid) * c
     au = Audit(mass=integrate(state.grid, c), entropy=entropy_of(state.grid, c),
@@ -55,22 +65,25 @@ def sample(state, problem, p_list=(2.0,)):
                x1c_max=float(np.max(x1c)),
                marg_max=float(np.max(axial_marginal(state.grid, c)))
                if isinstance(state.grid, GridCyl) else None)
-    return record(state, problem, 0.0, p_list, end_traces(state), au)
+    recs = Records(p_list)
+    record(recs, state, problem, 0.0, end_traces(state), au, 0.0)
+    assert len(recs) == 1
+    return recs
 
 
 def test_record_constant_state_values():
     g = build_grid_1d(1.0, 64)
     s = make_state(g, np.ones(64))
     r = sample(s, interval_problem())
-    assert r.mass == pytest.approx(1.0)
-    assert r.entropy == pytest.approx(0.0, abs=1e-15)
-    assert r.phi == pytest.approx(0.5, rel=1e-12)
-    assert r.lp[2.0] == pytest.approx(1.0)
+    assert r.mass[0] == pytest.approx(1.0)
+    assert r.entropy[0] == pytest.approx(0.0, abs=1e-15)
+    assert r.phi[0] == pytest.approx(0.5, rel=1e-12)
+    assert r.lp[2.0][0] == pytest.approx(1.0)
 
     s2 = make_state(g, np.full(64, 2.0))
     r2 = sample(s2, interval_problem())
-    assert r2.entropy == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
-    assert r2.lp[2.0] == pytest.approx(2.0)
+    assert r2.entropy[0] == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
+    assert r2.lp[2.0][0] == pytest.approx(2.0)
 
 
 def test_record_cylinder_mass_and_velocity():
@@ -83,9 +96,47 @@ def test_record_cylinder_mass_and_velocity():
         chi=3.0,
     )
     r = sample(s, p)
-    assert r.mass == pytest.approx(math.pi, rel=1e-13)
+    assert r.mass[0] == pytest.approx(math.pi, rel=1e-13)
     # u = -chi a / |Omega|
-    assert r.u == pytest.approx(3.0 * 2.0 / math.pi, rel=1e-13)
+    assert r.u[0] == pytest.approx(3.0 * 2.0 / math.pi, rel=1e-13)
+
+
+def test_records_columns_grow_and_select():
+    # 150 rows outgrow the first buffer twice
+    recs = Records((2.0, 3.0))
+    for k in range(150):
+        recs.append(*[float(k + j) for j in range(len(COLUMNS))], lp=(0.5 * k, 0.25 * k))
+    assert len(recs) == 150
+    for j, name in enumerate(COLUMNS):
+        assert getattr(recs, name).tolist() == [float(k + j) for k in range(150)], name
+    assert list(recs.lp) == [2.0, 3.0] and recs.lp[3.0][-1] == 0.25 * 149
+    tail = recs[recs.t >= 140.0]
+    assert len(tail) == 10 and tail.a.tolist() == recs.a[140:].tolist() and tail.lp[2.0][0] == 70.0
+    assert recs[145:].c_left.tolist() == recs.c_left[145:].tolist()
+    # a selection is a table of its own: appending to it leaves recs as it was
+    tail.append(*[0.0] * len(COLUMNS), lp=(0.0, 0.0))
+    assert len(tail) == 11 and len(recs) == 150 and recs.t[-1] == 149.0
+
+
+def test_a_retained_sample_costs_under_256_bytes():
+    # cyl_blowup samples every step; what its trajectory holds is freed with
+    # it, so the bytes traced before and after `del traj` are its cost
+    cfg = preset_config("cyl_blowup")
+    grid = cfg.grid.build(cfg.problem.domain)
+    c0 = build_initial(cfg.initial, grid, cfg.problem.domain, cfg.seed)
+    stop = replace(cfg.stop, t_end=2.5e-4)
+    tracemalloc.start()
+    try:
+        traj, _rep = run(cfg.problem, grid, c0, cfg.step, stop, cfg.p_list)
+        n = len(traj.records)
+        held = tracemalloc.get_traced_memory()[0]
+        del traj
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert n >= 2000
+    assert freed < 256 * n, f"{freed / n:.0f} bytes per sample"
 
 
 def test_entropy_extends_by_zero_at_vacuum():
@@ -98,7 +149,7 @@ def test_entropy_extends_by_zero_at_vacuum():
 
 
 def test_moment_residual_zero_on_constant_records():
-    recs = [rec(t=0.1 * i, phi=0.5, a=0.0) for i in range(5)]
+    recs = table(0.1 * np.arange(5), phi=np.full(5, 0.5))
     assert moment_residual_m1(recs, M=1.0) == 0.0
     assert moment_residual(recs, M=1.0, B=1.0) == 0.0
 
@@ -108,7 +159,7 @@ def test_moment_residual_exact_on_synthetic_identity():
     # only, far below the 1e-3 scale of real runs
     M = 2.0
     ts = np.linspace(0.0, 1.0, 400)
-    recs = [rec(t=t, phi=0.3 + (M - 1.0) * (1.0 - math.cos(t)), a=math.sin(t)) for t in ts]
+    recs = table(ts, phi=0.3 + (M - 1.0) * (1.0 - np.cos(ts)), a=np.sin(ts))
     assert moment_residual_m1(recs, M=M) < 2e-6
 
 
@@ -119,11 +170,8 @@ def test_general_moment_residual_exact_on_synthetic_identity(B):
     # dt^2/24 times the curvature, 2e-6 at dt = 1/399
     M = 1.5
     ts = np.linspace(0.0, 1.0, 400)
-    recs = [
-        rec(t=t, phi=0.3 + M * (1.0 - math.cos(t)) - B * 0.35 * math.sin(2.0 * t),
-            a=math.sin(t), c_left=0.2, c_right=0.2 + 0.7 * math.cos(2.0 * t))
-        for t in ts
-    ]
+    recs = table(ts, phi=0.3 + M * (1.0 - np.cos(ts)) - B * 0.35 * np.sin(2.0 * ts),
+                 a=np.sin(ts), c_left=np.full(len(ts), 0.2), c_right=0.2 + 0.7 * np.cos(2.0 * ts))
     assert moment_residual(recs, M=M, B=B) < 1e-5
     # the (M - 1) a form misses the trace term
     assert moment_residual_m1(recs, M=M) > 0.1
@@ -131,9 +179,9 @@ def test_general_moment_residual_exact_on_synthetic_identity(B):
 
 def test_moment_residual_needs_two_records():
     with pytest.raises(ValueError):
-        moment_residual_m1([rec(0.0)], M=1.0)
+        moment_residual_m1(table([0.0]), M=1.0)
     with pytest.raises(ValueError):
-        moment_residual([rec(0.0)], M=1.0, B=1.0)
+        moment_residual(table([0.0]), M=1.0, B=1.0)
 
 
 def test_moment_residual_on_genuine_run_small_and_refining():
@@ -149,8 +197,9 @@ def test_moment_residual_on_genuine_run_small_and_refining():
             StepOptions(dt_max=0.05 / N, trace_mode="cell"),
             StopRule(t_end=0.17, sample_every=1),
         )
-        recs = [r for r in traj.records if 0.05 <= r.t <= 0.15]
-        return moment_residual_m1(recs, recs[0].mass)
+        t = traj.records.t
+        recs = traj.records[(0.05 <= t) & (t <= 0.15)]
+        return moment_residual_m1(recs, recs.mass[0])
 
     r512 = residual(512)
     assert r512 <= 1e-3
@@ -218,7 +267,7 @@ def test_dissipation_residuals_heat_oracle_first_order():
             StopRule(t_end=0.02, sample_every=4, store_fields_every=1),
         )
         # with a field kept at every sample, fields and records align one to one
-        a_vals = [r.a for r in traj.records]
+        a_vals = traj.records.a
         ent, lp, _ = dissipation_residuals(g, traj.fields, a_vals, entropies(g, traj.fields), p=2.0)
         return ent, lp
 
@@ -237,7 +286,7 @@ def test_entropy_sign_check_on_subcritical_run():
         interval_problem(), g, c0, StepOptions(dt_max=2e-4),
         StopRule(t_end=0.5, sample_every=10, store_fields_every=1),
     )
-    a_vals = [r.a for r in traj.records]  # one record per kept field
+    a_vals = traj.records.a  # one record per kept field
     _, _, inc = dissipation_residuals(g, traj.fields, a_vals, entropies(g, traj.fields), p=2.0)
     assert inc <= 1e-8  # entropy nonincreasing for M <= 1
     assert rep.entropy_step_increase_max <= 1e-8
@@ -314,8 +363,8 @@ def test_dissipation_residuals_match_the_per_interval_loop_bitwise(pairs, p):
 
 
 def field_records(traj):
-    """The record of each kept field: every field is kept at a sample."""
-    at = {r.t: r for r in traj.records}
+    """The sample index of each kept field: every field is kept at a sample."""
+    at = {t: k for k, t in enumerate(traj.records.t.tolist())}
     return [at[t] for t, _c in traj.fields]
 
 
@@ -332,8 +381,8 @@ def streamed_and_batched(monkeypatch, prob, g, c0, opts, stop):
     monkeypatch.setattr(runner, "dissipation_residuals", counted)
     traj, rep = run(prob, g, c0, opts, stop)
     monkeypatch.undo()
-    recs = field_records(traj)
-    want = dissipation_residuals(g, traj.fields, [r.a for r in recs], [r.entropy for r in recs], 2.0)
+    idx = field_records(traj)
+    want = dissipation_residuals(g, traj.fields, traj.records.a[idx], traj.records.entropy[idx], 2.0)
     return traj, rep, sizes, want
 
 
@@ -397,13 +446,12 @@ def test_streamed_residuals_are_none_once_a_field_is_not_positive(monkeypatch):
 def test_fit_blowup_synthetic_power_laws():
     # samples must span the two decades the fit demands
     ts = np.linspace(0.0, 0.99995, 400)
-    recs = [rec(t=t, linf=(1.0 - t) ** -0.5) for t in ts]
-    tstar, beta = fit_blowup(recs)
+    tstar, beta = fit_blowup(table(ts, linf=(1.0 - ts) ** -0.5))
     assert tstar == pytest.approx(1.0, abs=1e-6)
     assert beta == pytest.approx(0.5, abs=1e-6)
 
-    recs = [rec(t=t, linf=(2.0 - t) ** -1.0) for t in np.linspace(0.0, 1.995, 400)]
-    tstar, beta = fit_blowup(recs)
+    ts = np.linspace(0.0, 1.995, 400)
+    tstar, beta = fit_blowup(table(ts, linf=(2.0 - ts) ** -1.0))
     assert tstar == pytest.approx(2.0, abs=1e-6)
     assert beta == pytest.approx(1.0, abs=1e-6)
 
@@ -413,8 +461,7 @@ def test_fit_blowup_synthetic_power_laws():
 def test_fit_blowup_inverts_any_power_law(tstar_true, beta_true):
     t_max = tstar_true * (1.0 - 10.0 ** (-2.2 / beta_true))
     ts = np.linspace(0.0, t_max, 400)
-    recs = [rec(t=t, linf=(tstar_true - t) ** -beta_true) for t in ts]
-    got = fit_blowup(recs)
+    got = fit_blowup(table(ts, linf=(tstar_true - ts) ** -beta_true))
     assert got is not None
     assert got[0] == pytest.approx(tstar_true, rel=1e-5)
     assert got[1] == pytest.approx(beta_true, rel=1e-4)
@@ -422,14 +469,13 @@ def test_fit_blowup_inverts_any_power_law(tstar_true, beta_true):
 
 def test_fit_blowup_refuses_insufficient_range():
     ts = np.linspace(0.0, 0.5, 100)
-    recs = [rec(t=t, linf=(1.0 - t) ** -0.5) for t in ts]  # spans < 1 decade
-    assert fit_blowup(recs) is None
-    assert fit_blowup([rec(t=0.1 * i, linf=10.0**i) for i in range(5)]) is None  # too few
+    assert fit_blowup(table(ts, linf=(1.0 - ts) ** -0.5)) is None  # spans < 1 decade
+    assert fit_blowup(table(0.1 * np.arange(5), linf=10.0 ** np.arange(5))) is None  # too few
 
 
 def test_fit_decay_synthetic_and_tail_selection():
     ts = np.linspace(0.0, 3.0, 500)
-    recs = [rec(t=t, linf=1.0 + math.exp(-3.0 * t)) for t in ts]
+    recs = table(ts, linf=1.0 + np.exp(-3.0 * ts))
     lam = fit_decay(recs, mean=1.0)
     assert lam == pytest.approx(3.0, abs=1e-8)
     tail = decay_tail(recs, mean=1.0)

@@ -14,7 +14,7 @@ import cellflux.harness
 import cellflux.runner
 from cellflux import cli as cellflux_cli
 from cellflux import presets
-from cellflux.diagnostics import _BLOCK, FunctionalRecord
+from cellflux.diagnostics import _BLOCK, Records
 from cellflux.grid import GridCyl, build_grid_1d, build_grid_cyl, integrate
 from cellflux.harness import (
     InitialConfig,
@@ -318,11 +318,11 @@ def write_timeseries_reference(path, records, p_list):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(cols)
-        for r in records:
-            row = [r.t, r.dt, r.mass, r.entropy, r.linf]
-            row += [r.lp[p] for p in p_list]
-            row += [r.phi, r.a, r.u, r.c_left, r.c_right]
-            w.writerow([_fmt_reference(v) for v in row])
+        for k in range(len(records)):
+            row = [records.t[k], records.dt[k], records.mass[k], records.entropy[k], records.linf[k]]
+            row += [records.lp[p][k] for p in p_list]
+            row += [records.phi[k], records.a[k], records.u[k], records.c_left[k], records.c_right[k]]
+            w.writerow([_fmt_reference(float(v)) for v in row])
 
 
 def write_snapshots_reference(path, snaps, grid):
@@ -353,12 +353,12 @@ ODD_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1.0 / 3.0,
 def test_write_timeseries_matches_csv_writer_bytes(tmp_path):
     p_list = (2.0, 1.5)
     rng = np.random.default_rng(3)
-    records = []
-    for k in range(40):
+    records = Records(p_list)
+    for k in range(2500):  # more rows than write_timeseries formats per batch
         v = [ODD_VALUES[(k + i) % len(ODD_VALUES)] if i % 3 == k % 3 else float(rng.standard_normal())
              for i in range(12)]
-        records.append(FunctionalRecord(t=v[0], dt=v[1], mass=v[2], entropy=v[3], lp={2.0: v[4], 1.5: v[5]},
-                                        linf=v[6], phi=v[7], a=v[8], u=v[9], c_left=v[10], c_right=v[11]))
+        records.append(t=v[0], dt=v[1], mass=v[2], entropy=v[3], lp=(v[4], v[5]), linf=v[6], phi=v[7],
+                       a=v[8], u=v[9], c_left=v[10], c_right=v[11], xpow=0.0)
     write_timeseries(tmp_path / "new.csv", records, p_list)
     write_timeseries_reference(tmp_path / "ref.csv", records, p_list)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -601,8 +601,8 @@ def test_nan_initial_cell_records_nan_entropy():
     })
     _g, traj, rep = run_config(cfg)
     assert rep.outcome == NUMERICAL_FAILURE
-    r = traj.records[0]
-    assert all(math.isnan(v) for v in (r.mass, r.entropy, r.linf, r.phi))
+    r = traj.records
+    assert len(r) == 1 and all(math.isnan(v) for v in (r.mass[0], r.entropy[0], r.linf[0], r.phi[0]))
 
 
 def test_sweep_probe_with_rejected_steps_ends_the_sweep(tmp_path):

@@ -66,6 +66,20 @@ def test_eval_f_nonnegative_part_does_not_overflow(kind, m, want):
     assert math.isnan(eval_f(f, math.nan)) and np.isnan(eval_f(f, np.array([math.nan]))).all()
 
 
+@pytest.mark.parametrize("kind,m", [("signed_power", 2.5), ("negative_power", 2.5),
+                                    ("sublinear_power", 0.5), ("saturating", 1.0)])
+def test_eval_f_of_a_float_is_its_array_form_where_a_power_overflows(kind, m):
+    # (1e300)^2.5 overflows: Python's float ** raises where numpy's gives inf
+    f = spec(kind, m)
+    s = np.array([1e300, -1e300])
+    with np.errstate(over="ignore"):
+        want = eval_f(f, s).tolist()
+    got = [eval_f(f, v) for v in s.tolist()]
+    assert all(type(v) is float for v in got) and got == want
+    if m == 2.5:
+        assert want == ([math.inf, -math.inf] if kind == "signed_power" else [-math.inf, 0.0])
+
+
 @pytest.mark.parametrize("kind,m", [("saturating", 1.0), ("sublinear_power", 0.5), ("negative_power", 1.0)])
 def test_eval_f_nonnegative_part_equals_the_sum_form_where_2s_is_finite(kind, m):
     # (s + |s|) / 2, the nonnegative part before it took one operation
