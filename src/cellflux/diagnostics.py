@@ -19,11 +19,10 @@ from .grid import Grid1D, GridCyl, integrate
 from .problem import ProblemSpec
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_BLOCK = 16  # intervals per block of dissipation_residuals; the runner checks
-# one block at a time as it samples, so it holds at most _BLOCK + 1 fields for it
 
 
-COLUMNS = ("t", "dt", "mass", "entropy", "linf", "phi", "a", "u", "c_left", "c_right", "xpow")
+COLUMNS = ("t", "dt", "mass", "entropy", "linf", "phi", "a", "u", "c_left", "c_right", "xpow",
+           "diss_s", "coup_s", "diss_p", "coup_p")
 
 
 class Records:
@@ -32,12 +31,14 @@ class Records:
     The columns are COLUMNS, read as records.t, records.linf and so on, then
     one L^p norm per exponent of p_list, read as records.lp[p].  phi is the
     first axial moment, the integral of x1 c; u the reported cell velocity
-    component, -chi a / |Omega|; xpow the max of x1^(1/m) c, which is not a
-    CSV column.  Each column is a view of the first len(records) entries of
-    one row of a (columns, capacity) buffer, which doubles when full: a
-    sample is one row write of 8 bytes per column, and no Python object.
-    records[rows], for a slice or a boolean mask, is a Records of those
-    samples."""
+    component, -chi a / |Omega|; xpow the max of x1^(1/m) c.  diss_s,
+    coup_s, diss_p and coup_p are the two sides of the entropy and L^p
+    dissipation identities at the sample (dissipation_terms), NaN where they
+    are not evaluated.  Neither xpow nor those four is a CSV column.  Each
+    column is a view of the first len(records) entries of one row of a
+    (columns, capacity) buffer, which doubles when full: a sample is one row
+    write of 8 bytes per column, and no Python object.  records[rows], for a
+    slice or a boolean mask, is a Records of those samples."""
 
     def __init__(self, p_list=()):
         self.p_list = tuple(p_list)
@@ -53,15 +54,17 @@ class Records:
         out._n = out._buf.shape[1]
         return out
 
-    def append(self, t, dt, mass, entropy, linf, phi, a, u, c_left, c_right, xpow, lp=()) -> None:
+    def append(self, t, dt, mass, entropy, linf, phi, a, u, c_left, c_right, xpow,
+               diss_s=math.nan, coup_s=math.nan, diss_p=math.nan, coup_p=math.nan, lp=()) -> None:
         """Write one sample as the next row; lp holds its L^p norms in
-        p_list order."""
+        p_list order, and the dissipation terms are NaN unless given."""
         n = self._n
         if n == self._buf.shape[1]:
             grown = np.empty((self._buf.shape[0], max(2 * n, 16)))
             grown[:, :n] = self._buf[:, :n]
             self._buf = grown
-        self._buf[:, n] = (t, dt, mass, entropy, linf, phi, a, u, c_left, c_right, xpow, *lp)
+        self._buf[:, n] = (t, dt, mass, entropy, linf, phi, a, u, c_left, c_right, xpow,
+                           diss_s, coup_s, diss_p, coup_p, *lp)
         self._n = n + 1
 
     @property
@@ -147,6 +150,27 @@ def lp_norm(grid, c, p: float) -> float:
     return integrate(grid, np.abs(np.asarray(c)) ** p) ** (1.0 / p)
 
 
+def dissipation_terms(grid: Grid1D, c, a: float, p: float) -> tuple[float, float, float, float]:
+    """(diss_s, coup_s, diss_p, coup_p) of a positive 1D field c at coupling
+    a: the two sides of the entropy and L^p dissipation identities
+
+        d/dt int c log c = -diss_s + coup_s = -int |grad c|^2 / c + a int dc/dx
+        d/dt int c^p     = -diss_p + coup_p
+                         = p(p-1) [ -int c^(p-2) |grad c|^2 + a int c^(p-1) dc/dx ]
+
+    with grad c the central difference dc/d at the interior faces and c at a
+    face the mean fm of its two cells.  The faces' differences sum to
+    c[-1] - c[0].  The sums are taken in s = 2 fm, which saves passes:
+    diss_s = 2 sum g, diss_p = p(p-1) 2^(2-p) sum g s^(p-1) and
+    coup_p = p(p-1) 2^(1-p) a sum s^(p-1) dc, with g = (dc/d) (dc/s)."""
+    dc = c[1:] - c[:-1]
+    s = c[1:] + c[:-1]
+    g = (dc / grid.dist) * (dc / s)
+    sp = s ** (p - 1.0)
+    k = p * (p - 1.0) * 2.0 ** (1.0 - p)
+    return 2.0 * float(g.sum()), a * float(c[-1] - c[0]), 2.0 * k * float(g @ sp), k * a * float(sp @ dc)
+
+
 def record(records: Records, state, problem: ProblemSpec, dt: float, traces: tuple[float, float],
            audit: Audit, xpow: float) -> None:
     """Sample all monitored functionals of a 1D or cylinder state as the
@@ -155,26 +179,41 @@ def record(records: Records, state, problem: ProblemSpec, dt: float, traces: tup
     traces are the state's (c_left, c_right), solver1d.end_traces(state).
     audit is the state's mass, entropy, linf and x1 c as the runner's
     per-step audit computed them; they are reused, not recomputed.  xpow is
-    the state's max x1^(1/m) c, which the runner computes.
+    the state's max x1^(1/m) c, which the runner computes.  The dissipation
+    terms, with p = p_list[0], are evaluated on the interval when the field
+    is positive and finite (audit min > 0, linf < inf), and are NaN
+    otherwise.
     """
     grid = state.grid
+    terms = ()
+    if audit.min > 0.0 and audit.linf < math.inf and isinstance(grid, Grid1D):
+        terms = dissipation_terms(grid, state.c, state.a, records.p_list[0])
     records.append(state.t, dt, audit.mass, audit.entropy, audit.linf, integrate(grid, audit.x1c),
                    state.a, -problem.chi * state.a / problem.domain.volume, traces[0], traces[1], xpow,
-                   [lp_norm(grid, state.c, p) for p in records.p_list])
+                   *terms, lp=[lp_norm(grid, state.c, p) for p in records.p_list])
 
 
 def _pairs(records) -> tuple[np.ndarray, np.ndarray]:
     """(dt, skip) of consecutive record pairs: the time steps, with 1 in
-    place of each dt <= 0, and where those were; a NaN dt is not skipped."""
+    place of each dt <= 0, and which pairs to drop: those with dt <= 0 and
+    those with a non-finite linf at either end.  A NaN dt is not skipped."""
     if len(records) < 2:
         raise ValueError("need at least two consecutive records")
     dt = np.diff(records.t)
-    skip = dt <= 0
-    dt[skip] = 1.0  # their results are dropped; keeps the divisions finite
+    finite = np.isfinite(records.linf)
+    skip = (dt <= 0) | ~(finite[:-1] & finite[1:])
+    dt[dt <= 0] = 1.0  # their results are dropped; keeps the divisions finite
     return dt, skip
 
 
-def moment_residual(records, M: float, B: float, eps: float = 1e-10) -> float:
+def _max_defect(rel: np.ndarray, skip: np.ndarray) -> float | None:
+    """The largest of the pairs' defects rel, leaving out the skipped pairs
+    and NaN defects; None when no pair is left."""
+    rel = rel[~skip & ~np.isnan(rel)]
+    return float(rel.max()) if rel.size else None
+
+
+def moment_residual(records, M: float, B: float, eps: float = 1e-10) -> float | None:
     """Max relative defect of the first-moment identity
 
         phi' = a M - B (c_right - c_left)
@@ -183,28 +222,30 @@ def moment_residual(records, M: float, B: float, eps: float = 1e-10) -> float:
     it holds for every law of f) over consecutive record pairs, with
     midpoint-averaged a and trace difference.  B is the cross-section
     volume, 1 on the interval.  Each defect is taken relative to
-    max(|a M|, B |c_right - c_left|, eps) at the midpoint.  Pairs with
-    dt <= 0 are skipped, and a NaN defect never wins the max."""
+    max(|a M|, B |c_right - c_left|, eps) at the midpoint.  The pairs
+    _pairs drops (dt <= 0, non-finite linf) and NaN defects are left out,
+    and the residual is None when no pair is left."""
     dt, skip = _pairs(records)
     a, cl, cr = records.a, records.c_left, records.c_right
-    with np.errstate(all="ignore"):  # a non-finite final sample's defect is dropped
+    with np.errstate(all="ignore"):  # a dropped pair's defect may overflow
         coupling = 0.5 * (a[:-1] + a[1:]) * M
         boundary = 0.5 * (cr[:-1] - cl[:-1] + cr[1:] - cl[1:]) * B
         res = np.abs(np.diff(records.phi) / dt - coupling + boundary)
         rel = res / np.maximum(np.maximum(np.abs(coupling), np.abs(boundary)), eps)
-    return _running_max(0.0, rel[~skip])
+    return _max_defect(rel, skip)
 
 
-def moment_residual_m1(records, M: float, eps: float = 1e-10) -> float:
+def moment_residual_m1(records, M: float, eps: float = 1e-10) -> float | None:
     """Max relative defect of the m = 1 moment identity phi' = (M - 1) a
-    over consecutive record pairs, with midpoint-averaged a.  It is the
-    identity above with a = B (c_right - c_left), which is f(s) = s."""
+    over consecutive record pairs, with midpoint-averaged a, leaving out
+    pairs as moment_residual does.  It is the identity above with
+    a = B (c_right - c_left), which is f(s) = s."""
     dt, skip = _pairs(records)
     a = records.a
     with np.errstate(all="ignore"):
         rhs = (M - 1.0) * (0.5 * (a[:-1] + a[1:]))
         rel = np.abs(np.diff(records.phi) / dt - rhs) / np.maximum(np.abs(rhs), eps)
-    return _running_max(0.0, rel[~skip])
+    return _max_defect(rel, skip)
 
 
 def _running_max(running: float, vals: np.ndarray) -> float:
@@ -214,61 +255,29 @@ def _running_max(running: float, vals: np.ndarray) -> float:
     return max(running, float(vals.max())) if vals.size else running
 
 
-def dissipation_residuals(grid: Grid1D, fields, a_values, entropies, p: float):
-    """Relative defects of the entropy and L^p dissipation identities on a
-    window of consecutive 1D snapshots.
+def dissipation_residuals(records) -> tuple[float | None, float | None]:
+    """(entropy_res, lp_res): the max relative defects of the entropy and
+    L^p dissipation identities over consecutive record pairs, with
+    p = p_list[0].
 
-    fields is a list of (t, c) pairs, a_values the coupling at those times
-    and entropies each field's entropy_of, as the runner's audit has them.
-    For each interval the discrete d/dt of the functional is compared with the
-    identity right-hand side evaluated on the midpoint state:
-
-        d/dt int c log c = -int |grad c|^2 / c + a * int dc/dx
-        d/dt int c^p     = p(p-1) [ -int c^(p-2) |grad c|^2 + a int c^(p-1) dc/dx ]
-
-    Intervals with dt <= 0 are skipped.  Returns (entropy_res, lp_res,
-    entropy_increase_max); the last entry is the largest per-interval entropy
-    increase, the sign check of the m = 1 dissipation inequality for M <= 1.
-
-    The intervals are evaluated _BLOCK at a time as rows of 2D arrays, with
-    every sum taken along a row and each P as integrate's dot product, so each
-    interval's terms are summed in the same order as on its own field.
+    Each pair's difference quotient of the functional, the entropy column or
+    lp[p]^p, is compared with the trapezoid mean of -diss + coup, the
+    dissipation_terms recorded at its two ends, and the defect is taken
+    relative to max(mean diss, |mean coup|, 1e-10).  Pairs are left out as
+    in moment_residual, and so is a pair with a NaN term at either end (a
+    sample whose terms were not evaluated); a residual is None when no pair
+    is left.
     """
-    if len(fields) < 2:
-        raise ValueError("need at least two snapshots")
-    d, w = grid.dist, grid.widths
-    ts = np.array([t for t, _c in fields], dtype=float)
-    a = np.asarray(a_values, dtype=float)
-    S = np.asarray(entropies, dtype=float)
-    ent_res = lp_res = 0.0
-    ent_inc = -math.inf
-    for k0 in range(0, len(fields) - 1, _BLOCK):
-        k1 = min(k0 + _BLOCK, len(fields) - 1)  # intervals k0 .. k1 - 1
-        C = np.array([c for _t, c in fields[k0 : k1 + 1]], dtype=float)
-        P = np.array([w @ row for row in C**p])
-        dt = np.diff(ts[k0 : k1 + 1])
-        skip = dt <= 0
-        dt[skip] = 1.0  # their results are dropped; keeps the divisions finite
-        cm = 0.5 * (C[:-1] + C[1:])
-        am = 0.5 * (a[k0:k1] + a[k0 + 1 : k1 + 1])
-        dc = np.diff(cm, axis=1)
-        dg2 = d * (dc / d) ** 2  # d |grad c|^2 at the faces
-        fm = np.maximum(0.5 * (cm[:, :-1] + cm[:, 1:]), 1e-300)
-        flow = np.sum(dc, axis=1)  # same faces as grad: int dc/dx
-
-        inc = S[k0 + 1 : k1 + 1] - S[k0:k1]
-        rhs_S = -np.sum(dg2 / fm, axis=1) + am * flow
-        res_S = np.abs(inc / dt - rhs_S) / np.maximum(np.abs(rhs_S), 1e-10)
-
-        rhs_P = p * (p - 1.0) * (
-            -np.sum(dg2 * fm ** (p - 2.0), axis=1) + am * np.sum(fm ** (p - 1.0) * dc, axis=1)
-        )
-        res_P = np.abs(np.diff(P) / dt - rhs_P) / np.maximum(np.abs(rhs_P), 1e-10)
-
-        ent_res = _running_max(ent_res, res_S[~skip])
-        ent_inc = _running_max(ent_inc, inc[~skip])
-        lp_res = _running_max(lp_res, res_P[~skip])
-    return ent_res, lp_res, ent_inc
+    p = records.p_list[0]
+    dt, skip = _pairs(records)
+    out = []
+    with np.errstate(all="ignore"):  # a dropped pair's defect may overflow
+        for F, D, C in ((records.entropy, records.diss_s, records.coup_s),
+                        (records.lp[p] ** p, records.diss_p, records.coup_p)):
+            diss, coup = 0.5 * (D[:-1] + D[1:]), 0.5 * (C[:-1] + C[1:])
+            scale = np.maximum(np.maximum(diss, np.abs(coup)), 1e-10)
+            out.append(_max_defect(np.abs(np.diff(F) / dt + diss - coup) / scale, skip))
+    return out[0], out[1]
 
 
 def fit_blowup(records, min_samples: int = 20, decades: float = 2.0):

@@ -10,12 +10,11 @@ adapt_dt and each sample reuse it.  The loop's only products are traj and
 rep: per-step tallies go on the RunReport, each sample, its max x1^(1/m) c
 included, is one row of traj.records (a diagnostics.Records table, one
 float64 column per functional), and (t, c) snapshots past traj.fields[0] are
-kept, at samples, only if asked.  On the interval the loop also checks the
-entropy and L^p dissipation identities as it samples, one block of
-dissipation_residuals per _BLOCK intervals, so no field is held for them longer than its block.
+kept, at samples, only if asked; no field is held for any check.
 _post_run, a function of traj and rep, adds the fits, the first-moment
-residual, and the thresholds problem.thresholds gives the run's law of f,
-each as arithmetic on the columns of traj.records.
+residual, on the interval the entropy and L^p dissipation residuals, and
+the thresholds problem.thresholds gives the run's law of f, each as
+arithmetic on the columns of traj.records.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import numpy as np
 
 from . import solver1d
 from .diagnostics import (
-    _BLOCK,
     Audit,
     Records,
     RunReport,
@@ -117,15 +115,13 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
     (_field_failure); initial data that fail it end the run at t = 0 with
     its one record, before the mass check and with no thresholds or fits.
     Every other run ends in _post_run, which fills in the report's fits,
-    moment residual and thresholds.
+    moment residual, dissipation residuals (interval only, from the
+    dissipation terms each sample of a positive field records) and
+    thresholds.
 
     traj.fields keeps the t = 0 field, every store_fields_every-th sample and
     then the final state, and the first sample at or after each of
-    snapshot_times.  The dissipation residuals, on the interval only, cover
-    the t = 0 field, every store_fields_every-th sample (every sample if it
-    is 0 and snapshot_times is not empty) and the final state; they are None
-    unless at least 2 fields are covered and every committed field is
-    positive.
+    snapshot_times.
     """
     if not isinstance(grid, (Grid1D, GridCyl)):
         raise TypeError(f"not a grid: {type(grid)!r}")
@@ -169,32 +165,7 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
     traj = Trajectory(Records(p_list))
     recs = traj.records
     every = stop.store_fields_every
-    cover = 0 if cyl else every or (1 if snapshot_times else 0)  # residual cadence, in samples
     want = sorted(snapshot_times)
-    win = []  # (sample index, field) of each covered sample since the last block
-
-    def fold():
-        """Fold the window's intervals, one block of dissipation_residuals,
-        into rep's residual maxima, then hold only the window's last field."""
-        if rep.min_c > 0.0:  # else the residuals end as None
-            idx = [n for n, _c in win]
-            ent, lp, _ = dissipation_residuals(grid, [(recs.t[n], c) for n, c in win], recs.a[idx],
-                                               recs.entropy[idx], p_list[0])
-            rep.entropy_residual = ent if rep.entropy_residual is None else max(rep.entropy_residual, ent)
-            rep.lp_residual = lp if rep.lp_residual is None else max(rep.lp_residual, lp)
-        del win[:-1]
-
-    def take(n: int, kept: bool, covered: bool):
-        """Copy the state's field once: into traj.fields if kept, and into
-        the residual window, with its sample index n, if covered."""
-        if kept or covered:
-            c = state.c.copy()
-            if kept:
-                traj.fields.append((state.t, c))
-            if covered:
-                win.append((n, c))
-                if len(win) > _BLOCK:
-                    fold()
 
     # au is the audit of the current state in sample
     def sample(dt: float):
@@ -204,7 +175,8 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
         snap = bool(want) and state.t >= want[0]
         while want and state.t >= want[0]:
             want.pop(0)
-        take(n, n == 0 or (every and n % every == 0) or snap, cover and n % cover == 0)
+        if n == 0 or (every and n % every == 0) or snap:
+            traj.fields.append((state.t, state.c.copy()))
 
     sample(0.0)
     if failure is not None:
@@ -267,24 +239,19 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
     rep.t_final, rep.steps = state.t, state.step_count
     if recs.t[-1] < state.t:
         sample(last_dt)
-    # the final state is kept when fields are kept on a cadence, and covered
-    # whenever the residuals are checked
-    take(len(recs) - 1, every and traj.fields[-1][0] < state.t, cover and recs.t[win[-1][0]] < state.t)
-    if len(win) >= 2:
-        fold()
-    if rep.min_c <= 0.0:
-        rep.entropy_residual = rep.lp_residual = None
-    _post_run(problem, grid, traj, rep, p_list)
+    if every and traj.fields[-1][0] < state.t:  # the final state, kept on a cadence
+        traj.fields.append((state.t, state.c.copy()))
+    _post_run(problem, grid, traj, rep)
     return traj, rep
 
 
-def _post_run(problem, grid, traj, rep, p_list) -> None:
+def _post_run(problem, grid, traj, rep) -> None:
     """Fill in rep from what run recorded, once its loop has ended: the
     per-step maxima as None if no step passed the audit, the split of the
     samples' max x1^(1/m) c, the outcome's rate fit, the first-moment
-    residual, and the thresholds that hold for the run's law of f.  The fits
-    and the residual are called through this module's names, which
-    perfbench's tracer patches."""
+    residual, on the interval the dissipation residuals, and the thresholds
+    that hold for the run's law of f.  The fits and the residuals are called
+    through this module's names, which perfbench's tracer patches."""
     recs = traj.records
     mass0 = float(recs.mass[0])
     if rep.xc_max_ratio == -math.inf:
@@ -306,6 +273,8 @@ def _post_run(problem, grid, traj, rep, p_list) -> None:
         rep.lambda_fit = fit_decay(decay_tail(recs, mean), mean)
     if len(recs) >= 2:
         rep.moment_residual = moment_residual(recs, mass0, problem.domain.cross_section_volume)
+        if isinstance(grid, Grid1D):
+            rep.entropy_residual, rep.lp_residual = dissipation_residuals(recs)
 
     M0 = None if isinstance(grid, Grid1D) else float(np.max(axial_marginal(grid, traj.fields[0][1])))
     phi0 = float(recs.phi[0])

@@ -256,7 +256,7 @@ def test_criterion_9_global_regimes():
 
 def test_criterion_10_dimensional_reduction():
     # rho-independent cylinder data with unit cross-section shadows the 1D
-    # run stepwise; the gate marches both solvers 1000 steps in lockstep
+    # run; the gate compares every sample of the run with the interval run's
     cfg, _grid, traj, rep, _wall = preset_result("cyl_reduction")
     ok, msgs = presets.judge("cyl_reduction", cfg, traj, rep)
     report("AC10 dimensional reduction", ok, "; ".join(msgs))

@@ -3,18 +3,17 @@ functions by their module attribute names to split one step into layers.  A
 refactor that renames one of them, or moves a call off the looked-up name,
 crashes traced runs or silently zeroes a per-layer metric; this test catches
 both on short runs in each geometry: every solver layer, the runner's
-entropy_of and record, and adapt_dt once per attempted step; on a short
-scenario, each block of the dissipation check the runner streams as it
-samples, and both CSV writers; on short runs that end in BLOWUP and in
-CONVERGED, each post-run fit and residual; and on a short check_preset,
-its run and its gate.
+entropy_of and record, adapt_dt once per attempted step, and the post-run
+dissipation check once per interval run and never on the cylinder; on a
+short scenario, that check and both CSV writers; on short runs that end in
+BLOWUP and in CONVERGED, each post-run fit and residual; and on a short
+check_preset, its run and its gate.
 
 Both geometries run solver1d's functions.  The tracer still wraps five names
 of cellflux.solver_cyl, which are aliases of them that nothing calls; the
 last test pins that module to exactly those aliases.
 """
 
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -26,7 +25,7 @@ import cellflux.presets
 import cellflux.runner
 import cellflux.solver1d
 import cellflux.solver_cyl
-from cellflux.diagnostics import _BLOCK
+from cellflux.grid import Grid1D
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -54,8 +53,9 @@ def test_traced_run_records_every_solver_layer(monkeypatch, preset, stop, names,
     cfg = replace(cfg, grid=replace(cfg.grid, N=32), stop=replace(cfg.stop, **stop))
     tr = Tracer()
     try:
+        tr.patch(cellflux.runner, "dissipation_residuals", lambda fn: tr.counted("dissipation_residuals", fn))
         install_trace(tr, cellflux)
-        _grid, _traj, rep = cellflux.harness.run_config(cfg)
+        grid, _traj, rep = cellflux.harness.run_config(cfg)
     finally:
         tr.restore()
     layers = tr.summary()
@@ -68,18 +68,23 @@ def test_traced_run_records_every_solver_layer(monkeypatch, preset, stop, names,
     assert layers[adapt_name]["calls"] == rep.steps
     assert layers["solver1d.solve_banded"]["calls"] == solves * rep.steps
     assert tr.counts[f_counter] > 0
+    # the dissipation check runs once after an interval run's loop, inside
+    # the diagnostics.post_run span, and never on the cylinder
+    # (these short runs end BOUNDED, so the moment residual is the only other)
+    interval = isinstance(grid, Grid1D)
+    assert tr.counts.get("dissipation_residuals", 0) == int(interval)
+    assert layers["diagnostics.post_run"]["calls"] == 1 + interval
     # no call goes through the aliases
     assert not [name for name in layers if name.startswith("solver_cyl.")]
-    assert set(tr.counts) == {f_counter}
+    assert set(tr.counts) - {"dissipation_residuals"} == {f_counter}
     # restored: the module attributes are the package's own functions again
     assert cellflux.solver1d.step.__module__ == "cellflux.solver1d"
     assert cellflux.solver_cyl.step_cyl is cellflux.solver1d.step
 
 
 def test_traced_scenario_records_the_post_run_check_and_both_writers(monkeypatch, tmp_path):
-    # heat_scenario's tail: with snapshot times the runner's dissipation check
-    # covers every sample, one call per block of _BLOCK intervals, and
-    # run_scenario writes both CSVs
+    # heat_scenario's tail: the runner's dissipation check covers every
+    # sample in one call after the loop, and run_scenario writes both CSVs
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from child import install_trace
     from spans import Tracer
@@ -96,8 +101,7 @@ def test_traced_scenario_records_the_post_run_check_and_both_writers(monkeypatch
         tr.restore()
     layers = tr.summary()
     assert rep.entropy_residual is not None and not tr.errors
-    samples = len((tmp_path / "run" / "timeseries.csv").read_text().splitlines()) - 1
-    assert tr.counts["dissipation_residuals"] == math.ceil((samples - 1) / _BLOCK) == 4
+    assert tr.counts["dissipation_residuals"] == 1
     for name in ("diagnostics.post_run", "harness.write_timeseries", "harness.write_snapshots"):
         assert layers[name]["calls"] > 0, name
     assert layers["harness.write_timeseries"]["calls"] == layers["harness.write_snapshots"]["calls"] == 1
@@ -131,14 +135,14 @@ def test_traced_check_preset_records_its_run_and_its_gate(monkeypatch):
     assert layers["harness.run_config"]["calls"] == 1
 
 
-POST_RUN = ("fit_blowup", "fit_decay", "decay_tail", "moment_residual")
+POST_RUN = ("fit_blowup", "fit_decay", "decay_tail", "moment_residual", "dissipation_residuals")
 
 
 @pytest.mark.parametrize("preset,grid,step,stop,outcome,calls", [
     # threshold 100 ends the m = 2 spike after 71 steps; on a coarser grid
     # it settles and never blows up
-    ("superlinear_blowup", {}, {"blowup_linf_threshold": 100.0}, {}, "BLOWUP", (1, 0, 0, 1)),
-    ("heat_decay", {"N": 32}, {}, {"converged_tol": 0.05}, "CONVERGED", (0, 1, 1, 1)),
+    ("superlinear_blowup", {}, {"blowup_linf_threshold": 100.0}, {}, "BLOWUP", (1, 0, 0, 1, 1)),
+    ("heat_decay", {"N": 32}, {}, {"converged_tol": 0.05}, "CONVERGED", (0, 1, 1, 1, 1)),
 ])
 def test_traced_post_run_calls_each_fit_and_residual(monkeypatch, preset, grid, step, stop, outcome, calls):
     # diagnostics.post_run.s sums the spans of these runner names: a post-run

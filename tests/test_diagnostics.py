@@ -23,7 +23,7 @@ from cellflux.diagnostics import (
     moment_residual_m1,
     record,
 )
-from cellflux import runner, solver1d
+from cellflux import solver1d
 from cellflux.grid import GridCyl, build_grid_1d, build_grid_cyl, integrate
 from cellflux.harness import InitialConfig, build_initial
 from cellflux.presets import preset_config
@@ -55,19 +55,34 @@ def table(t, **cols):
 # --- record ----------------------------------------------------------------
 
 
+def audit_of(state) -> Audit:
+    """The Audit the runner's per-step audit makes of a state."""
+    c = state.c
+    x1c = axial_coordinate(state.grid) * c
+    return Audit(mass=integrate(state.grid, c), entropy=entropy_of(state.grid, c),
+                 linf=float(np.max(np.abs(c))), min=float(np.min(c)), x1c=x1c,
+                 x1c_max=float(np.max(x1c)),
+                 marg_max=float(np.max(axial_marginal(state.grid, c)))
+                 if isinstance(state.grid, GridCyl) else None)
+
+
 def sample(state, problem, p_list=(2.0,)):
     """The one-row Records that record() makes of a state, with the audit
     and traces the runner passes."""
-    c = state.c
-    x1c = axial_coordinate(state.grid) * c
-    au = Audit(mass=integrate(state.grid, c), entropy=entropy_of(state.grid, c),
-               linf=float(np.max(np.abs(c))), min=float(np.min(c)), x1c=x1c,
-               x1c_max=float(np.max(x1c)),
-               marg_max=float(np.max(axial_marginal(state.grid, c)))
-               if isinstance(state.grid, GridCyl) else None)
     recs = Records(p_list)
-    record(recs, state, problem, 0.0, end_traces(state), au, 0.0)
+    record(recs, state, problem, 0.0, end_traces(state), audit_of(state), 0.0)
     assert len(recs) == 1
+    return recs
+
+
+def sampled(grid, ts, cs, a_vals, p=2.0):
+    """The Records that record() makes of the 1D fields cs at the times ts
+    with the couplings a_vals, one sample each."""
+    recs = Records((p,))
+    for t, c, a in zip(ts, cs, a_vals):
+        s = make_state(grid, c)
+        s.t, s.a = t, a
+        record(recs, s, interval_problem(), 0.0, end_traces(s), audit_of(s), 0.0)
     return recs
 
 
@@ -237,17 +252,25 @@ def test_general_moment_residual_small_on_every_law(kind, m, geometry, trace_mod
 # --- dissipation residuals ---------------------------------------------------
 
 
-def entropies(grid, fields):
-    """Each field's entropy_of, the values the runner's audit hands the check."""
-    return [entropy_of(grid, c) for _t, c in fields]
+def test_dissipation_terms_are_nan_where_not_evaluated():
+    # a field with a zero cell, and any cylinder field, get no terms
+    g = build_grid_1d(1.0, 8)
+    c = np.linspace(1.0, 2.0, 8)
+    assert np.isfinite(sample(make_state(g, c), interval_problem()).diss_s).all()
+    c[3] = 0.0
+    r = sample(make_state(g, c), interval_problem())
+    assert all(np.isnan(getattr(r, key)[0]) for key in ("diss_s", "coup_s", "diss_p", "coup_p"))
+    gc_ = build_grid_cyl(1.0, 1.0, 3, 8, 4)
+    r = sample(make_state(gc_, np.ones((8, 4))), ProblemSpec(
+        domain=DomainSpec(geometry="cylinder", L=1.0, R=1.0, n=3)))
+    assert np.isnan(r.diss_p[0]) and np.isfinite(r.mass[0])
 
 
 def test_dissipation_residuals_vanish_on_constant_states():
     g = build_grid_1d(1.0, 32)
     c = np.full(32, 1.3)
-    fields = [(0.0, c), (0.1, c)]
-    ent, lp, inc = dissipation_residuals(g, fields, [0.0, 0.0], entropies(g, fields), p=2.0)
-    assert ent == 0.0 and lp == 0.0 and inc == 0.0
+    ent, lp = dissipation_residuals(sampled(g, [0.0, 0.1], [c, c], [0.0, 0.0]))
+    assert ent == 0.0 and lp == 0.0
 
 
 def test_dissipation_residuals_heat_oracle_first_order():
@@ -262,14 +285,9 @@ def test_dissipation_residuals_heat_oracle_first_order():
     def resid(N):
         g = build_grid_1d(1.0, N)
         c0 = 1.0 + 0.5 * np.cos(math.pi * g.centers)
-        traj, _ = run(
-            prob, g, c0, StepOptions(dt_max=0.02 / N),
-            StopRule(t_end=0.02, sample_every=4, store_fields_every=1),
-        )
-        # with a field kept at every sample, fields and records align one to one
-        a_vals = traj.records.a
-        ent, lp, _ = dissipation_residuals(g, traj.fields, a_vals, entropies(g, traj.fields), p=2.0)
-        return ent, lp
+        traj, rep = run(prob, g, c0, StepOptions(dt_max=0.02 / N), StopRule(t_end=0.02, sample_every=4))
+        assert len(traj.fields) == 1  # the residuals read records only
+        return rep.entropy_residual, rep.lp_residual
 
     e1, l1 = resid(64)
     e2, l2 = resid(256)
@@ -278,58 +296,62 @@ def test_dissipation_residuals_heat_oracle_first_order():
     assert e2 < 5e-3 and l2 < 5e-3
 
 
+def test_dissipation_residuals_fall_with_dt_on_an_exact_solution():
+    # c = 1 + 0.5 cos(pi x) exp(-pi^2 t) solves the equation with a = 0;
+    # sampled exactly, the defect is the trapezoid rule's in time and the
+    # central difference's in space, so it falls with dt toward the latter
+    g = build_grid_1d(1.0, 1024)
+
+    def resid(dt):
+        ts = np.arange(0.0, 0.1 + 1e-12, dt)
+        cs = [1.0 + 0.5 * np.cos(math.pi * g.centers) * math.exp(-math.pi**2 * t) for t in ts]
+        return dissipation_residuals(sampled(g, ts, cs, np.zeros(len(ts))))
+
+    res = [resid(dt) for dt in (0.02, 0.01, 0.005)]
+    for (e1, l1), (e2, l2) in zip(res, res[1:]):
+        assert e2 < 0.3 * e1 and l2 < 0.3 * l1
+    assert res[-1][0] < 2e-3 and res[-1][1] < 2e-3
+
+
 def test_entropy_sign_check_on_subcritical_run():
     g = build_grid_1d(1.0, 128)
     F = -0.9 * np.clip(1.0 - 4.0 * g.interfaces, 0.0, None) ** 3
     c0 = (F[1:] - F[:-1]) / g.widths
     traj, rep = run(
         interval_problem(), g, c0, StepOptions(dt_max=2e-4),
-        StopRule(t_end=0.5, sample_every=10, store_fields_every=1),
+        StopRule(t_end=0.5, sample_every=10),
     )
-    a_vals = traj.records.a  # one record per kept field
-    _, _, inc = dissipation_residuals(g, traj.fields, a_vals, entropies(g, traj.fields), p=2.0)
-    assert inc <= 1e-8  # entropy nonincreasing for M <= 1
+    assert np.max(np.diff(traj.records.entropy)) <= 1e-8  # entropy nonincreasing for M <= 1
     assert rep.entropy_step_increase_max <= 1e-8
 
 
-def dissipation_residuals_reference(grid, fields, a_values, p):
-    """dissipation_residuals as one Python loop over the intervals, each
-    interval on its own fields: the oracle of the batched evaluation."""
-    d = grid.dist
-    ent_res = lp_res = 0.0
-    ent_inc = -math.inf
-    S = [entropy_of(grid, c) for _t, c in fields]
-    P = [integrate(grid, np.asarray(c) ** p) for _t, c in fields]
-    for k, ((t0, c0), (t1, c1)) in enumerate(zip(fields[:-1], fields[1:])):
-        dt = t1 - t0
-        if dt <= 0:
-            continue
-        cm = 0.5 * (np.asarray(c0) + np.asarray(c1))
-        am = 0.5 * (a_values[k] + a_values[k + 1])
-        dc = np.diff(cm)
-        grad = dc / d
-        fm = np.maximum(0.5 * (cm[:-1] + cm[1:]), 1e-300)
-        flow = float(np.sum(dc))
-
-        dS = (S[k + 1] - S[k]) / dt
-        rhs_S = -float(np.sum(d * grad**2 / fm)) + am * flow
-        ent_res = max(ent_res, abs(dS - rhs_S) / max(abs(rhs_S), 1e-10))
-        ent_inc = max(ent_inc, S[k + 1] - S[k])
-
-        dP = (P[k + 1] - P[k]) / dt
-        rhs_P = p * (p - 1.0) * (
-            -float(np.sum(d * grad**2 * fm ** (p - 2.0)))
-            + am * float(np.sum(fm ** (p - 1.0) * dc))
-        )
-        lp_res = max(lp_res, abs(dP - rhs_P) / max(abs(rhs_P), 1e-10))
-    return ent_res, lp_res, ent_inc
+def dissipation_residuals_reference(records):
+    """dissipation_residuals as one Python loop over the record pairs, each
+    defect folded in by Python's max: the oracle of the array form."""
+    p = records.p_list[0]
+    t, linf = records.t.tolist(), records.linf.tolist()
+    out = []
+    for F, D, C in ((records.entropy, records.diss_s, records.coup_s),
+                    (records.lp[p] ** p, records.diss_p, records.coup_p)):
+        F, D, C = F.tolist(), D.tolist(), C.tolist()
+        worst = None
+        for k in range(len(t) - 1):
+            dt = t[k + 1] - t[k]
+            if dt <= 0 or not (math.isfinite(linf[k]) and math.isfinite(linf[k + 1])):
+                continue
+            diss, coup = 0.5 * (D[k] + D[k + 1]), 0.5 * (C[k] + C[k + 1])
+            rel = abs((F[k + 1] - F[k]) / dt + diss - coup) / max(diss, abs(coup), 1e-10)
+            if not math.isnan(rel):
+                worst = rel if worst is None else max(worst, rel)
+        out.append(worst)
+    return tuple(out)
 
 
 def random_window(rng, pairs):
-    """pairs + 1 fields on a random graded grid, drifting smoothly from a
-    random positive profile, with nonzero coupling values, one interval of
-    dt = 0 (when there are two or more), and zero cells: a run of them (face means at the 1e-300 floor)
-    and a lone one (entropy_of's extension by 0)."""
+    """The samples of pairs + 1 fields on a random graded grid, drifting
+    smoothly from a random positive profile, with nonzero coupling values;
+    when there are two pairs or more, one pair has dt = 0 and one field a
+    zero cell (no terms)."""
     N = int(rng.integers(8, 201))
     g = build_grid_1d(1.0, N, float(rng.uniform(1.0, 1.1)))
     base = 1.0 + 0.5 * rng.random(N)
@@ -339,12 +361,10 @@ def random_window(rng, pairs):
         dts[int(rng.integers(pairs))] = 0.0
     ts = np.concatenate([[0.0], np.cumsum(dts)])
     cs = [np.abs(base + t * drift + 1e-3 * rng.standard_normal(N)) for t in ts]
-    j = int(rng.integers(N - 3))
-    for c in cs[: max(2, len(cs) // 3)]:
-        c[j : j + 3] = 0.0
-    cs[-1][int(rng.integers(N))] = 0.0
-    a_vals = list(rng.choice([-1.0, 1.0], pairs + 1) * rng.uniform(0.1, 2.0, pairs + 1))
-    return g, [(float(t), c) for t, c in zip(ts, cs)], a_vals
+    if pairs > 1:
+        cs[int(rng.integers(pairs + 1))][int(rng.integers(N))] = 0.0
+    a_vals = rng.choice([-1.0, 1.0], pairs + 1) * rng.uniform(0.1, 2.0, pairs + 1)
+    return g, ts, cs, a_vals
 
 
 @pytest.mark.parametrize("pairs", [1, 16, 17, 64, 65, 129])
@@ -352,61 +372,39 @@ def random_window(rng, pairs):
 def test_dissipation_residuals_match_the_per_interval_loop_bitwise(pairs, p):
     rng = np.random.default_rng([pairs, int(10 * p)])
     for _ in range(3):
-        g, fields, a_vals = random_window(rng, pairs)
-        got = dissipation_residuals(g, fields, a_vals, entropies(g, fields), p)
-        want = dissipation_residuals_reference(g, fields, a_vals, p)
-        assert all(math.isfinite(x) for x in want)
+        recs = sampled(*random_window(rng, pairs), p)
+        got = dissipation_residuals(recs)
+        want = dissipation_residuals_reference(recs)
+        assert all(x is not None and math.isfinite(x) and x > 0.0 for x in want)
         assert [float(x).hex() for x in got] == [x.hex() for x in want]
 
 
-# --- dissipation residuals as the runner streams them ------------------------
-
-
-def field_records(traj):
-    """The sample index of each kept field: every field is kept at a sample."""
-    at = {t: k for k, t in enumerate(traj.records.t.tolist())}
-    return [at[t] for t, _c in traj.fields]
-
-
-def streamed_and_batched(monkeypatch, prob, g, c0, opts, stop):
-    """(traj, rep, block sizes) of a run whose fields are the covered ones,
-    and the residuals of dissipation_residuals over all of them at once."""
-    sizes = []
-    real = runner.dissipation_residuals
-
-    def counted(grid, fields, *args):
-        sizes.append(len(fields))
-        return real(grid, fields, *args)
-
-    monkeypatch.setattr(runner, "dissipation_residuals", counted)
-    traj, rep = run(prob, g, c0, opts, stop)
-    monkeypatch.undo()
-    idx = field_records(traj)
-    want = dissipation_residuals(g, traj.fields, traj.records.a[idx], traj.records.entropy[idx], 2.0)
-    return traj, rep, sizes, want
+# --- dissipation residuals of a run ------------------------------------------
 
 
 @pytest.mark.parametrize("every,steps", [(1, 1), (1, 16), (1, 17), (1, 33), (3, 50)])
-def test_streamed_residuals_are_the_batched_ones_bitwise(monkeypatch, every, steps):
+def test_run_residuals_do_not_depend_on_the_kept_fields(every, steps):
     # dt = 2^-12 is exact and below the CFL limit, so t_end fixes the step
-    # count; with every = 1 the covered fields are the 2, 17, 18 and 34
-    # samples that put the intervals at the block edges
+    # count; with fields kept on a cadence or not at all, and with no
+    # snapshot times, the residuals are dissipation_residuals of the records
     g = build_grid_1d(1.0, 32)
     c0 = 0.9 + 0.3 * np.cos(math.pi * g.centers) + 0.01 * np.random.default_rng(3).random(32)
     dt = 2.0**-12
-    traj, rep, sizes, want = streamed_and_batched(
-        monkeypatch, interval_problem(), g, c0, StepOptions(dt_max=dt),
-        StopRule(t_end=steps * dt, store_fields_every=every))
-    assert rep.steps == steps and len(traj.records) == steps + 1
-    intervals = len(traj.fields) - 1
-    assert sizes == [17] * (intervals // 16) + ([intervals % 16 + 1] if intervals % 16 else [])
-    assert [rep.entropy_residual.hex(), rep.lp_residual.hex()] == [x.hex() for x in want[:2]]
+    got = []
+    for keep in (every, 0):
+        traj, rep = run(interval_problem(), g, c0, StepOptions(dt_max=dt),
+                        StopRule(t_end=steps * dt, store_fields_every=keep))
+        assert rep.steps == steps and len(traj.records) == steps + 1
+        want = dissipation_residuals(traj.records)
+        assert [rep.entropy_residual.hex(), rep.lp_residual.hex()] == [x.hex() for x in want]
+        got.append(want)
+    assert len(traj.fields) == 1 and got[0] == got[1]
     assert rep.entropy_residual > 0.0 and rep.lp_residual > 0.0
 
 
-def test_streamed_residuals_drop_a_nan_interval(monkeypatch):
-    # a NaN cell at step 30 ends the run; its NaN does not lower min_c, so the
-    # residuals are reported over the intervals before it
+def test_run_residuals_drop_a_nan_interval(monkeypatch):
+    # a NaN cell at step 30 ends the run; its sample's pair is dropped, and
+    # the residuals are those of the samples before it
     cfg = preset_config("heat_decay")
     g = cfg.grid.build(cfg.problem.domain)
     c0 = build_initial(cfg.initial, g, cfg.problem.domain, cfg.seed)
@@ -419,25 +417,28 @@ def test_streamed_residuals_drop_a_nan_interval(monkeypatch):
         return new
 
     monkeypatch.setattr(solver1d, "step", poisoned)
-    stop = StopRule(t_end=cfg.stop.t_end, sample_every=cfg.stop.sample_every, store_fields_every=1)
-    traj, rep, sizes, want = streamed_and_batched(monkeypatch, cfg.problem, g, c0, cfg.step, stop)
+    traj, rep = run(cfg.problem, g, c0, cfg.step, cfg.stop)
     assert (rep.outcome, rep.steps) == ("NUMERICAL_FAILURE", 30)
-    assert np.isnan(traj.fields[-1][1][5]) and sizes == [16]
+    assert np.isnan(traj.records.linf[-1]) and np.isnan(traj.records.diss_s[-1])
     assert math.isfinite(rep.entropy_residual) and math.isfinite(rep.lp_residual)
-    assert [rep.entropy_residual.hex(), rep.lp_residual.hex()] == [x.hex() for x in want[:2]]
+    want = dissipation_residuals(traj.records[:-1])
+    assert [rep.entropy_residual.hex(), rep.lp_residual.hex()] == [x.hex() for x in want]
 
 
-def test_streamed_residuals_are_none_once_a_field_is_not_positive(monkeypatch):
-    # step data are 0 beyond their width: min_c is 0 from t = 0, so no block
-    # is computed and both residuals are None
+def test_step_data_are_covered_from_the_first_positive_sample():
+    # step data are 0 beyond their width, so the t = 0 sample has no terms;
+    # one step of diffusion makes the field positive, and the residuals
+    # cover every pair from there on
     g = build_grid_1d(1.0, 32)
     prob = interval_problem()
     c0 = build_initial(InitialConfig(family="step", mass=0.5, width=0.5), g, prob.domain)
     assert c0.min() == 0.0
-    _traj, rep, sizes, _want = streamed_and_batched(
-        monkeypatch, prob, g, c0, StepOptions(dt_max=2.0**-12), StopRule(t_end=0.01, store_fields_every=1))
-    assert rep.min_c == 0.0 and sizes == []
-    assert rep.entropy_residual is None and rep.lp_residual is None
+    traj, rep = run(prob, g, c0, StepOptions(dt_max=2.0**-12), StopRule(t_end=0.01))
+    recs = traj.records
+    assert rep.min_c == 0.0 and np.isnan(recs.diss_s[0]) and np.isfinite(recs.diss_s[1:]).all()
+    want = dissipation_residuals(recs[1:])
+    assert all(math.isfinite(x) for x in want)
+    assert [rep.entropy_residual.hex(), rep.lp_residual.hex()] == [x.hex() for x in want]
 
 
 # --- fits --------------------------------------------------------------------

@@ -14,7 +14,7 @@ import cellflux.harness
 import cellflux.runner
 from cellflux import cli as cellflux_cli
 from cellflux import presets
-from cellflux.diagnostics import _BLOCK, Records
+from cellflux.diagnostics import Records
 from cellflux.grid import GridCyl, build_grid_1d, build_grid_cyl, integrate
 from cellflux.harness import (
     InitialConfig,
@@ -274,18 +274,18 @@ def test_snapshots_are_the_first_samples_whatever_fields_are_kept(tmp_path):
 
 
 def test_run_scenario_keeps_only_the_snapshot_fields(monkeypatch, tmp_path):
-    # the dissipation check covers every sample, yet the runner holds at most
-    # one block of fields for it, and keeps t = 0 and the two snapshots
-    runs, sizes = [], []
+    # the dissipation check covers every sample from the records alone, once
+    # after the loop, and the runner keeps t = 0 and the two snapshots
+    runs, checked = [], []
     real_run, real_check = cellflux.harness.run, cellflux.runner.dissipation_residuals
 
     def kept(*args):
         runs.append(real_run(*args))
         return runs[-1]
 
-    def check(grid, fields, *args):
-        sizes.append(len(fields))
-        return real_check(grid, fields, *args)
+    def check(records):
+        checked.append(len(records))
+        return real_check(records)
 
     monkeypatch.setattr(cellflux.harness, "run", kept)
     monkeypatch.setattr(cellflux.runner, "dissipation_residuals", check)
@@ -294,7 +294,7 @@ def test_run_scenario_keeps_only_the_snapshot_fields(monkeypatch, tmp_path):
     rep = run_scenario(cfg)
     (traj, _rep), = runs
     assert len(traj.fields) == 3 and rep.entropy_residual is not None
-    assert max(sizes) == _BLOCK + 1 and sum(n - 1 for n in sizes) == len(traj.records) - 1
+    assert checked == [len(traj.records)]
 
 
 def _fmt_reference(x) -> str:

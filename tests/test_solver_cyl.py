@@ -117,6 +117,21 @@ def test_rho_independent_traces_match_1d_in_lockstep():
     assert s1.a < 0 and np.all(t1 != s1.c[[0, -1]])  # the closure is active
 
 
+@pytest.mark.parametrize("column,at,delta", [("a", 0.5, 1e-9), ("phi", 1.0, 1e-9), ("c_right", 0.0, 1e-9),
+                                             ("t", 0.5, 1e-9), ("linf", 0.5, math.nan)])
+def test_cyl_reduction_gate_fails_on_one_perturbed_sample(column, at, delta):
+    # the gate compares its own run's records with the interval run's, so
+    # one sample moved by 1e-9, or made NaN, fails it
+    cfg = presets.preset_config("cyl_reduction")
+    cfg = replace(cfg, stop=replace(cfg.stop, t_end=0.01))
+    _grid, traj, rep = harness.run_config(cfg)
+    ok, msgs = presets.judge("cyl_reduction", cfg, traj, rep)
+    assert ok and "over 41 samples" in msgs[0], msgs
+    getattr(traj.records, column)[int(at * (len(traj.records) - 1))] += delta
+    ok, msgs = presets.judge("cyl_reduction", cfg, traj, rep)
+    assert not ok, msgs
+
+
 def test_x1_independent_data_reduces_to_radial_heat():
     # no axial variation: a = 0 and the run is a radial Neumann heat flow,
     # converging to the radial mean
