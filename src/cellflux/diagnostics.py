@@ -55,9 +55,9 @@ class Records:
         return out
 
     def append(self, t, dt, mass, entropy, linf, phi, a, u, c_left, c_right, xpow,
-               diss_s=math.nan, coup_s=math.nan, diss_p=math.nan, coup_p=math.nan, lp=()) -> None:
+               diss_s, coup_s, diss_p, coup_p, lp=()) -> None:
         """Write one sample as the next row; lp holds its L^p norms in
-        p_list order, and the dissipation terms are NaN unless given."""
+        p_list order."""
         n = self._n
         if n == self._buf.shape[1]:
             grown = np.empty((self._buf.shape[0], max(2 * n, 16)))
@@ -161,14 +161,17 @@ def dissipation_terms(grid: Grid1D, c, a: float, p: float) -> tuple[float, float
     with grad c the central difference dc/d at the interior faces and c at a
     face the mean fm of its two cells.  The faces' differences sum to
     c[-1] - c[0].  The sums are taken in s = 2 fm, which saves passes:
-    diss_s = 2 sum g, diss_p = p(p-1) 2^(2-p) sum g s^(p-1) and
-    coup_p = p(p-1) 2^(1-p) a sum s^(p-1) dc, with g = (dc/d) (dc/s)."""
+    diss_s = 2 u.(dc/s), diss_p = 2 k u.y and coup_p = k a y.s, with
+    u = dc/d, y = dc s^(p-2) (no power at p = 2) and k = p(p-1) 2^(1-p)."""
     dc = c[1:] - c[:-1]
     s = c[1:] + c[:-1]
-    g = (dc / grid.dist) * (dc / s)
-    sp = s ** (p - 1.0)
+    u = dc / grid.dist
+    y = dc if p == 2.0 else dc * s ** (p - 2.0)
     k = p * (p - 1.0) * 2.0 ** (1.0 - p)
-    return 2.0 * float(g.sum()), a * float(c[-1] - c[0]), 2.0 * k * float(g @ sp), k * a * float(sp @ dc)
+    return 2.0 * float(u @ (dc / s)), a * float(c[-1] - c[0]), 2.0 * k * float(u @ y), k * a * float(y @ s)
+
+
+_NO_TERMS = (math.nan,) * 4  # the dissipation terms of a sample that has none
 
 
 def record(records: Records, state, problem: ProblemSpec, dt: float, traces: tuple[float, float],
@@ -185,7 +188,7 @@ def record(records: Records, state, problem: ProblemSpec, dt: float, traces: tup
     otherwise.
     """
     grid = state.grid
-    terms = ()
+    terms = _NO_TERMS
     if audit.min > 0.0 and audit.linf < math.inf and isinstance(grid, Grid1D):
         terms = dissipation_terms(grid, state.c, state.a, records.p_list[0])
     records.append(state.t, dt, audit.mass, audit.entropy, audit.linf, integrate(grid, audit.x1c),

@@ -109,17 +109,20 @@ def _gate_sym_cosine(traj, rep, cfg, msgs) -> bool:
 
 def _gate_cyl_reduction(traj, rep, cfg, msgs) -> bool:
     # rho-independent data on a cylinder whose cross-section has unit
-    # volume B shadow the interval run of mass M/B: the same sample times,
-    # and the same a, linf, phi/B and end traces to 1e-10
+    # volume shadow the interval run of the same config: the same sample
+    # times, and the same a, linf, phi and end traces to 1e-10.  The map for
+    # another cross-section volume is not worked out, so such a run fails.
     B = cfg.problem.domain.cross_section_volume
+    if B != 1.0:
+        msgs.append(f"reduction map checked only for a unit cross-section, not B = {B:.6g}")
+        return False
     interval = DomainSpec(geometry="interval", L=cfg.problem.domain.L)
-    line = replace(cfg, problem=replace(cfg.problem, domain=interval),
-                   initial=replace(cfg.initial, mass=cfg.initial.mass / B))
-    cyl, one = traj.records, run_config(line)[1].records
+    cyl = traj.records
+    one = run_config(replace(cfg, problem=replace(cfg.problem, domain=interval)))[1].records
     if len(cyl) != len(one) or not np.array_equal(cyl.t, one.t):
         msgs.append(f"sample times differ: {len(cyl)} samples vs {len(one)} on the interval")
         return False
-    worst = float(np.max(np.abs([cyl.a - one.a, cyl.linf - one.linf, cyl.phi / B - one.phi,
+    worst = float(np.max(np.abs([cyl.a - one.a, cyl.linf - one.linf, cyl.phi - one.phi,
                                  cyl.c_left - one.c_left, cyl.c_right - one.c_right])))
     msgs.append(f"max deviation from the interval run over {len(cyl)} samples: {worst:.3e}")
     return worst <= 1e-10

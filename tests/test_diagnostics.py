@@ -367,6 +367,36 @@ def random_window(rng, pairs):
     return g, ts, cs, a_vals
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_recorded_dissipation_terms_are_the_face_mean_sums(p):
+    # the four columns against the identities' sums written directly in the
+    # face mean fm: D_S = sum dc^2/(d fm), C_S = a sum dc,
+    # D_P = p(p-1) sum (dc^2/d) fm^(p-2) and C_P = p(p-1) a sum fm^(p-1) dc,
+    # with a != 0; a coupling sum is compared on the scale of its terms'
+    # absolute values, since its terms cancel
+    rng = np.random.default_rng([7, int(10 * p)])
+    for _ in range(3):
+        g, ts, cs, a_vals = random_window(rng, 16)
+        recs = sampled(g, ts, cs, a_vals, p)
+        d = np.diff(g.centers)
+        skipped = 0
+        for k, (c, a) in enumerate(zip(cs, a_vals)):
+            got = [recs.diss_s[k], recs.coup_s[k], recs.diss_p[k], recs.coup_p[k]]
+            if c.min() <= 0.0:
+                assert np.isnan(got).all()
+                skipped += 1
+                continue
+            dc, fm = np.diff(c), 0.5 * (c[1:] + c[:-1])
+            want = [np.sum(dc**2 / (d * fm)), a * np.sum(dc),
+                    p * (p - 1.0) * np.sum(dc**2 / d * fm ** (p - 2.0)),
+                    p * (p - 1.0) * a * np.sum(fm ** (p - 1.0) * dc)]
+            scale = [want[0], abs(a) * np.sum(np.abs(dc)), want[2],
+                     p * (p - 1.0) * abs(a) * np.sum(fm ** (p - 1.0) * np.abs(dc))]
+            for x, w, sc in zip(got, want, scale):
+                assert abs(x - w) <= 1e-13 * sc, (k, x, w)
+        assert skipped == 1
+
+
 @pytest.mark.parametrize("pairs", [1, 16, 17, 64, 65, 129])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_dissipation_residuals_match_the_per_interval_loop_bitwise(pairs, p):

@@ -358,7 +358,8 @@ def test_write_timeseries_matches_csv_writer_bytes(tmp_path):
         v = [ODD_VALUES[(k + i) % len(ODD_VALUES)] if i % 3 == k % 3 else float(rng.standard_normal())
              for i in range(12)]
         records.append(t=v[0], dt=v[1], mass=v[2], entropy=v[3], lp=(v[4], v[5]), linf=v[6], phi=v[7],
-                       a=v[8], u=v[9], c_left=v[10], c_right=v[11], xpow=0.0)
+                       a=v[8], u=v[9], c_left=v[10], c_right=v[11], xpow=0.0,
+                       diss_s=math.nan, coup_s=math.nan, diss_p=math.nan, coup_p=math.nan)
     write_timeseries(tmp_path / "new.csv", records, p_list)
     write_timeseries_reference(tmp_path / "ref.csv", records, p_list)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -132,6 +132,17 @@ def test_cyl_reduction_gate_fails_on_one_perturbed_sample(column, at, delta):
     assert not ok, msgs
 
 
+def test_cyl_reduction_gate_fails_off_a_unit_cross_section():
+    # the reduction map is worked out for a unit cross-section only: at
+    # R = 1, n = 2 (B = 2) the gate says so and fails
+    cfg = presets.preset_config("cyl_reduction")
+    domain = replace(cfg.problem.domain, R=1.0)
+    cfg = replace(cfg, problem=replace(cfg.problem, domain=domain), stop=replace(cfg.stop, t_end=1e-3))
+    _grid, traj, rep = harness.run_config(cfg)
+    ok, msgs = presets.judge("cyl_reduction", cfg, traj, rep)
+    assert not ok and "only for a unit cross-section, not B = 2" in msgs[0], msgs
+
+
 def test_x1_independent_data_reduces_to_radial_heat():
     # no axial variation: a = 0 and the run is a radial Neumann heat flow,
     # converging to the radial mean
