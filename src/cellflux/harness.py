@@ -21,7 +21,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -77,14 +77,17 @@ class RunConfig:
     initial: InitialConfig = field(default_factory=InitialConfig)
     step: StepOptions = field(default_factory=StepOptions)
     stop: StopRule = field(default_factory=StopRule)
-    p_list: tuple = (2.0,)  # exponents of the recorded L^p norms
+    p_list: tuple[float, ...] = (2.0,)  # exponents of the recorded L^p norms
     seed: int = 0
-    snapshot_times: tuple = ()
+    snapshot_times: tuple[float, ...] = ()
     out_dir: str = "out/run"
 
     def __post_init__(self):
-        if not self.p_list:  # the dissipation residuals use p_list[0]
-            raise ConfigError("p_list must name at least one exponent")
+        # the dissipation residuals use p_list[0]
+        if not self.p_list or not all(math.isfinite(p) and p > 0 for p in self.p_list):
+            raise ConfigError(f"p_list must name exponents, each finite and > 0; got {list(self.p_list)}")
+        if any(math.isnan(t) for t in self.snapshot_times):  # a NaN has no place in sorted order
+            raise ConfigError(f"snapshot_times must be numbers; got {list(self.snapshot_times)}")
 
 
 def _axial_cell_averages(grid1d: Grid1D, antiderivative) -> np.ndarray:
@@ -160,12 +163,6 @@ def build_initial(cfg: InitialConfig, grid, domain: DomainSpec, seed: int = 0) -
 # JSON config parsing
 
 
-def _tuple(val, name: str) -> tuple:
-    if not isinstance(val, (list, tuple)):
-        raise ConfigError(f"config key {name} must be a list")
-    return tuple(val)
-
-
 # the JSON values a scalar field accepts; a bool is none of them, though
 # Python counts it as an int
 _SCALAR_TYPES = {int: int, float: (int, float), str: str}
@@ -185,8 +182,9 @@ def _read(cls, doc: dict, path: str = ""):
 
     The keys are the dataclass fields and a missing key takes the field
     default.  A dataclass-typed field is read from a nested object, a
-    tuple-typed field from a list, and an int, float or str field must hold
-    a value of that JSON type (None where the hint is Optional).
+    tuple[T, ...] field from a list whose elements are checked as T, and an
+    int, float or str field must hold a value of that JSON type (None where
+    the hint is Optional).
     """
     types = get_type_hints(cls)
     kw = {}
@@ -199,8 +197,12 @@ def _read(cls, doc: dict, path: str = ""):
             if not isinstance(val, dict):
                 raise ConfigError(f"config key {name} must be an object")
             val = _read(kind, val, f"{path}{key}.")
-        elif tuple in (kind, *get_args(kind)) and not isinstance(val, kind):
-            val = _tuple(val, name)
+        elif get_origin(kind) is tuple:
+            if not isinstance(val, (list, tuple)):
+                raise ConfigError(f"config key {name} must be a list")
+            val = tuple(val)
+            for i, v in enumerate(val):
+                _check_scalar(get_args(kind)[0], v, f"{name}[{i}]")
         else:
             _check_scalar(kind, val, name)
         kw[key] = val
@@ -314,23 +316,16 @@ def run_config(cfg: RunConfig):
 def run_scenario(cfg: RunConfig, out_dir: str | None = None):
     """run_config(cfg), then write timeseries.csv, snapshots.csv, report.json.
 
-    Returns the RunReport.  snapshots.csv holds the initial field
-    (traj.fields[0]) and the first sample at or after each requested time,
-    which the runner keeps in traj.fields; a time the run never reaches gets
-    no row.  report.json echoes cfg as given.
+    Returns the RunReport.  snapshots.csv holds traj.fields as the runner
+    keeps them: the initial field, then the first sample at or after each
+    requested time, in sorted order; a time the run never reaches gets no
+    row.  report.json echoes cfg as given.
     """
-    want = sorted(cfg.snapshot_times)
     grid, traj, rep = run_config(cfg)
-    snaps = [traj.fields[0]]
-    for t, c in traj.fields:
-        while want and t >= want[0]:
-            want.pop(0)
-            snaps.append((t, c))
-
     out = resolve_out_dir(out_dir or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_timeseries(out / "timeseries.csv", traj.records, cfg.p_list)
-    write_snapshots(out / "snapshots.csv", snaps, grid)
+    write_snapshots(out / "snapshots.csv", traj.fields, grid)
     doc = {"config": config_to_dict(cfg), "report": _json_ready(asdict(rep))}
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)

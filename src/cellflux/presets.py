@@ -316,9 +316,10 @@ def preset_config(name: str) -> RunConfig:
 
 def judge(name: str, cfg: RunConfig, traj, rep) -> tuple[bool, list[str]]:
     """The gated preset's verdict on a run of `cfg`: (ok, messages).  A run
-    that ended NUMERICAL_FAILURE fails on its reason, before the gate; any
-    other run must pass its gate and hold mass to MASS_DRIFT_BOUND."""
-    if rep.outcome == NUMERICAL_FAILURE:
+    that ended NUMERICAL_FAILURE, or committed no step (so has no per-step
+    maxima), fails on its reason, before the gate; any other run must pass
+    its gate and hold mass to MASS_DRIFT_BOUND."""
+    if rep.outcome == NUMERICAL_FAILURE or rep.steps == 0:
         return False, [f"outcome {rep.outcome} after {rep.steps} steps: {rep.reason}"]
     msgs: list[str] = []
     ok = _GATES[name](traj, rep, cfg, msgs)

@@ -9,8 +9,8 @@ entropy by grid.integrate, x1 c once, and the cylinder's axial marginal.
 adapt_dt and each sample reuse it.  The loop's only products are traj and
 rep: per-step tallies go on the RunReport, each sample, its max x1^(1/m) c
 included, is one row of traj.records (a diagnostics.Records table, one
-float64 column per functional), and (t, c) snapshots past traj.fields[0] are
-kept, at samples, only if asked; no field is held for any check.
+float64 column per functional), and traj.fields holds only the fields
+snapshots.csv writes; no field is held for any check.
 _post_run, a function of traj and rep, adds the fits, the first-moment
 residual, on the interval the entropy and L^p dissipation residuals, and
 the thresholds problem.thresholds gives the run's law of f, each as
@@ -20,6 +20,7 @@ arithmetic on the columns of traj.records.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -59,19 +60,16 @@ class StopRule:
     t_end: float = 1.0
     converged_tol: float = 0.0  # 0 disables the convergence exit
     sample_every: int = 1
-    store_fields_every: int = 0  # in units of samples; 0 keeps the t = 0 field only
 
     def __post_init__(self):
         if self.sample_every < 1:
             raise ConfigError(f"sample_every must be >= 1, got {self.sample_every}")
-        if self.store_fields_every < 0:
-            raise ConfigError(f"store_fields_every must be >= 0, got {self.store_fields_every}")
 
 
 @dataclass
 class Trajectory:
     """The samples' functionals as one Records table, a row per sample, and
-    (t, c) field snapshots, each taken at a sample; fields[0] is t = 0."""
+    the (t, c) fields snapshots.csv writes, each taken at a sample."""
 
     records: Records = field(default_factory=Records)
     fields: list = field(default_factory=list)
@@ -119,9 +117,9 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
     dissipation terms each sample of a positive field records) and
     thresholds.
 
-    traj.fields keeps the t = 0 field, every store_fields_every-th sample and
-    then the final state, and the first sample at or after each of
-    snapshot_times.
+    traj.fields keeps the t = 0 field, then one entry per time of
+    snapshot_times that the run reaches, in sorted order: the first sample
+    at or after it (times due at one sample share one copy of its field).
     """
     if not isinstance(grid, (Grid1D, GridCyl)):
         raise TypeError(f"not a grid: {type(grid)!r}")
@@ -164,19 +162,17 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
         pass  # unresolvable closure at t = 0; the step loop will classify
     traj = Trajectory(Records(p_list))
     recs = traj.records
-    every = stop.store_fields_every
     want = sorted(snapshot_times)
 
     # au is the audit of the current state in sample
     def sample(dt: float):
-        n = len(recs)
+        first = len(recs) == 0
         xpow = au.x1c_max if x1_pow is None else float(np.max(x1_pow * state.c))
         record(recs, state, problem, dt, solver1d.end_traces(state), au, xpow)
-        snap = bool(want) and state.t >= want[0]
-        while want and state.t >= want[0]:
-            want.pop(0)
-        if n == 0 or (every and n % every == 0) or snap:
-            traj.fields.append((state.t, state.c.copy()))
+        due = bisect_right(want, state.t)  # requested times now reached
+        del want[:due]
+        if first or due:  # the t = 0 field, then one entry per due time, all one copy
+            traj.fields += [(state.t, state.c.copy())] * (first + due)
 
     sample(0.0)
     if failure is not None:
@@ -239,8 +235,6 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
     rep.t_final, rep.steps = state.t, state.step_count
     if recs.t[-1] < state.t:
         sample(last_dt)
-    if every and traj.fields[-1][0] < state.t:  # the final state, kept on a cadence
-        traj.fields.append((state.t, state.c.copy()))
     _post_run(problem, grid, traj, rep)
     return traj, rep
 

@@ -415,20 +415,18 @@ def test_dissipation_residuals_match_the_per_interval_loop_bitwise(pairs, p):
 @pytest.mark.parametrize("every,steps", [(1, 1), (1, 16), (1, 17), (1, 33), (3, 50)])
 def test_run_residuals_do_not_depend_on_the_kept_fields(every, steps):
     # dt = 2^-12 is exact and below the CFL limit, so t_end fixes the step
-    # count; with fields kept on a cadence or not at all, and with no
-    # snapshot times, the residuals are dissipation_residuals of the records
+    # count; sampled every `every` steps, and then at t_end, with no snapshot
+    # times the run keeps the t = 0 field only, and the residuals are
+    # dissipation_residuals of the records
     g = build_grid_1d(1.0, 32)
     c0 = 0.9 + 0.3 * np.cos(math.pi * g.centers) + 0.01 * np.random.default_rng(3).random(32)
     dt = 2.0**-12
-    got = []
-    for keep in (every, 0):
-        traj, rep = run(interval_problem(), g, c0, StepOptions(dt_max=dt),
-                        StopRule(t_end=steps * dt, store_fields_every=keep))
-        assert rep.steps == steps and len(traj.records) == steps + 1
-        want = dissipation_residuals(traj.records)
-        assert [rep.entropy_residual.hex(), rep.lp_residual.hex()] == [x.hex() for x in want]
-        got.append(want)
-    assert len(traj.fields) == 1 and got[0] == got[1]
+    traj, rep = run(interval_problem(), g, c0, StepOptions(dt_max=dt),
+                    StopRule(t_end=steps * dt, sample_every=every))
+    assert rep.steps == steps and len(traj.records) == 1 + math.ceil(steps / every)
+    assert len(traj.fields) == 1
+    want = dissipation_residuals(traj.records)
+    assert [rep.entropy_residual.hex(), rep.lp_residual.hex()] == [x.hex() for x in want]
     assert rep.entropy_residual > 0.0 and rep.lp_residual > 0.0
 
 

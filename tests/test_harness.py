@@ -32,7 +32,7 @@ from cellflux.harness import (
 )
 from cellflux.presets import list_presets, preset_config
 from cellflux.problem import ConfigError, DomainSpec
-from cellflux.runner import BOUNDED, CONVERGED, NUMERICAL_FAILURE
+from cellflux.runner import BLOWUP, BOUNDED, CONVERGED, NUMERICAL_FAILURE
 
 
 MINIMAL = {
@@ -71,6 +71,8 @@ def test_config_rejects_unknown_key_with_name():
         config_from_dict({"step": {"coupling_mode": "picard"}})
     with pytest.raises(ConfigError, match="a_frac"):
         config_from_dict({"problem": {"a_frac": 1.0}})
+    with pytest.raises(ConfigError, match="store_fields_every"):
+        config_from_dict({"stop": {"store_fields_every": 0}})
     # p_list is a top-level key only
     with pytest.raises(ConfigError, match="p_list"):
         config_from_dict({"stop": {"p_list": [2.0]}})
@@ -80,8 +82,8 @@ def test_config_rejects_unknown_key_with_name():
     "extra,key",
     [
         ({"stop": {"sample_every": 0}}, "sample_every"),
-        ({"stop": {"store_fields_every": -1}}, "store_fields_every"),
-        ({"p_list": [], "stop": {"store_fields_every": 1}}, "p_list"),
+        ({"p_list": [0.0]}, "p_list"),
+        ({"p_list": []}, "p_list"),
     ],
 )
 def test_config_rejects_stop_values_that_crash_the_run(extra, key):
@@ -246,52 +248,67 @@ def test_run_scenario_deterministic_bytes(tmp_path):
     assert sa == sb
 
 
-def heat_scenario_config(tmp_path, every):
-    """heat_decay with seeded noise and three snapshot times, stopped at 0.6."""
+def heat_scenario_config(tmp_path, t_end, snapshot_times):
+    """heat_decay with seeded noise and the given snapshot times, stopped at t_end."""
     doc = config_to_dict(preset_config("heat_decay"))
     doc["initial"]["noise_amp"] = 0.01
     doc["seed"] = 1
-    doc["snapshot_times"] = [0.02, 0.25, 0.5]
-    doc["stop"].update(t_end=0.6, store_fields_every=every)
-    doc["out_dir"] = str(tmp_path / f"every{every}")
+    doc["snapshot_times"] = list(snapshot_times)
+    doc["stop"]["t_end"] = t_end
+    doc["out_dir"] = str(tmp_path / "run")
     return config_from_dict(doc)
 
 
-def test_snapshots_are_the_first_samples_whatever_fields_are_kept(tmp_path):
-    # the first samples at or after 0.02, 0.25 and 0.5 are 0.0202, 0.2502 and
-    # 0.5002; the first fields kept every 7 samples would be 0.0210, 0.2506
-    # and 0.5012
-    out = []
-    for every in (0, 1, 7):
-        run_scenario(heat_scenario_config(tmp_path, every))
-        out.append((tmp_path / f"every{every}" / "snapshots.csv").read_bytes())
-    assert out[0] == out[1] == out[2]
-    ts = sorted({float(line.split(",")[0]) for line in out[0].decode().splitlines()[1:]})
-    samples = [float(line.split(",")[0]) for line in
-               (tmp_path / "every7" / "timeseries.csv").read_text().splitlines()[1:]]
-    assert ts == [0.0] + [min(t for t in samples if t >= want) for want in (0.02, 0.25, 0.5)]
-    assert [round(t, 4) for t in ts] == [0.0, 0.0202, 0.2502, 0.5002]
-
-
-def test_run_scenario_keeps_only_the_snapshot_fields(monkeypatch, tmp_path):
-    # the dissipation check covers every sample from the records alone, once
-    # after the loop, and the runner keeps t = 0 and the two snapshots
-    runs, checked = [], []
-    real_run, real_check = cellflux.harness.run, cellflux.runner.dissipation_residuals
+def capture_runs(monkeypatch):
+    """The (traj, rep) of each runner.run call that harness makes."""
+    runs, real_run = [], cellflux.harness.run
 
     def kept(*args):
         runs.append(real_run(*args))
         return runs[-1]
 
+    monkeypatch.setattr(cellflux.harness, "run", kept)
+    return runs
+
+
+def test_kept_fields_are_the_snapshot_rows(monkeypatch, tmp_path):
+    # snapshot times unsorted, duplicated, at t = 0 and past t_end: the run
+    # keeps t = 0 and then one entry per time it reaches, the first sample at
+    # or after that time, with one copy of a field shared by the times due at
+    # its sample; snapshots.csv writes exactly those entries
+    runs = capture_runs(monkeypatch)
+    times = (0.03, 0.0, 9.0, 0.01, 0.03)
+    run_scenario(heat_scenario_config(tmp_path, 0.05, times))
+    (traj, _rep), = runs
+    samples = [float(line.split(",")[0]) for line in
+               (tmp_path / "run" / "timeseries.csv").read_text().splitlines()[1:]]
+    first = [min(t for t in samples if t >= want) for want in (0.0, 0.01, 0.03, 0.03)]
+    assert [t for t, _c in traj.fields] == [0.0] + first
+    assert [round(t, 4) for t in first] == [0.0, 0.0102, 0.0302, 0.0302]
+    assert traj.fields[1][1] is traj.fields[0][1] and traj.fields[4][1] is traj.fields[3][1]
+
+    with open(tmp_path / "run" / "snapshots.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    N = len(traj.fields[0][1])
+    assert len(rows) == N * len(traj.fields)
+    for k, (t, c) in enumerate(traj.fields):
+        block = rows[k * N : (k + 1) * N]
+        assert {float(r[0]) for r in block} == {t}
+        assert [float(r[3]) for r in block] == c.tolist()
+
+
+def test_run_scenario_keeps_only_the_snapshot_fields(monkeypatch, tmp_path):
+    # the dissipation check covers every sample from the records alone, once
+    # after the loop, and the runner keeps t = 0 and the two snapshots
+    runs, checked = capture_runs(monkeypatch), []
+    real_check = cellflux.runner.dissipation_residuals
+
     def check(records):
         checked.append(len(records))
         return real_check(records)
 
-    monkeypatch.setattr(cellflux.harness, "run", kept)
     monkeypatch.setattr(cellflux.runner, "dissipation_residuals", check)
-    cfg = heat_scenario_config(tmp_path, 0)
-    cfg = replace(cfg, stop=replace(cfg.stop, t_end=0.05), snapshot_times=(0.01, 0.03))
-    rep = run_scenario(cfg)
+    rep = run_scenario(heat_scenario_config(tmp_path, 0.05, (0.01, 0.03)))
     (traj, _rep), = runs
     assert len(traj.fields) == 3 and rep.entropy_residual is not None
     assert checked == [len(traj.records)]
@@ -545,6 +562,10 @@ def test_cli_run_and_exit_codes(tmp_path):
         ({"step": {"cfl": 2.0}}, "cfl"),
         ({"p_list": 2.0}, "p_list"),
         ({"snapshot_times": 0.5}, "snapshot_times"),
+        ({"p_list": [0.0]}, "p_list"),
+        ({"p_list": ["x"]}, "p_list"),
+        ({"snapshot_times": ["x"]}, "snapshot_times"),
+        ({"snapshot_times": [0.1, math.nan]}, "snapshot_times"),
         ({"grid": {"N": "64"}}, "grid.'N'"),
         ({"problem": {"domain": {"L": "x"}}}, "domain.'L'"),
         ({"grid": {"N": True}}, "grid.'N'"),
@@ -666,6 +687,19 @@ def test_a_numerical_failure_fails_its_gate_on_its_reason(name):
     cfg = replace(cfg, step=replace(cfg.step, picard_max_iters=1))
     _grid, traj, rep = run_config(cfg)
     assert (rep.outcome, rep.steps) == (NUMERICAL_FAILURE, 0)
+    ok, msgs = presets.judge(name, cfg, traj, rep)
+    assert not ok
+    assert rep.reason and rep.reason in " ".join(msgs)
+
+
+@pytest.mark.parametrize("name", ["critical_mass_exact", "cyl_blowup"])
+def test_a_run_with_no_step_fails_its_gate_on_its_reason(name):
+    # a blow-up clamp this tight takes dt to its floor before the first step:
+    # BLOWUP with no per-step maxima, which the gates would format
+    cfg = preset_config(name)
+    cfg = replace(cfg, step=replace(cfg.step, c_bu=1e-20))
+    _grid, traj, rep = run_config(cfg)
+    assert (rep.outcome, rep.steps, rep.entropy_step_increase_max) == (BLOWUP, 0, None)
     ok, msgs = presets.judge(name, cfg, traj, rep)
     assert not ok
     assert rep.reason and rep.reason in " ".join(msgs)
