@@ -64,6 +64,10 @@ class StopRule:
     def __post_init__(self):
         if self.sample_every < 1:
             raise ConfigError(f"sample_every must be >= 1, got {self.sample_every}")
+        if not 0.0 < self.t_end < math.inf:
+            raise ConfigError(f"t_end must be finite and > 0, got {self.t_end}")
+        if not self.converged_tol >= 0.0:
+            raise ConfigError(f"converged_tol must be >= 0, got {self.converged_tol}")
 
 
 @dataclass

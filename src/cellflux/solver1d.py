@@ -17,8 +17,8 @@ Layout of one step, the same in both geometries:
     F = (y_{i+1} - y_i)/dist of the new field y; on the cylinder a second
     pass diffuses along rho on c.T (GridCyl.rho_geom, no advection).  On a
     given grid a pass's system depends on dt alone, so each pass keeps the
-    LDL^T factors of the last dt it solved at (State.factors), and a step
-    at that same dt only back-substitutes (dpttrs),
+    LDL^T factors of the last dt it solved at in its Workspace
+    (State.work), and a step at that same dt only back-substitutes (dpttrs),
   * every boundary interface flux is identically zero.  That, and not the
     Robin traces, is what conserves mass: the committed update is assembled
     from the face fluxes, so the telescoping sum is exact to roundoff.
@@ -28,15 +28,23 @@ grid.axial is the axial Grid1D of either.  A Robin boundary trace solves the
 one-sided closure c_x = a c: an end cap's value divided by lam (_lams).  The
 traces feed the coupling and the records (end_traces), never the flux; only
 solve_coupling decides per end whether the closure holds (State.robin_ends).
+
+LAPACK comes from the OpenBLAS that the numpy wheel bundles (scipy-openblas,
+64-bit integers), which numpy.linalg has already loaded: dptsv and dpttrs are
+called through ctypes with arguments bound once per pass (Workspace).  Not
+from scipy.linalg.lapack, whose import alone added over 20 MB of peak RSS
+and about 0.2 s to every run for these two routines of the same OpenBLAS.
+Any other numpy build is refused at import (ImportError).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dptsv, dpttrs
+from numpy.linalg import _umath_linalg
 
 from .grid import Grid1D, GridCyl, PassGeometry
 from .problem import HOMOGENEOUS, ConfigError, NonlinearitySpec, ProblemSpec, eval_f
@@ -62,8 +70,87 @@ class StepOptions:
             raise ConfigError(f"unknown trace_mode {self.trace_mode!r}")
         if not 0.0 < self.cfl < 1.0:
             raise ConfigError(f"cfl must lie in (0, 1), got {self.cfl}")
+        if self.picard_max_iters < 1:
+            raise ConfigError(f"picard_max_iters must be >= 1, got {self.picard_max_iters}")
+        # dt halves to 0 below a dt_min <= 0; c_bu <= 0 or a threshold <= 0
+        # would end a run on a BLOWUP that is not one
+        for name in ("picard_tol", "dt_min", "c_bu"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not self.blowup_linf_threshold > 0.0:
+            raise ConfigError(f"blowup_linf_threshold must be > 0, got {self.blowup_linf_threshold}")
         if not self.dt_min < self.dt_max:
             raise ConfigError("dt_min must be smaller than dt_max")
+
+
+def _lapack():
+    """(dptsv, dpttrs) of the scipy-openblas build that numpy links against
+    (module docstring); raises ImportError naming any other build."""
+    info = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    conf = info.get("openblas configuration", "")
+    ours = info.get("name") == "scipy-openblas" and "USE64BITINT" in conf.split()
+    # dlsym on the extension that links the library also searches the library
+    lib = ctypes.CDLL(_umath_linalg.__file__) if ours else None
+    routines = tuple(getattr(lib, f"scipy_{name}_64_", None) for name in ("dptsv", "dpttrs"))
+    if None in routines:
+        raise ImportError(
+            "cellflux calls LAPACK in the scipy-openblas build with 64-bit integers (USE64BITINT) "
+            f"that numpy wheels bundle; this numpy reports LAPACK {info.get('name')!r} ({conf or 'no configuration'})")
+    for fn in routines:
+        fn.restype = None
+    return routines
+
+
+_dptsv, _dpttrs = _lapack()
+
+
+class _Bound:
+    """The LAPACK arguments (n, nrhs, d, e, b, ldb, info) of dptsv and dpttrs
+    for d, e and b, checked once and kept with the arrays they point into.
+    Raises ValueError on arrays that LAPACK cannot take as they are: d, e
+    and b float64 and writeable, d and e contiguous vectors with
+    len(e) = len(d) - 1, b an (n,) or Fortran-ordered (n, k) array with
+    n = len(d)."""
+
+    __slots__ = ("d", "e", "b", "info", "args")
+
+    def __init__(self, d, e, b):
+        for name, x in (("d", d), ("e", e), ("b", b)):
+            if not isinstance(x, np.ndarray) or x.dtype != np.float64:
+                raise ValueError(f"{name} must be a float64 array, got {getattr(x, 'dtype', type(x))}")
+            if not x.flags.writeable:
+                raise ValueError(f"{name} must be writeable: LAPACK overwrites it")
+        if d.ndim != 1 or e.ndim != 1 or not (d.flags.c_contiguous and e.flags.c_contiguous):
+            raise ValueError("d and e must be contiguous vectors")
+        if len(e) != len(d) - 1:
+            raise ValueError(f"e must have len(d) - 1 = {len(d) - 1} entries, got {len(e)}")
+        if b.ndim not in (1, 2) or b.shape[0] != len(d):
+            raise ValueError(f"b must have shape ({len(d)},) or ({len(d)}, k), got {b.shape}")
+        if not b.flags.f_contiguous:
+            raise ValueError("b must be Fortran-contiguous")
+        n, nrhs = len(d), 1 if b.ndim == 1 else b.shape[1]
+        self.d, self.e, self.b, self.info = d, e, b, ctypes.c_int64(0)
+        ref, ptr = ctypes.byref, ctypes.c_void_p
+        self.args = (ref(ctypes.c_int64(n)), ref(ctypes.c_int64(nrhs)), ptr(d.ctypes.data), ptr(e.ctypes.data),
+                     ptr(b.ctypes.data), ref(ctypes.c_int64(max(n, 1))), ref(self.info))
+
+
+class Workspace:
+    """The buffers of one advect-and-diffuse pass (_advect_diffuse) over
+    fields shaped and laid out like c: the zero-ended face-flux buffer pad,
+    the Fortran-ordered right-hand side T (pad[1:-1] itself for an (N,)
+    field), the bands d and e, the commit scale dt/w, and the LAPACK
+    arguments bound to d, e and T.  dt is the dt whose LDL^T factors d and e
+    hold, or None when they hold none."""
+
+    def __init__(self, geom: PassGeometry, c: np.ndarray):
+        n = len(c) - 1
+        self.pad = np.zeros((n + 2,) + c.shape[1:], order="C" if c.flags.c_contiguous else "F")
+        self.T = self.pad[1:-1] if c.ndim == 1 else np.empty(self.pad[1:-1].shape, order="F")
+        self.d, self.e = np.empty(n), np.empty(n - 1)
+        self.scale = np.empty((n + 1, 1)[: c.ndim])  # dt/w, a column on an (N, K) field
+        self.lapack = _Bound(self.d, self.e, self.T)
+        self.dt = None
 
 
 @dataclass
@@ -73,10 +160,9 @@ class State:
     end, whether the solve that gave a ended on the Robin trace (True) or in
     cell mode (False: trace_mode "cell", or the guard latched the end).
 
-    factors holds, per pass (axial, then radial on the cylinder), the
-    (dt, d, e, dt/w) of the last dt that pass solved at: d and e are the
-    LDL^T factors that dptsv left in place, and a step at that dt solves
-    with them (_advect_diffuse).  None until the pass has solved once."""
+    work holds one Workspace per pass (axial, then radial on the cylinder),
+    built by make_state and shared by every state stepped from it: a step at
+    the dt a pass last solved at reuses its factors (_advect_diffuse)."""
 
     grid: Grid1D | GridCyl
     c: np.ndarray
@@ -84,7 +170,7 @@ class State:
     a: float = 0.0
     step_count: int = 0
     robin_ends: tuple[bool, bool] = (True, True)
-    factors: tuple = (None, None)
+    work: tuple = field(default=(), repr=False)
 
 
 def make_state(grid: Grid1D | GridCyl, c0) -> State:
@@ -94,7 +180,10 @@ def make_state(grid: Grid1D | GridCyl, c0) -> State:
     c = np.array(c0, dtype=float, order="F")
     if c.shape != grid.shape:
         raise ValueError(f"initial data shape {c.shape} does not match grid {grid.shape}")
-    return State(grid=grid, c=c)
+    work = (Workspace(grid.axial.geom, c),)
+    if c.ndim == 2:
+        work += (Workspace(grid.rho_geom, c.T),)
+    return State(grid=grid, c=c, work=work)
 
 
 def _lams(a: float, h0: float, hN: float, robin_l: bool, robin_r: bool):
@@ -208,36 +297,36 @@ def compute_a(problem: ProblemSpec, state: State, opts: StepOptions) -> float:
     return a
 
 
-def solve_banded(d: np.ndarray, e: np.ndarray, b: np.ndarray, factored: bool = False) -> np.ndarray:
+def solve_banded(d: np.ndarray, e: np.ndarray, b: np.ndarray, factored: bool = False,
+                 bound: _Bound | None = None) -> np.ndarray:
     """Solve the symmetric positive-definite tridiagonal system with diagonal
-    d and off-diagonal e for b, an (n,) vector or an (n, k) array of k
-    right-hand sides, by LAPACK dptsv (LDL^T, no pivoting).  All three arrays
-    are overwritten, even read-only ones (f2py ignores the flag), so never
-    pass a grid's frozen arrays; a Fortran-ordered b is solved in place.
-    On return d and e hold the LDL^T factors, and a later call with
-    factored=True solves another b with them by dpttrs alone (dptsv is
-    dpttrf then dpttrs, so the result is bitwise that of a fresh dptsv) and
-    overwrites only b.  Raises StepRejected when dptsv fails, as on a matrix
-    not positive definite."""
-    if len(d) == 1:
-        # SciPy's wrappers want an off-diagonal of at least one entry
-        e = np.zeros(1)
-    if factored:
-        x, info = dpttrs(d, e, b, 1)
-    else:
-        x, info = dptsv(d, e, b, 1, 1, 1)[2:]
-    if info != 0:
-        raise StepRejected(f"tridiagonal solve failed (LAPACK info = {info})")
-    return x
+    d and off-diagonal e for b, an (n,) vector or a Fortran-ordered (n, k)
+    array of k right-hand sides, in place, by LAPACK dptsv (LDL^T, no
+    pivoting), and return b.  On return d and e hold the LDL^T factors, and
+    a later call with factored=True solves another b with them by dpttrs
+    alone (dptsv is dpttrf then dpttrs, so the result is bitwise that of a
+    fresh dptsv) and overwrites only b.
+
+    Raises ValueError, before any LAPACK call, on arrays LAPACK cannot take
+    as they are (_Bound).  bound is the _Bound of these very arrays
+    (Workspace.lapack), checked when it was made; without it, or for other
+    arrays, the call checks and binds afresh.  Raises StepRejected when
+    LAPACK fails, as on a matrix not positive definite."""
+    if bound is None or bound.b is not b or bound.d is not d or bound.e is not e:
+        bound = _Bound(d, e, b)
+    (_dpttrs if factored else _dptsv)(*bound.args)
+    if bound.info.value != 0:
+        raise StepRejected(f"tridiagonal solve failed (LAPACK info = {bound.info.value})")
+    return b
 
 
-def _advect_diffuse(c, dt, geom: PassGeometry, a=0.0, h_min=math.inf, factors=None):
+def _advect_diffuse(c, dt, geom: PassGeometry, ws: Workspace, a=0.0, h_min=math.inf):
     """One conservative advect-and-diffuse pass along axis 0 of c, an (N,)
     or (N, K) array of cell averages over the cells of geom, the pass's
-    dt-free factors (grid.PassGeometry).  factors is the (dt, d, e, dt/w)
-    this pass returned last (State.factors) or None.  Returns the updated
-    array and the factors of this dt: the given ones when their dt equals
-    dt, whose system is then only back-substituted, else fresh ones.
+    dt-free factors (grid.PassGeometry), in the buffers of ws, a Workspace
+    built for fields like c.  When ws holds the factors of dt, the system is
+    only back-substituted; else the bands of dt are factored in ws.  Returns
+    the updated array, a new one.
 
     Rejects (StepRejected) an advective CFL violation dt |a| > h_min.  The
     face flux is T = J + F: explicit upwind advection J = -a c_up (upwind
@@ -250,32 +339,34 @@ def _advect_diffuse(c, dt, geom: PassGeometry, a=0.0, h_min=math.inf, factors=No
         raise StepRejected(f"advective CFL violated: dt*|a| = {dt * abs(a):.3g} > h_min")
     col = np.s_[:] if c.ndim == 1 else np.s_[:, None]
     # the face fluxes go between the zero ends of pad, so the commit is one
-    # divergence (dt/w) (pad[1:] - pad[:-1]) and keeps the layout of c
-    pad = np.zeros((len(c) + 1,) + c.shape[1:], order="C" if c.flags.c_contiguous else "F")
-    # with y = c + (commit of T) and F = T - J, F = k (y_{i+1} - y_i) over k
+    # divergence (dt/w) (pad[1:] - pad[:-1]) and keeps the layout of c.
+    # With y = c + (commit of T) and F = T - J, F = k (y_{i+1} - y_i) over k
     # is the SPD system (1/k + dt G W^-1 G^T) T = G c + J/k, G the
     # differences across the n - 1 faces and W the widths.  The commit never
     # differences the solved field, so it adds no roundoff of order
     # eps dt/h_min^2, and data constant along this axis gives T = 0 exactly
-    # when a = 0.  The right-hand side is built in Fortran order (in pad
-    # itself for an (N,) field), so dptsv solves it in place
-    T = pad[1:-1] if c.ndim == 1 else np.empty(pad[1:-1].shape, order="F")
+    # when a = 0.  The right-hand side is built in ws.T, Fortran-ordered (in
+    # pad itself for an (N,) field), so dptsv solves it in place
+    T = ws.T
     np.subtract(c[1:], c[:-1], out=T)
     if a != 0.0:
         T += (c[:-1] if a >= 0.0 else c[1:]) * (-a * geom.inv_k)[col]
-    if factors is not None and factors[0] == dt:
-        _dt, d, e, scale = factors
-        T = solve_banded(d, e, T, True)
-    else:
-        d, e = geom.inv_k + dt * geom.diag, -dt * geom.off
-        T = solve_banded(d, e, T)
-        scale = (dt * geom.inv_w)[col]
+    factored = ws.dt == dt
+    if not factored:
+        ws.dt = None  # until dptsv has factored the new bands
+        np.multiply(dt, geom.diag, out=ws.d)
+        np.add(geom.inv_k, ws.d, out=ws.d)
+        np.multiply(-dt, geom.off, out=ws.e)
+        np.multiply(dt, geom.inv_w[col], out=ws.scale)
+    T = solve_banded(ws.d, ws.e, T, factored, ws.lapack)
+    ws.dt = dt
     # the sum is NaN or inf whenever an entry is (inf - inf is NaN)
     if not math.isfinite(float(T.sum())):
         raise StepRejected("tridiagonal solve produced non-finite values")
+    pad = ws.pad
     if T.base is not pad:
         pad[1:-1] = T
-    return c + scale * (pad[1:] - pad[:-1]), (dt, d, e, scale)
+    return c + ws.scale * (pad[1:] - pad[:-1])
 
 
 def step(problem: ProblemSpec, state: State, dt: float, opts: StepOptions) -> State:
@@ -287,12 +378,10 @@ def step(problem: ProblemSpec, state: State, dt: float, opts: StepOptions) -> St
     grid = state.grid
     ax = grid.axial
     a = compute_a(problem, state, opts)
-    ax_factors, rho_factors = state.factors
-    c, ax_factors = _advect_diffuse(state.c, dt, ax.geom, a, ax.h_min, ax_factors)
+    c = _advect_diffuse(state.c, dt, ax.geom, state.work[0], a, ax.h_min)
     if c.ndim == 2:
-        c, rho_factors = _advect_diffuse(c.T, dt, grid.rho_geom, factors=rho_factors)
-        c = c.T
-    return State(grid, c, state.t + dt, a, state.step_count + 1, state.robin_ends, (ax_factors, rho_factors))
+        c = _advect_diffuse(c.T, dt, grid.rho_geom, state.work[1]).T
+    return State(grid, c, state.t + dt, a, state.step_count + 1, state.robin_ends, state.work)
 
 
 def adapt_dt(problem: ProblemSpec, state: State, opts: StepOptions, linf: float | None = None) -> float:

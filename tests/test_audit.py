@@ -273,7 +273,7 @@ def test_rejections_down_to_the_dt_floor_are_a_numerical_failure(monkeypatch, na
         opts = replace(opts, picard_max_iters=1)
         said = "coupling iteration on a did not converge"
     else:
-        monkeypatch.setattr(solver1d, "solve_banded", lambda d, e, b: np.full_like(b, np.nan))
+        monkeypatch.setattr(solver1d, "solve_banded", lambda d, e, b, *bind: np.full_like(b, np.nan))
         said = "tridiagonal solve produced non-finite values"
     grid = cfg.grid.build(cfg.problem.domain)
     c0 = harness.build_initial(cfg.initial, grid, cfg.problem.domain, cfg.seed)

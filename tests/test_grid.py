@@ -111,9 +111,8 @@ def test_pass_geometry_holds_the_band_factors():
 
 @pytest.mark.parametrize("preset,t_end", [("critical_mass_exact", 0.01), ("cyl_blowup", 1e-4)])
 def test_runs_leave_the_stored_band_factors_unchanged(preset, t_end):
-    # solve_banded overwrites its inputs even when they are flagged
-    # read-only, so freezing does not protect the grid's arrays; a pass that
-    # handed it a stored factor would corrupt every later step
+    # the LAPACK solve overwrites its bands in place, so a pass that handed
+    # it a stored factor would corrupt every later step
     cfg = preset_config(preset)
     grid, _traj, rep = run_config(replace(cfg, stop=replace(cfg.stop, t_end=t_end)))
     assert rep.steps > 10

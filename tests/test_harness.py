@@ -84,6 +84,21 @@ def test_config_rejects_unknown_key_with_name():
         ({"stop": {"sample_every": 0}}, "sample_every"),
         ({"p_list": [0.0]}, "p_list"),
         ({"p_list": []}, "p_list"),
+        # dt halves to 0 without reaching the floor: ValueError out of run
+        ({"step": {"dt_min": -1.0, "picard_max_iters": 0}}, "picard_max_iters"),
+        ({"step": {"dt_min": -1.0}}, "dt_min"),
+        ({"step": {"dt_min": math.nan}}, "dt_min"),
+        ({"step": {"c_bu": 0.0}}, "c_bu"),  # BLOWUP at step 0
+        ({"step": {"c_bu": math.inf}}, "c_bu"),
+        ({"step": {"blowup_linf_threshold": -5.0}}, "blowup_linf_threshold"),  # BLOWUP at step 1
+        ({"step": {"blowup_linf_threshold": math.nan}}, "blowup_linf_threshold"),
+        ({"step": {"picard_tol": -1.0}}, "picard_tol"),  # NUMERICAL_FAILURE at step 0
+        ({"step": {"picard_tol": math.inf}}, "picard_tol"),
+        ({"stop": {"t_end": 0.0}}, "t_end"),
+        ({"stop": {"t_end": math.inf}}, "t_end"),
+        ({"stop": {"t_end": math.nan}}, "t_end"),
+        ({"stop": {"converged_tol": -1e-6}}, "converged_tol"),
+        ({"stop": {"converged_tol": math.nan}}, "converged_tol"),
     ],
 )
 def test_config_rejects_stop_values_that_crash_the_run(extra, key):
@@ -566,6 +581,8 @@ def test_cli_run_and_exit_codes(tmp_path):
         ({"p_list": ["x"]}, "p_list"),
         ({"snapshot_times": ["x"]}, "snapshot_times"),
         ({"snapshot_times": [0.1, math.nan]}, "snapshot_times"),
+        ({"step": {"c_bu": 0.0}}, "c_bu"),
+        ({"step": {"dt_min": -1.0, "picard_max_iters": 0}}, "picard_max_iters"),
         ({"grid": {"N": "64"}}, "grid.'N'"),
         ({"problem": {"domain": {"L": "x"}}}, "domain.'L'"),
         ({"grid": {"N": True}}, "grid.'N'"),

@@ -1,10 +1,12 @@
 import math
+import subprocess
+import sys
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.linalg.lapack import dgtsv, dptsv
+from scipy.linalg.lapack import dgtsv, dptsv, dpttrs
 from hypothesis import assume, given, settings, strategies as st
 
 from cellflux import harness, presets, solver1d
@@ -15,6 +17,7 @@ from cellflux.runner import StopRule, run
 from cellflux.solver1d import (
     StepOptions,
     StepRejected,
+    Workspace,
     _advect_diffuse,
     adapt_dt,
     compute_a,
@@ -329,8 +332,9 @@ def test_advect_diffuse_matches_the_reference_pass(seed):
     eps = np.finfo(float).eps
     for c, widths, k, geom, h_min in passes:
         dt = h_min ** 2 * 10.0 ** rng.uniform(-2, 3)
+        ws = Workspace(geom, c)  # the second a solves on the first one's factors
         for a in (0.0, float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 1.0) * h_min / dt)):
-            got, _factors = _advect_diffuse(c, dt, geom, a, h_min)
+            got = _advect_diffuse(c, dt, geom, ws, a, h_min)
             want = advect_diffuse_reference(c, dt, widths, k, a, h_min)
             assert got.shape == c.shape and got.flags.f_contiguous == c.flags.f_contiguous
             scale = 1.0 + dt * float(np.max(k * (1.0 / widths[:-1] + 1.0 / widths[1:])))
@@ -348,7 +352,7 @@ def test_advect_diffuse_keeps_data_constant_along_the_axis_bitwise(seed):
     for c, _widths, _k, geom, h_min in passes:
         flat = c.copy(order="K")
         flat[:] = c[:1]
-        assert np.array_equal(_advect_diffuse(flat, 1e3 * h_min**2, geom)[0], flat)
+        assert np.array_equal(_advect_diffuse(flat, 1e3 * h_min**2, geom, Workspace(geom, flat)), flat)
 
 
 def test_step_rejects_cfl_violation():
@@ -412,9 +416,18 @@ def assert_solves_the_nonsymmetric_system(x, widths, k, dt, b):
     assert np.max(np.abs(x - want)) <= 8 * eps * np.linalg.cond(A, np.inf) * np.max(np.abs(want))
 
 
+def scipy_e(e):
+    """The off-diagonal e as SciPy's ?pt* wrappers take it: they want at
+    least one entry, and a 1 x 1 system has none."""
+    return e if len(e) else np.zeros(1)
+
+
 def scipy_reference(d, e, b):
     """scipy.linalg.solveh_banded on the lower band form, which also calls
-    LAPACK ?ptsv for a tridiagonal matrix."""
+    LAPACK ?ptsv for a tridiagonal matrix; SciPy's dptsv itself for a
+    1 x 1 system."""
+    if len(d) == 1:
+        return dptsv(d.copy(), scipy_e(e), b.copy(order="F"))[2]
     return scipy.linalg.solveh_banded(np.vstack([d, np.append(e, 0.0)]), b, lower=True)
 
 
@@ -426,19 +439,28 @@ def spd_bands(geom, dt):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_solve_banded_bitwise_equal_to_scipy_on_graded_grids(seed):
-    # the axial pass's symmetric system on random graded grids: bitwise
-    # SciPy's ptsv solve, and the solution of the nonsymmetric bands
+    # the axial pass's symmetric system on random graded grids, with n = 1
+    # and n = 2 faces at seeds 0 and 1, for one right-hand side and for a
+    # Fortran-ordered (n, k) block: bitwise SciPy's ptsv solve and the
+    # solution of the nonsymmetric bands; then a second right-hand side on
+    # the factors the solve left in d and e, bitwise SciPy's dpttrs on them
     rng = np.random.default_rng(seed)
-    N = int(rng.integers(3, 600))
+    N = seed + 2 if seed < 2 else int(rng.integers(4, 600))
     g = build_grid_1d(float(rng.uniform(0.5, 2.0)), N, float(rng.uniform(1.0, 1.05)))
     dt = 10.0 ** rng.uniform(-7, -2)
-    d, e = spd_bands(g.geom, dt)
-    b = rng.standard_normal(N - 1)
-    expect = scipy_reference(d, e, b)
-    got = solve_banded(d.copy(), e.copy(), b.copy())
-    assert got.shape == (N - 1,)
-    assert np.array_equal(got, expect)
-    assert_solves_the_nonsymmetric_system(got, g.widths, 1.0 / g.dist, dt, b)
+    for shape in ((N - 1,), (N - 1, int(rng.integers(2, 9)))):
+        d, e = spd_bands(g.geom, dt)
+        b = np.asfortranarray(rng.standard_normal(shape))
+        expect = scipy_reference(d, e, b)
+        got = solve_banded(d, e, b.copy(order="F"))
+        assert got.shape == shape
+        assert np.array_equal(got, expect)
+        assert_solves_the_nonsymmetric_system(got, g.widths, 1.0 / g.dist, dt, b)
+        b2 = np.asfortranarray(rng.standard_normal(shape))
+        want, info = dpttrs(d, scipy_e(e), b2)
+        assert info == 0
+        got = solve_banded(d, e, b2.copy(order="F"), factored=True)
+        assert got.shape == shape and np.array_equal(got, want.reshape(shape))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -490,8 +512,7 @@ def test_solve_banded_factored_bitwise_equal_to_a_fresh_dptsv(shape):
     solve_banded(d, e, np.ones(rhs, order="F"))
     for _ in range(2):  # the factors stay as they are
         b = np.asfortranarray(rng.standard_normal(rhs))
-        # SciPy's dptsv wants an off-diagonal of at least one entry
-        want = dptsv(d0.copy(), e0.copy() if n > 1 else np.zeros(1), b.copy(order="F"))[2]
+        want = dptsv(d0.copy(), scipy_e(e0.copy()), b.copy(order="F"))[2]
         got = solve_banded(d, e, b, factored=True)
         assert got.shape == b.shape and np.array_equal(got, want)
         assert np.shares_memory(got, b)  # solved in place
@@ -512,6 +533,63 @@ def test_solve_banded_rejects_a_matrix_that_is_not_positive_definite(d, e):
         solve_banded(np.array(d), np.array(e), np.ones(len(d)))
 
 
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # the solver calls numpy's own LAPACK: scipy is only a test reference
+    code = "import sys, cellflux.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("lapack,named", [
+    ({"name": "accelerate", "found": True}, "'accelerate'"),
+    ({"name": "scipy-openblas", "openblas configuration": "OpenBLAS 0.3.27  DYNAMIC_ARCH Haswell"},
+     "OpenBLAS 0.3.27  DYNAMIC_ARCH Haswell"),  # 32-bit integers
+])
+def test_a_numpy_without_scipy_openblas64_is_refused_by_name(monkeypatch, lapack, named):
+    monkeypatch.setattr(np, "show_config", lambda mode: {"Build Dependencies": {"lapack": lapack}})
+    with pytest.raises(ImportError, match=named):
+        solver1d._lapack()
+
+
+def read_only(x):
+    x.setflags(write=False)
+    return x
+
+
+# each entry breaks one condition of the (d, e, b) = (4, -1 bands, a
+# Fortran-ordered 5 x 3 block) that solve_banded hands to LAPACK
+UNFIT_FOR_LAPACK = {
+    "d float32": lambda d, e, b: (d.astype(np.float32), e, b),
+    "e float32": lambda d, e, b: (d, e.astype(np.float32), b),
+    "b float32": lambda d, e, b: (d, e, b.astype(np.float32, order="F")),
+    "d a list": lambda d, e, b: (list(d), e, b),
+    "b read-only": lambda d, e, b: (d, e, read_only(b)),
+    "d read-only": lambda d, e, b: (read_only(d), e, b),
+    "e read-only": lambda d, e, b: (d, read_only(e), b),
+    "b C-ordered": lambda d, e, b: (d, e, np.ascontiguousarray(b)),
+    "b strided": lambda d, e, b: (d, e, np.asfortranarray(np.ones((10, 3)))[::2]),
+    "d strided": lambda d, e, b: (np.full(10, 4.0)[::2], e, b),
+    "e too long": lambda d, e, b: (d, np.append(e, -1.0), b),
+    "e too short": lambda d, e, b: (d, e[1:], b),
+    "b short of rows": lambda d, e, b: (d, e, b[1:]),
+    "b 3-d": lambda d, e, b: (d, e, np.asfortranarray(np.ones((5, 3, 2)))),
+}
+
+
+@pytest.mark.parametrize("factored", [False, True])
+@pytest.mark.parametrize("bad", list(UNFIT_FOR_LAPACK))
+def test_solve_banded_refuses_arrays_lapack_cannot_take(bad, factored):
+    # ValueError before any LAPACK call: every array is left as it was
+    d, e, b = np.full(5, 4.0), np.full(4, -1.0), np.asfortranarray(np.ones((5, 3)))
+    solve_banded(d.copy(), e.copy(), b.copy(order="F"))  # the unbroken inputs solve
+    args = UNFIT_FOR_LAPACK[bad](d, e, b)
+    before = [np.array(x, copy=True) for x in args]
+    with pytest.raises(ValueError):
+        solve_banded(*args, factored=factored)
+    assert all(np.array_equal(x, x0) for x, x0 in zip(args, before))
+
+
 @pytest.mark.parametrize("geometry", ["interval", "radial"])
 @pytest.mark.parametrize("bad", ["nan", "lone +inf", "+inf and -inf"])
 def test_pass_rejects_a_non_finite_right_hand_side(geometry, bad):
@@ -528,7 +606,7 @@ def test_pass_rejects_a_non_finite_right_hand_side(geometry, bad):
     rhs = c[1:] - c[:-1]
     assert np.isposinf(rhs).any() == (bad != "nan") and np.isneginf(rhs).any() == (bad == "+inf and -inf")
     with pytest.raises(StepRejected, match="non-finite"):
-        _advect_diffuse(c, 1e-3, geom)
+        _advect_diffuse(c, 1e-3, geom, Workspace(geom, c))
 
 
 # --- factors reused across steps --------------------------------------------
@@ -536,8 +614,8 @@ def test_pass_rejects_a_non_finite_right_hand_side(geometry, bad):
 
 def factored_run(monkeypatch, cfg, refactor=False, poison=None):
     """harness.run_config(cfg) with the stepper and solve_banded wrapped.
-    refactor=True drops the factors of each state before it is stepped, so
-    every pass factors afresh.  poison=i fills the solution of the i-th
+    refactor=True clears the dt label of each workspace of a state before
+    it is stepped, so every pass factors afresh.  poison=i fills the solution of the i-th
     solve (counting from 1) with NaN, which the pass then rejects.  Returns
     (records, report, last committed field, the dt of every attempted step,
     the (dt, factored) of every solve)."""
@@ -546,12 +624,15 @@ def factored_run(monkeypatch, cfg, refactor=False, poison=None):
 
     def stepper(problem, state, dt, opts):
         dts.append(dt)
-        new = real_step(problem, replace(state, factors=(None, None)) if refactor else state, dt, opts)
+        if refactor:
+            for ws in state.work:
+                ws.dt = None
+        new = real_step(problem, state, dt, opts)
         last[:] = [new.c]
         return new
 
-    def solve(d, e, b, factored=False):
-        x = real_solve(d, e, b, factored)
+    def solve(d, e, b, factored=False, bound=None):
+        x = real_solve(d, e, b, factored, bound)
         solves.append((dts[-1], factored))
         if len(solves) == poison:
             x[...] = math.nan
@@ -607,6 +688,61 @@ def test_a_retried_step_and_the_clamped_last_step_factor_afresh(monkeypatch):
     assert solves[3:7] == [(dt_max, True), (dt_max, True), (dt_max / 2, False), (dt_max, False)]
     assert solves[7] == (dt_max, True)
     assert dts[-1] < dt_max and solves[-1] == (dts[-1], False)
+
+
+def assert_same_state(got, want):
+    assert got.c.tobytes() == want.c.tobytes()
+    assert (got.t, got.a, got.step_count, got.robin_ends) == (want.t, want.a, want.step_count, want.robin_ends)
+
+
+@pytest.mark.parametrize("reused", [False, True])
+@pytest.mark.parametrize("geometry,poisoned", [("interval", 1), ("cylinder", 1), ("cylinder", 2)])
+def test_a_step_rejected_after_its_solve_retries_as_a_fresh_state_would(monkeypatch, geometry, poisoned, reused):
+    # the poisoned-th solve of the step (the radial one on the cylinder when
+    # 2) returns NaN fluxes, so the step is rejected after LAPACK has solved
+    # in the workspace, on factors reused from a first step at dt or on
+    # fresh ones; the retry at dt/2 from the same state is bitwise that of
+    # a fresh copy of the state stepped at dt/2, and so is a step at dt
+    prob, s = profile_state(geometry, np.linspace(2.0, 1.0, 16))
+    opts, dt = StepOptions(), 1e-3
+    twin = lambda: make_state(s.grid, s.c.copy())  # noqa: E731
+    if reused:
+        step(prob, s, dt, opts)
+    real_solve, calls = solver1d.solve_banded, []
+
+    def solve(d, e, b, factored=False, bound=None):
+        x = real_solve(d, e, b, factored, bound)
+        calls.append(factored)
+        if len(calls) == poisoned:
+            x[...] = math.nan
+        return x
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver1d, "solve_banded", solve)
+        with pytest.raises(StepRejected, match="non-finite"):
+            step(prob, s, dt, opts)
+    assert calls == [reused] * poisoned
+    assert_same_state(step(prob, s, dt / 2, opts), step(prob, twin(), dt / 2, opts))
+    assert_same_state(step(prob, s, dt, opts), step(prob, twin(), dt, opts))
+
+
+@pytest.mark.parametrize("geometry", ["interval", "radial"])
+def test_a_failed_factorization_clears_the_workspace_dt(geometry):
+    # bands that are not positive definite (1/k negated) make dptsv fail
+    # (info > 0) part way through overwriting d and e: the workspace then
+    # holds no factors, so a pass at the dt it held before factors afresh
+    g = build_grid_cyl(1.0, 1.0, 3, 12, 6)
+    c = np.asfortranarray(1.0 + np.random.default_rng(1).random(g.shape))
+    c, geom = (c[:, 0].copy(), g.axial.geom) if geometry == "interval" else (c.T, g.rho_geom)
+    ws = Workspace(geom, c)
+    want = _advect_diffuse(c, 1e-3, geom, ws)
+    assert ws.dt == 1e-3
+    with pytest.raises(StepRejected, match="LAPACK info"):
+        _advect_diffuse(c, 2e-3, replace(geom, inv_k=-geom.inv_k), ws)
+    assert ws.dt is None
+    got = _advect_diffuse(c, 1e-3, geom, ws)
+    assert ws.dt == 1e-3 and got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, ws.pad) and not np.shares_memory(got, ws.T)
 
 
 # --- multi-step behavior against independent oracles ----------------------
