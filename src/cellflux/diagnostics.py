@@ -146,8 +146,9 @@ def entropy_of(grid, c, cmin: float | None = None) -> float:
     return integrate(grid, np.where(c <= 1e-300, 0.0, c * np.log(np.maximum(c, 1e-300))))
 
 
-def lp_norm(grid, c, p: float) -> float:
-    return integrate(grid, np.abs(np.asarray(c)) ** p) ** (1.0 / p)
+def lp_norm(grid, c, p: float, cmin: float | None = None) -> float:
+    """(int |c|^p)^(1/p); cmin is c.min() if known, and |c| is c when cmin > 0."""
+    return integrate(grid, (np.asarray(c) if cmin is not None and cmin > 0.0 else np.abs(c)) ** p) ** (1.0 / p)
 
 
 def dissipation_terms(grid: Grid1D, c, a: float, p: float) -> tuple[float, float, float, float]:
@@ -193,7 +194,7 @@ def record(records: Records, state, problem: ProblemSpec, dt: float, traces: tup
         terms = dissipation_terms(grid, state.c, state.a, records.p_list[0])
     records.append(state.t, dt, audit.mass, audit.entropy, audit.linf, integrate(grid, audit.x1c),
                    state.a, -problem.chi * state.a / problem.domain.volume, traces[0], traces[1], xpow,
-                   *terms, lp=[lp_norm(grid, state.c, p) for p in records.p_list])
+                   *terms, lp=[lp_norm(grid, state.c, p, audit.min) for p in records.p_list])
 
 
 def _pairs(records) -> tuple[np.ndarray, np.ndarray]:

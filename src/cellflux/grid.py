@@ -58,6 +58,10 @@ class Grid1D:
     def h_min(self) -> float:
         return float(self.widths[0])  # build_grid_1d rejects r < 1
 
+    @cached_property  # solver1d.compute_a reads it on every step
+    def end_widths(self) -> tuple[float, float]:
+        return float(self.widths[0]), float(self.widths[-1])
+
     @property
     def axial(self) -> Grid1D:
         """The grid itself, as GridCyl.axial is the cylinder's axial grid."""

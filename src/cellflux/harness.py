@@ -413,6 +413,8 @@ def sweep(cfg: RunConfig, parameter: str, bracket, refinements: int) -> SweepRep
     is recorded with that outcome and ends the sweep: no further probe is
     made, and the estimate of its level is NaN.
     """
+    if refinements < 0:
+        raise ConfigError(f"refinements must be >= 0, got {refinements}")
     lo, hi = float(bracket[0]), float(bracket[1])
     est, probes, nonmono = _bisect(cfg, parameter, lo, hi, refinements)
     if est is None or math.isnan(est):

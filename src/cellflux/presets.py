@@ -332,8 +332,8 @@ def judge(name: str, cfg: RunConfig, traj, rep) -> tuple[bool, list[str]]:
 
 def check_preset(name: str) -> tuple[bool, list[str]]:
     """Run the preset and judge it.  Returns (ok, messages)."""
+    cfg = preset_config(name)  # raises ConfigError on a name that is no preset
     if name not in _GATES:
         raise ConfigError(f"preset {name!r} has no gate (is it a sweep base config?)")
-    cfg = preset_config(name)
     _grid, traj, rep = run_config(cfg)
     return judge(name, cfg, traj, rep)

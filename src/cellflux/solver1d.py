@@ -203,7 +203,7 @@ def end_traces(state: State) -> tuple[float, float]:
     else:
         vol, B = state.grid.vol, state.grid.ball_volume
         c0, cN = float(vol @ c[0]) / B, float(vol @ c[-1]) / B
-    lam_l, lam_r = _lams(state.a, float(ax.widths[0]), float(ax.widths[-1]), *state.robin_ends)
+    lam_l, lam_r = _lams(state.a, *ax.end_widths, *state.robin_ends)
     return c0 / lam_l, cN / lam_r
 
 
@@ -215,20 +215,23 @@ def coupling_integral(nl: NonlinearitySpec, cap, c0, cN, h0: float, hN: float):
     iterates on: cap(cN / lam_r) - cap(c0 / lam_l), cap(c) being the
     f-integral over an end's cells c and lam that end's divisor (_lams).
 
-    cap(c) of each end is summed at most once per solve.  A homogeneous f
-    (problem.HOMOGENEOUS) has cap(c/lam) = cap(c)/lam^m, since the guard
-    keeps lam > 1/2, so every iterate is scalar arithmetic; saturating
-    evaluates f on the trace at each iterate.
+    A homogeneous f (problem.HOMOGENEOUS) has cap(c/lam) = cap(c)/lam^m,
+    since the guard keeps lam > 1/2, so each end's cap is summed once, here,
+    and every iterate is scalar arithmetic.  Saturating evaluates f on the
+    trace at each iterate, and sums an end's cell value cap(c) at most once.
     """
+    if nl.kind in HOMOGENEOUS:  # the divisors of _lams, inlined
+        m, sN, s0 = nl.m, cap(cN), cap(c0)
+        return lambda a, robin_l, robin_r: (sN / (1.0 - 0.5 * a * hN if robin_r else 1.0) ** m
+                                            - s0 / (1.0 + 0.5 * a * h0 if robin_l else 1.0) ** m)
     ends, sums = (c0, cN), [None, None]
-    hom, m = nl.kind in HOMOGENEOUS, nl.m
 
     def at(i: int, lam: float) -> float:
-        if not hom and lam != 1.0:
+        if lam != 1.0:
             return cap(ends[i] / lam)
         if sums[i] is None:
             sums[i] = cap(ends[i])
-        return sums[i] / lam**m
+        return sums[i]
 
     def g(a: float, robin_l: bool, robin_r: bool) -> float:
         lam_l, lam_r = _lams(a, h0, hN, robin_l, robin_r)
@@ -256,9 +259,10 @@ def solve_coupling(g, a: float, h0: float, hN: float, robin: bool, opts: StepOpt
     Returns (a, (robin_l, robin_r)), each end's mode at the last iterate.
     Raises StepRejected after picard_max_iters evaluations of g.
     """
+    tol, max_iters = opts.picard_tol, opts.picard_max_iters
     robin_l = robin_r = robin
     a_prev = F_prev = None
-    for k in range(opts.picard_max_iters):
+    for k in range(max_iters):
         flipped = False
         if robin_l and abs(a) * h0 >= 1.0:
             robin_l, flipped = False, True
@@ -266,11 +270,12 @@ def solve_coupling(g, a: float, h0: float, hN: float, robin: bool, opts: StepOpt
             robin_r, flipped = False, True
         ga = g(a, robin_l, robin_r)
         F = a - ga
-        if a_prev is None or flipped or F == F_prev or 2 * k > opts.picard_max_iters:
+        if a_prev is None or flipped or F == F_prev or 2 * k > max_iters:
             a_new = 0.5 * (a + ga)
         else:
             a_new = a - F * (a - a_prev) / (F - F_prev)
-        if abs(a_new - a) <= opts.picard_tol * max(1.0, abs(a_new)):
+        scale = abs(a_new)  # max(1.0, scale) below, without the call
+        if abs(a_new - a) <= tol * (scale if scale > 1.0 else 1.0):
             return a_new, (robin_l, robin_r)
         a_prev, F_prev, a = a, F, a_new
     raise StepRejected(f"coupling iteration on a did not converge (last a = {a:.6g})")
@@ -284,9 +289,7 @@ def compute_a(problem: ProblemSpec, state: State, opts: StepOptions) -> float:
 
     Raises StepRejected if the iteration does not reach picard_tol.
     """
-    nl, c = problem.nonlinearity, state.c
-    ax = state.grid.axial
-    h0, hN = float(ax.widths[0]), float(ax.widths[-1])
+    nl, c, (h0, hN) = problem.nonlinearity, state.c, state.grid.axial.end_widths
     if c.ndim == 1:
         # an end cell stays a float: f is far cheaper on floats than on arrays
         g = coupling_integral(nl, lambda x: _f_at_trace(nl, x), float(c[0]), float(c[-1]), h0, hN)

@@ -5,14 +5,21 @@ Both solvers start from identical states (the cell data and the committed a)
 and must agree to 1e-10 max(1, |a|) on the coupling value, and exactly on
 each end's mode (Robin trace or cell mode) at the end of the solve.  The reference evaluates f on every trace;
 the solver sums f over each end once per solve for the homogeneous kinds.
+
+The map g that compute_a iterates on is also pinned bitwise to an earlier
+form of it (coupling_integral_at), which divided cached end sums by lam^m
+through per-end helpers: the same float operations in the same order.
 """
+
+import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cellflux import harness, presets, solver1d
 from cellflux.grid import build_grid_1d, build_grid_cyl
-from cellflux.problem import DomainSpec, NonlinearitySpec, ProblemSpec, eval_f
+from cellflux.problem import HOMOGENEOUS, DomainSpec, NonlinearitySpec, ProblemSpec, eval_f
 from cellflux.solver1d import StepOptions, StepRejected, adapt_dt, compute_a, make_state, solve_coupling, step
 
 POWER_LAWS = [("signed_power", 1.0), ("signed_power", 2.5), ("negative_power", 2.0), ("sublinear_power", 0.5)]
@@ -241,3 +248,108 @@ def test_coupling_matches_picard_on_a_saturating_cylinder():
     ends, evals = assert_agrees(coupling_cyl, prob, opts, states)
     assert set(ends) == {(True, True)}
     assert evals > 2.0  # secant iterates, each evaluating f on both traces
+
+
+def coupling_integral_at(nl, cap, c0, cN, h0, hN):
+    """Reference: solver1d.coupling_integral as it was before each iterate
+    became plain scalar arithmetic.  Each end's cap(c) is summed at most
+    once, on first use; a homogeneous f divides that sum by lam^m, and
+    saturating evaluates cap on the trace wherever lam != 1."""
+    ends, sums = (c0, cN), [None, None]
+    hom, m = nl.kind in HOMOGENEOUS, nl.m
+
+    def at(i, lam):
+        if not hom and lam != 1.0:
+            return cap(ends[i] / lam)
+        if sums[i] is None:
+            sums[i] = cap(ends[i])
+        return sums[i] / lam**m
+
+    def g(a, robin_l, robin_r):
+        lam_l, lam_r = solver1d._lams(a, h0, hN, robin_l, robin_r)
+        return at(1, lam_r) - at(0, lam_l)
+
+    return g
+
+
+# the states of the bitwise check: (preset, steps, keep every, trace mode)
+PINNED = {
+    "critical_mass_exact": ("critical_mass_exact", 300, 10, "robin"),
+    "cyl_blowup_latched": ("cyl_blowup", 200, 10, "robin"),
+    "cell_mode": ("critical_mass_exact", 300, 30, "cell"),
+    "saturating_cylinder": (None, 40, 2, "robin"),
+}
+LAWS = POWER_LAWS + [("saturating", 1.0)]
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_states(case):
+    """(problem, grid, opts, ((c, a), ...)) of a PINNED case; each caller
+    builds its own states from the kept copies."""
+    preset, n_steps, every, mode = PINNED[case]
+    if preset is None:
+        prob, state = decreasing_state("cylinder", "saturating", 1.0)
+        opts = StepOptions(dt_max=1e-3)
+        state.a = compute_a(prob, state, opts)
+        kept = []
+        for k in range(n_steps):
+            if k % every == 0:
+                kept.append((state.c.copy(), state.a))
+            state = step(prob, state, adapt_dt(prob, state, opts), opts)
+        return prob, state.grid, opts, tuple(kept)
+    prob, opts, states = preset_states(preset, n_steps, every)
+    if mode == "cell":
+        opts = StepOptions(trace_mode="cell", dt_max=opts.dt_max)
+    return prob, states[0].grid, opts, tuple((s.c, s.a) for s in states)
+
+
+def caps(nl, s):
+    """(cap, c0, cN, h0, hN) of a state as compute_a builds them."""
+    h0, hN = float(s.grid.axial.widths[0]), float(s.grid.axial.widths[-1])
+    if s.c.ndim == 1:
+        return lambda x: solver1d._f_at_trace(nl, x), float(s.c[0]), float(s.c[-1]), h0, hN
+    vol = s.grid.vol
+    return lambda row: float(vol @ solver1d._f_at_trace(nl, row)), s.c[0], s.c[-1], h0, hN
+
+
+@pytest.mark.parametrize("kind, m", LAWS)
+@pytest.mark.parametrize("case", list(PINNED))
+def test_coupling_integral_is_bitwise_the_reference_on_every_iterate(case, kind, m):
+    own, grid, opts, kept = pinned_states(case)
+    nl = NonlinearitySpec(kind=kind, m=m, level=5.0, alpha=0.5)
+    prob = replace(own, nonlinearity=nl)
+    robin = opts.trace_mode == "robin"
+    modes, n_iterates = set(), 0
+    for c, a in kept:
+        s = make_state(grid, c)
+        s.a = a
+        cap, c0, cN, h0, hN = caps(nl, s)
+        ref = coupling_integral_at(nl, cap, c0, cN, h0, hN)
+        new = solver1d.coupling_integral(nl, cap, c0, cN, h0, hN)
+        iterates = []
+
+        def traced(*args):
+            iterates.append(args)
+            return ref(*args)
+
+        try:
+            want = solve_coupling(traced, a, h0, hN, robin, opts)
+        except StepRejected:
+            want = None
+        for args in iterates:
+            assert float(new(*args)).hex() == float(ref(*args)).hex(), (case, args)
+        modes |= {args[1:] for args in iterates}
+        n_iterates += len(iterates)
+        # compute_a gives the reference solve's a and end modes, bitwise
+        if want is None:
+            with pytest.raises(StepRejected):
+                compute_a(prob, s, opts)
+        else:
+            assert compute_a(prob, s, opts).hex() == want[0].hex() and s.robin_ends == want[1]
+    assert n_iterates > len(kept)
+    if not robin:
+        assert modes == {(False, False)}
+    else:
+        assert any(any(mode) for mode in modes)  # iterates on a Robin trace
+    if case == "cyl_blowup_latched":
+        assert any(not all(mode) for mode in modes)  # and with an end latched

@@ -520,6 +520,20 @@ def test_first_moment_and_lp_cylinder():
     assert lp_norm(g, c, 2.0) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("geometry", ["interval", "cylinder"])
+def test_lp_norm_given_the_min_is_bitwise_the_norm_of_abs(p, geometry):
+    # record passes the audit's min: a positive field skips |c|, and a field
+    # with a negative cell takes it, both bitwise the norm without cmin
+    g = build_grid_1d(1.0, 64, 1.05) if geometry == "interval" else build_grid_cyl(1.0, 0.5, 3, 64, 6, 1.05)
+    c = np.random.default_rng(11).uniform(1e-3, 5.0, g.shape)
+    neg = c.copy()
+    neg[(3,) * c.ndim] = -0.25
+    for field in (c, neg):
+        assert lp_norm(g, field, p, cmin=float(field.min())).hex() == lp_norm(g, field, p).hex()
+    assert lp_norm(g, neg, p) != lp_norm(g, c, p)
+
+
 def test_entropy_bounded_below_by_constant_state():
     # Jensen: int c log c >= M log(M/|Omega|)
     g = build_grid_1d(1.0, 64)

@@ -771,6 +771,34 @@ def test_cli_sweep_prints_the_probes_of_both_levels(monkeypatch, capsys):
     assert lines[7].startswith("at 2x resolution:   1.028")
 
 
+def test_sweep_rejects_a_negative_refinement_count(monkeypatch, capsys):
+    # refinements = -1 used to run the endpoints, no bisection, and report
+    # half = (hi - lo) / 2**0, twice the bracket's own half-width
+    run_config, calls = fake_run_config(set())
+    monkeypatch.setattr(cellflux.harness, "run_config", run_config)
+    cfg = preset_config("sweep_critical")
+    with pytest.raises(ConfigError, match="refinements must be >= 0, got -1"):
+        sweep(cfg, "M", (0.9, 1.1), -1)
+    argv = ["sweep", "--config", "sweep_critical", "--bracket", "0.9,1.1", "--refine", "-1"]
+    assert cellflux_cli.main(argv) == 2
+    assert "refinements must be >= 0" in capsys.readouterr().err
+    assert calls == []
+    # no refinement is still a sweep: the endpoints, at both levels
+    rep = sweep(cfg, "M", (0.9, 1.1), 0)
+    assert rep.half_width == pytest.approx(0.1) and len(rep.probes) == len(rep.refined_probes) == 2
+
+
+def test_check_names_an_unknown_preset_apart_from_one_with_no_gate(capsys):
+    with pytest.raises(ConfigError, match="unknown preset 'nope'; try one of "):
+        presets.check_preset("nope")
+    with pytest.raises(ConfigError, match="preset 'sweep_critical' has no gate"):
+        presets.check_preset("sweep_critical")
+    assert cellflux_cli.main(["check", "--preset", "nope"]) == 2
+    assert "error: unknown preset 'nope'; try one of " in capsys.readouterr().err
+    assert cellflux_cli.main(["check", "--preset", "sweep_critical"]) == 2
+    assert "error: preset 'sweep_critical' has no gate" in capsys.readouterr().err
+
+
 def test_cli_sweep_exits_3_with_every_probe_when_one_fails(tmp_path, monkeypatch, capsys):
     run_config, _calls = fake_run_config({(1.25, 32)})
     monkeypatch.setattr(cellflux.harness, "run_config", run_config)
