@@ -7,6 +7,7 @@ audit never sees quadrature error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -75,10 +76,11 @@ class Grid1D:
 def build_grid_1d(L: float, N: int, r: float = 1.0) -> Grid1D:
     if N < 2:
         raise ConfigError(f"need at least 2 cells, got {N}")
-    if r < 1.0:
-        raise ConfigError(f"grading ratio must be >= 1, got {r}")
-    if not L > 0:
-        raise ConfigError(f"length must be positive, got {L}")
+    # NaN fails every comparison, so these bounds refuse it too
+    if not 1.0 <= r < math.inf:
+        raise ConfigError(f"grading ratio r must be finite and >= 1, got {r}")
+    if not 0.0 < L < math.inf:
+        raise ConfigError(f"length L must be finite and positive, got {L}")
     if r == 1.0:
         interfaces = np.linspace(0.0, L, N + 1)
     else:
@@ -130,8 +132,8 @@ def build_grid_cyl(
         raise ConfigError(f"cylinder needs ambient dimension >= 2, got {n}")
     if Nr < 2:
         raise ConfigError(f"need at least 2 radial cells, got {Nr}")
-    if not R > 0:
-        raise ConfigError(f"radius must be positive, got {R}")
+    if not 0.0 < R < math.inf:
+        raise ConfigError(f"radius R must be finite and positive, got {R}")
     axial = build_grid_1d(L, Nx, r_axial)
     rho_if = np.linspace(0.0, R, Nr + 1)
     sigma = sphere_area(n - 2)

@@ -116,8 +116,8 @@ class DomainSpec:
         if not (self.L > 0 and math.isfinite(self.L)):
             raise ConfigError(f"length L must be positive, got {self.L}")
         if self.geometry == "cylinder":
-            if self.R is None or not self.R > 0:
-                raise ConfigError("cylinder requires R > 0")
+            if self.R is None or not 0.0 < self.R < math.inf:
+                raise ConfigError(f"cylinder requires a finite radius R > 0, got {self.R}")
             if self.n is None or self.n < 2:
                 raise ConfigError("cylinder requires ambient dimension n >= 2")
 

@@ -31,7 +31,6 @@ from .diagnostics import (
     Records,
     RunReport,
     _running_max,
-    axial_coordinate,
     axial_marginal,
     decay_tail,
     dissipation_residuals,
@@ -130,10 +129,26 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
     cyl = isinstance(grid, GridCyl)
     robin = opts.trace_mode == "robin"
     state = solver1d.make_state(grid, c0)
-    x1 = axial_coordinate(grid)
+    x1 = grid.axial.centers
+    if cyl:
+        # the cylinder's field is audited as the solver's axial pass lays it
+        # out: the F-order ravel, its Nr axial lines of N cells end to end
+        x1, n = np.tile(x1, grid.Nr), grid.axial.N
+        rise = np.empty(x1.size)  # c_{i+1} - c_i along the lines
+        line_ends = rise[n - 1 :: n]  # differences across two lines, left out
     x1_pow = x1 ** (1.0 / problem.m)
     if np.array_equal(x1_pow, x1):
         x1_pow = None  # m = 1: the audit's max of x1 c serves
+
+    def rise_max(c) -> float:
+        """max of c_{i+1} - c_i along the axis, over every axial line."""
+        if not cyl:
+            # np.max(np.diff(c)) without its overhead
+            return float((c[1:] - c[:-1]).max())
+        flat = c.ravel(order="F")
+        np.subtract(flat[1:], flat[:-1], out=rise[:-1])
+        line_ends.fill(-math.inf)
+        return float(rise.max())
 
     def audit(state) -> Audit:
         """The Audit of the state's field.  The cylinder's mass is the
@@ -144,9 +159,10 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
         if cyl:
             marg = axial_marginal(grid, c)
             mass, marg_max = float(marg @ grid.vol), float(np.max(marg))
+            x1c = (x1 * c.ravel(order="F")).reshape(c.shape, order="F")
         else:
             mass, marg_max = integrate(grid, c), None
-        x1c = x1 * c
+            x1c = x1 * c
         # max(cmax, -cmin) is max |c|, and NaN (both extremes are) or inf
         # when c holds a NaN or an inf
         return Audit(mass=mass, entropy=entropy_of(grid, c, cmin), linf=max(cmax, -cmin),
@@ -171,7 +187,10 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
     # au is the audit of the current state in sample
     def sample(dt: float):
         first = len(recs) == 0
-        xpow = au.x1c_max if x1_pow is None else float(np.max(x1_pow * state.c))
+        if x1_pow is None:
+            xpow = au.x1c_max
+        else:
+            xpow = float(np.max(x1_pow * (state.c.ravel(order="F") if cyl else state.c)))
         record(recs, state, problem, dt, solver1d.end_traces(state), au, xpow)
         due = bisect_right(want, state.t)  # requested times now reached
         del want[:due]
@@ -182,8 +201,7 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
     if failure is not None:
         reason = f"{failure} in the initial data"
         return traj, RunReport(outcome=NUMERICAL_FAILURE, reason=reason, min_c=au.min)
-    # (c[1:] - c[:-1]).max() is np.max(np.diff(c, axis=0)) without its overhead
-    monotone = float((state.c[1:] - state.c[:-1]).max()) <= 1e-12 * au.linf
+    monotone = rise_max(state.c) <= 1e-12 * au.linf
     # each per-step maximum starts at -inf, or None where it does not apply
     rep = RunReport(outcome=BOUNDED, reason="reached t_end", min_c=au.min,
                     entropy_step_increase_max=-math.inf, xc_max_ratio=-math.inf,
@@ -215,8 +233,7 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
         rep.mass_drift_max = max(rep.mass_drift_max, abs(au.mass - mass0) / mass0)
         rep.entropy_step_increase_max = max(rep.entropy_step_increase_max, au.entropy - prev.entropy)
         if monotone:
-            rep.monotone_violation_max = max(rep.monotone_violation_max,
-                                             float((c[1:] - c[:-1]).max()) / max(linf, 1e-300))
+            rep.monotone_violation_max = max(rep.monotone_violation_max, rise_max(c) / max(linf, 1e-300))
         # bitwise max(x1c_max) / M: dividing by M > 0 and rounding keep order
         rep.xc_max_ratio = max(rep.xc_max_ratio, au.x1c_max / mass0)
         if cyl:

@@ -23,6 +23,18 @@ Layout of one step, the same in both geometries:
     Robin traces, is what conserves mass: the committed update is assembled
     from the face fluxes, so the telescoping sum is exact to roundoff.
 
+Every pass runs over K lines of n cells laid end to end in one flat buffer
+(Workspace): the interval is one line; the cylinder's axial pass reads its
+Fortran-ordered field as Nr lines of N cells, and its radial pass a
+C-ordered copy as N lines of Nr cells.  The right-hand side, the upwind
+term, the finiteness check and the commit are each one ufunc over the whole
+buffer.  The face fluxes of all lines share one zero-started buffer with
+one entry per cell: a line's n - 1 faces, then a line-end entry, zeroed
+after the solve, so that the divergence of every line is one difference of
+that buffer.  dptsv/dpttrs solve the K lines' (n - 1)-face systems, which
+share one matrix, in place in it as K right-hand sides with leading
+dimension ldb = n.
+
 The field is (N,) on the interval and (N, Nr) on the cylinder, and
 grid.axial is the axial Grid1D of either.  A Robin boundary trace solves the
 one-sided closure c_x = a c: an end cap's value divided by lam (_lams).  The
@@ -109,8 +121,9 @@ class _Bound:
     for d, e and b, checked once and kept with the arrays they point into.
     Raises ValueError on arrays that LAPACK cannot take as they are: d, e
     and b float64 and writeable, d and e contiguous vectors with
-    len(e) = len(d) - 1, b an (n,) or Fortran-ordered (n, k) array with
-    n = len(d)."""
+    len(e) = len(d) - 1, b an (n,) contiguous vector or an (n, k) array with
+    n = len(d) whose columns are contiguous and lie ldb >= n entries apart
+    (LAPACK's leading dimension; ldb = n for a Fortran-ordered b)."""
 
     __slots__ = ("d", "e", "b", "info", "args")
 
@@ -124,31 +137,55 @@ class _Bound:
             raise ValueError("d and e must be contiguous vectors")
         if len(e) != len(d) - 1:
             raise ValueError(f"e must have len(d) - 1 = {len(d) - 1} entries, got {len(e)}")
-        if b.ndim not in (1, 2) or b.shape[0] != len(d):
-            raise ValueError(f"b must have shape ({len(d)},) or ({len(d)}, k), got {b.shape}")
-        if not b.flags.f_contiguous:
-            raise ValueError("b must be Fortran-contiguous")
-        n, nrhs = len(d), 1 if b.ndim == 1 else b.shape[1]
+        n = len(d)
+        if b.ndim not in (1, 2) or b.shape[0] != n:
+            raise ValueError(f"b must have shape ({n},) or ({n}, k), got {b.shape}")
+        if n > 1 and b.strides[0] != b.itemsize:
+            raise ValueError(f"b's columns must be contiguous, got an element stride of {b.strides[0]} bytes")
+        nrhs, ldb = 1 if b.ndim == 1 else b.shape[1], max(n, 1)
+        if nrhs > 1:
+            ldb, rem = divmod(b.strides[1], b.itemsize)
+            if rem or ldb < n:
+                raise ValueError(f"b's columns must lie at least n = {n} entries apart, "
+                                 f"got a column stride of {b.strides[1]} bytes")
         self.d, self.e, self.b, self.info = d, e, b, ctypes.c_int64(0)
         ref, ptr = ctypes.byref, ctypes.c_void_p
         self.args = (ref(ctypes.c_int64(n)), ref(ctypes.c_int64(nrhs)), ptr(d.ctypes.data), ptr(e.ctypes.data),
-                     ptr(b.ctypes.data), ref(ctypes.c_int64(max(n, 1))), ref(self.info))
+                     ptr(b.ctypes.data), ref(ctypes.c_int64(ldb)), ref(self.info))
 
 
 class Workspace:
     """The buffers of one advect-and-diffuse pass (_advect_diffuse) over
-    fields shaped and laid out like c: the zero-ended face-flux buffer pad,
-    the Fortran-ordered right-hand side T (pad[1:-1] itself for an (N,)
-    field), the bands d and e, the commit scale dt/w, and the LAPACK
-    arguments bound to d, e and T.  dt is the dt whose LDL^T factors d and e
-    hold, or None when they hold none."""
+    fields shaped like c, K lines of n cells along axis 0 (one line for an
+    (n,) field), laid end to end in the column-major order of c:
+
+      pad     the face fluxes of all lines, a zero, then per line its
+              n - 1 faces and a line-end entry that is zero at each commit
+      rhs     pad[1:-1], where a pass builds its right-hand side
+      T       the (n - 1, K) faces in pad, LAPACK's b at ldb = n
+              (rhs itself for one line)
+      ends    the line-end entries of pad (None for one line)
+      d, e    the bands of the one (n - 1)-face system all lines share
+      inv_k   geom's 1/k per face and inv_w its 1/w per cell, each tiled
+              over the lines (line ends of inv_k hold 0); scale = dt inv_w
+      lapack  the LAPACK arguments bound to d, e and T
+
+    dt is the dt whose LDL^T factors d and e hold, or None when they hold
+    none."""
 
     def __init__(self, geom: PassGeometry, c: np.ndarray):
-        n = len(c) - 1
-        self.pad = np.zeros((n + 2,) + c.shape[1:], order="C" if c.flags.c_contiguous else "F")
-        self.T = self.pad[1:-1] if c.ndim == 1 else np.empty(self.pad[1:-1].shape, order="F")
-        self.d, self.e = np.empty(n), np.empty(n - 1)
-        self.scale = np.empty((n + 1, 1)[: c.ndim])  # dt/w, a column on an (N, K) field
+        n, lines = len(c), 1 if c.ndim == 1 else c.shape[1]
+        self.pad = np.zeros(n * lines + 1)
+        self.rhs = self.pad[1:-1]
+        if c.ndim == 1:
+            self.T, self.inv_k, self.inv_w, self.ends = self.rhs, geom.inv_k, geom.inv_w, None
+        else:
+            self.T = self.pad[1:].reshape((n, lines), order="F")[:-1]
+            self.inv_k = np.tile(np.append(geom.inv_k, 0.0), lines)[:-1]
+            self.inv_w = np.tile(geom.inv_w, lines)
+            self.ends = self.pad[n::n]  # the line-end entries
+        self.d, self.e = np.empty(n - 1), np.empty(n - 2)
+        self.scale = np.empty(n * lines)
         self.lapack = _Bound(self.d, self.e, self.T)
         self.dt = None
 
@@ -175,8 +212,8 @@ class State:
 
 def make_state(grid: Grid1D | GridCyl, c0) -> State:
     # Fortran order: on the cylinder each axial line c[:, j] is contiguous,
-    # so the axial pass runs along long contiguous runs and the radial pass
-    # (on c.T) along contiguous rows; _advect_diffuse keeps the layout
+    # so the axial pass reads the field as its lines end to end without a
+    # copy (Workspace); _advect_diffuse keeps the layout
     c = np.array(c0, dtype=float, order="F")
     if c.shape != grid.shape:
         raise ValueError(f"initial data shape {c.shape} does not match grid {grid.shape}")
@@ -303,8 +340,9 @@ def compute_a(problem: ProblemSpec, state: State, opts: StepOptions) -> float:
 def solve_banded(d: np.ndarray, e: np.ndarray, b: np.ndarray, factored: bool = False,
                  bound: _Bound | None = None) -> np.ndarray:
     """Solve the symmetric positive-definite tridiagonal system with diagonal
-    d and off-diagonal e for b, an (n,) vector or a Fortran-ordered (n, k)
-    array of k right-hand sides, in place, by LAPACK dptsv (LDL^T, no
+    d and off-diagonal e for b, an (n,) vector or an (n, k) array of k
+    right-hand sides in contiguous columns ldb >= n entries apart (in a
+    Workspace, ldb = n + 1), in place, by LAPACK dptsv (LDL^T, no
     pivoting), and return b.  On return d and e hold the LDL^T factors, and
     a later call with factored=True solves another b with them by dpttrs
     alone (dptsv is dpttrf then dpttrs, so the result is bitwise that of a
@@ -327,9 +365,10 @@ def _advect_diffuse(c, dt, geom: PassGeometry, ws: Workspace, a=0.0, h_min=math.
     """One conservative advect-and-diffuse pass along axis 0 of c, an (N,)
     or (N, K) array of cell averages over the cells of geom, the pass's
     dt-free factors (grid.PassGeometry), in the buffers of ws, a Workspace
-    built for fields like c.  When ws holds the factors of dt, the system is
-    only back-substituted; else the bands of dt are factored in ws.  Returns
-    the updated array, a new one.
+    built on geom for fields like c.  When ws holds the factors of dt, the
+    system is only back-substituted; else the bands of dt are factored in
+    ws.  Returns the updated array, a new one laid out like c (Fortran or C
+    order).
 
     Rejects (StepRejected) an advective CFL violation dt |a| > h_min.  The
     face flux is T = J + F: explicit upwind advection J = -a c_up (upwind
@@ -340,36 +379,43 @@ def _advect_diffuse(c, dt, geom: PassGeometry, ws: Workspace, a=0.0, h_min=math.
     """
     if dt * abs(a) > h_min:
         raise StepRejected(f"advective CFL violated: dt*|a| = {dt * abs(a):.3g} > h_min")
-    col = np.s_[:] if c.ndim == 1 else np.s_[:, None]
-    # the face fluxes go between the zero ends of pad, so the commit is one
-    # divergence (dt/w) (pad[1:] - pad[:-1]) and keeps the layout of c.
+    # the K lines end to end (Workspace): a view of a Fortran-ordered c, a
+    # copy of any other.  Each ufunc below then runs over one contiguous
+    # vector; the differences across line ends it forms are garbage that
+    # the solve leaves alone and the zeroing of ws.ends discards.
     # With y = c + (commit of T) and F = T - J, F = k (y_{i+1} - y_i) over k
     # is the SPD system (1/k + dt G W^-1 G^T) T = G c + J/k, G the
-    # differences across the n - 1 faces and W the widths.  The commit never
-    # differences the solved field, so it adds no roundoff of order
-    # eps dt/h_min^2, and data constant along this axis gives T = 0 exactly
-    # when a = 0.  The right-hand side is built in ws.T, Fortran-ordered (in
-    # pad itself for an (N,) field), so dptsv solves it in place
-    T = ws.T
-    np.subtract(c[1:], c[:-1], out=T)
+    # differences across the n - 1 faces of a line and W the widths.  The
+    # commit never differences the solved field, so it adds no roundoff of
+    # order eps dt/h_min^2, and data constant along this axis gives T = 0
+    # exactly when a = 0
+    flat = c if c.ndim == 1 else c.ravel(order="F")
+    rhs = ws.rhs
+    np.subtract(flat[1:], flat[:-1], out=rhs)
     if a != 0.0:
-        T += (c[:-1] if a >= 0.0 else c[1:]) * (-a * geom.inv_k)[col]
+        rhs += (flat[:-1] if a >= 0.0 else flat[1:]) * (-a * ws.inv_k)
     factored = ws.dt == dt
     if not factored:
         ws.dt = None  # until dptsv has factored the new bands
         np.multiply(dt, geom.diag, out=ws.d)
         np.add(geom.inv_k, ws.d, out=ws.d)
         np.multiply(-dt, geom.off, out=ws.e)
-        np.multiply(dt, geom.inv_w[col], out=ws.scale)
-    T = solve_banded(ws.d, ws.e, T, factored, ws.lapack)
+        np.multiply(dt, ws.inv_w, out=ws.scale)
+    T = solve_banded(ws.d, ws.e, ws.T, factored, ws.lapack)
     ws.dt = dt
+    if T is not ws.T:  # commit what the solve returned
+        ws.T[...] = T
+    if ws.ends is not None:
+        ws.ends.fill(0.0)
     # the sum is NaN or inf whenever an entry is (inf - inf is NaN)
-    if not math.isfinite(float(T.sum())):
+    if not math.isfinite(float(rhs.sum())):
         raise StepRejected("tridiagonal solve produced non-finite values")
     pad = ws.pad
-    if T.base is not pad:
-        pad[1:-1] = T
-    return c + ws.scale * (pad[1:] - pad[:-1])
+    y = flat + ws.scale * (pad[1:] - pad[:-1])
+    if c.ndim == 1:
+        return y
+    y = y.reshape(c.shape, order="F")
+    return y if c.flags.f_contiguous else np.ascontiguousarray(y)
 
 
 def step(problem: ProblemSpec, state: State, dt: float, opts: StepOptions) -> State:

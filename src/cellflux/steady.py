@@ -117,8 +117,8 @@ def find_steady(
     scan before bisecting; a non-monotone bracket raises SteadyStateError
     rather than silently failing.
     """
-    if not (m >= 1.0 and M > 0 and L > 0):
-        raise DomainError("find_steady expects m >= 1, M > 0, L > 0")
+    if not (1.0 <= m < math.inf and 0.0 < M < math.inf and 0.0 < L < math.inf):
+        raise DomainError(f"find_steady expects finite m >= 1, M > 0 and L > 0, got m={m}, M={M}, L={L}")
     if m == 1.0:
         # the mass curve is identically 1 for every rate
         return DEGENERATE_FAMILY if abs(M - 1.0) <= CRITICAL_MASS_TOL else None

@@ -39,6 +39,17 @@ def test_grid_rejects_bad_args():
         build_grid_cyl(1.0, -1.0, 2, 8, 8)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_grid_refuses_a_non_finite_size_by_name(value):
+    # NaN passes a bare r < 1 test, and inf a bare R > 0 one
+    with pytest.raises(ConfigError, match="grading ratio r"):
+        build_grid_1d(1.0, 16, value)
+    with pytest.raises(ConfigError, match="length L"):
+        build_grid_1d(value, 16)
+    with pytest.raises(ConfigError, match="radius R"):
+        build_grid_cyl(1.0, value, 3, 8, 8)
+
+
 @given(st.integers(2, 400), st.floats(1.0, 1.2), st.floats(0.1, 10.0))
 @settings(max_examples=60)
 def test_grid_invariants(N, r, L):

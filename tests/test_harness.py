@@ -106,6 +106,25 @@ def test_config_rejects_stop_values_that_crash_the_run(extra, key):
         config_from_dict({**MINIMAL, **extra})
 
 
+@pytest.mark.parametrize("section,key,value,named", [
+    ("grid", "r", math.nan, "grading ratio r"),
+    ("grid", "r", math.inf, "grading ratio r"),
+    ("domain", "R", math.inf, "finite radius R"),
+    ("domain", "R", math.nan, "finite radius R"),
+])
+def test_config_rejects_a_non_finite_grid_ratio_or_radius(tmp_path, section, key, value, named):
+    # each used to fail only once the run had started, as initial data
+    # with no mass, after numpy warnings
+    doc = config_to_dict(preset_config("cyl_blowup"))
+    (doc["grid"] if section == "grid" else doc["problem"]["domain"])[key] = value
+    with pytest.raises(ConfigError, match=named):
+        run_config(config_from_dict(doc))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))  # Infinity and NaN, which json reads back
+    r = cli("run", "--config", str(p))
+    assert r.returncode == 2 and named in r.stderr and "Warning" not in r.stderr
+
+
 CONFIG_ECHO = json.loads((Path(__file__).parent / "data" / "config_echo.json").read_text())
 
 
@@ -673,6 +692,14 @@ def test_cli_steady_and_list():
     r = cli("list-presets")
     assert r.returncode == 0
     assert "moment_bound" in r.stdout
+
+
+@pytest.mark.parametrize("args", [("--m", "2", "--L", "inf"), ("--m", "inf")])
+def test_cli_steady_refuses_a_non_finite_argument(args):
+    # it used to print a steady state of NaNs and exit 0
+    r = cli("steady", *args, "--mass", "1")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: find_steady expects finite m")
 
 
 GATED = presets.gated_presets()

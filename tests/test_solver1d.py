@@ -355,6 +355,48 @@ def test_advect_diffuse_keeps_data_constant_along_the_axis_bitwise(seed):
         assert np.array_equal(_advect_diffuse(flat, 1e3 * h_min**2, geom, Workspace(geom, flat)), flat)
 
 
+def pass_2d_reference(c, dt, geom, a=0.0):
+    """The advect-and-diffuse pass as it ran before its lines were laid end
+    to end: the right-hand side, the upwind term and the commit on the
+    (N, K) array itself, with 1/k and dt/w broadcast as [:, None] columns,
+    a Fortran-ordered (N - 1, K) right-hand side solved by SciPy's dptsv,
+    and the fluxes copied into a zero-ended (N + 1, K) buffer to commit."""
+    col = np.s_[:] if c.ndim == 1 else np.s_[:, None]
+    T = np.empty(c[1:].shape, order="F")
+    np.subtract(c[1:], c[:-1], out=T)
+    if a != 0.0:
+        T += (c[:-1] if a >= 0.0 else c[1:]) * (-a * geom.inv_k)[col]
+    d, e = geom.inv_k + dt * geom.diag, -dt * geom.off
+    T, info = dptsv(d, scipy_e(e), T)[2:]
+    assert info == 0
+    pad = np.zeros((len(c) + 1,) + c.shape[1:])
+    pad[1:-1] = T
+    return c + (dt * geom.inv_w)[col] * (pad[1:] - pad[:-1])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_flat_pass_is_bitwise_the_2d_pass(seed):
+    # every pass the stepper makes (the interval's line, the cylinder's
+    # axial lines of a Fortran-ordered field and its radial lines of c.T)
+    # on random graded grids, for a = 0, a > 0 and a < 0, first on fresh
+    # factors and then twice on the factors its workspace kept, and once
+    # more after a dt that factored afresh
+    rng, passes = random_passes(seed)
+    for c, _widths, _k, geom, h_min in passes:
+        ws, reused = Workspace(geom, c), []
+        dt1, dt2 = (h_min**2 * 10.0 ** rng.uniform(-2, 3) for _ in range(2))
+        for dt in (dt1, dt1, dt2, dt1):
+            speed = float(rng.uniform(0.05, 1.0)) * h_min / dt
+            for a in (0.0, speed, -speed):
+                reused.append(ws.dt == dt)
+                got = _advect_diffuse(c, dt, geom, ws, a, h_min)
+                want = pass_2d_reference(c, dt, geom, a)
+                assert got.shape == c.shape and got.flags.f_contiguous == c.flags.f_contiguous
+                assert got.tobytes(order="C") == want.tobytes(order="C")
+                assert not np.shares_memory(got, c)
+        assert reused == [False, True, True] + [True] * 3 + [False, True, True] * 2
+
+
 def test_step_rejects_cfl_violation():
     g = build_grid_1d(1.0, 32)
     s = make_state(g, bump(g, 2.0, 4.0))
@@ -518,6 +560,35 @@ def test_solve_banded_factored_bitwise_equal_to_a_fresh_dptsv(shape):
         assert np.shares_memory(got, b)  # solved in place
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_banded_reaches_columns_through_a_leading_dimension_above_n(seed):
+    # the layout of a Workspace: k systems of n faces, each a column of an
+    # (ldb, k) Fortran-ordered buffer with ldb > n (the pass's ldb = n + 1),
+    # solved in place, bitwise SciPy's dptsv and then dpttrs on contiguous
+    # copies; the ldb - n entries below each column are left as they were
+    rng = np.random.default_rng(200 + seed)
+    g = build_grid_cyl(1.0, 1.0, 3, int(rng.integers(2, 300)), int(rng.integers(3, 30)), float(rng.uniform(1.0, 1.05)))
+    geom = g.axial.geom if seed % 2 else g.rho_geom
+    n, k = len(geom.diag), int(rng.integers(2, 20))
+    ldb = n + (1 if seed < 2 else int(rng.integers(2, 9)))
+    d0, e0 = spd_bands(geom, 10.0 ** rng.uniform(-7, -2))
+    d, e = d0.copy(), e0.copy()
+    for factored in (False, True):
+        buf = np.asfortranarray(rng.standard_normal((ldb, k)))
+        below = buf[n:].copy()
+        b = buf[:n]
+        assert b.strides == (8, 8 * ldb)
+        rhs = b.copy(order="F")
+        if factored:
+            want, info = dpttrs(d, scipy_e(e), rhs)
+        else:
+            want, info = dptsv(d0.copy(), scipy_e(e0.copy()), rhs)[2:]
+        assert info == 0
+        got = solve_banded(d, e, b, factored)
+        assert got is b and np.array_equal(got, want)
+        assert np.array_equal(buf[n:], below)
+
+
 def test_solve_banded_singular_system_rejects_step():
     with pytest.raises(StepRejected):
         solve_banded(np.zeros(4), np.zeros(3), np.ones(4))
@@ -569,6 +640,11 @@ UNFIT_FOR_LAPACK = {
     "e read-only": lambda d, e, b: (d, read_only(e), b),
     "b C-ordered": lambda d, e, b: (d, e, np.ascontiguousarray(b)),
     "b strided": lambda d, e, b: (d, e, np.asfortranarray(np.ones((10, 3)))[::2]),
+    "b columns 4 entries apart": lambda d, e, b: (d, e, np.lib.stride_tricks.as_strided(
+        np.ones(13), shape=(5, 3), strides=(8, 32))),
+    "b columns a partial entry apart": lambda d, e, b: (d, e, np.lib.stride_tricks.as_strided(
+        np.ones(20), shape=(5, 3), strides=(8, 44))),
+    "b columns reversed": lambda d, e, b: (d, e, np.asfortranarray(np.ones((5, 3)))[:, ::-1]),
     "d strided": lambda d, e, b: (np.full(10, 4.0)[::2], e, b),
     "e too long": lambda d, e, b: (d, np.append(e, -1.0), b),
     "e too short": lambda d, e, b: (d, e[1:], b),

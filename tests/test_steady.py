@@ -83,6 +83,16 @@ def test_find_steady_m1_degenerate_family():
     assert find_steady(1.0, 1.0, 1.0) == DEGENERATE_FAMILY
 
 
+@pytest.mark.parametrize("m,L,M", [
+    (2.0, math.inf, 1.0), (math.inf, 1.0, 1.0), (2.0, 1.0, math.inf),
+    (math.nan, 1.0, 0.5), (2.0, math.nan, 0.5), (2.0, 1.0, math.nan),
+])
+def test_find_steady_refuses_non_finite_arguments(m, L, M):
+    # an infinite L or m used to give a steady state of NaNs
+    with pytest.raises(DomainError, match="finite"):
+        find_steady(m, L, M)
+
+
 def test_find_steady_needs_larger_amax_error():
     with pytest.raises(SteadyStateError):
         find_steady(2.0, 1.0, 1e-12, a_max=5.0)  # mass below the curve end
