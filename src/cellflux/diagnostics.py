@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid1D, GridCyl, integrate
-from .problem import ProblemSpec
+from .grid import Grid1D, GridCyl, integrate, quadrature
+from .problem import ConfigError, ProblemSpec
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -80,8 +80,9 @@ for _k, _name in enumerate(COLUMNS):  # records.t, records.dt, ...: views of the
 class RunReport:
     """Outcome classification plus every bound/identity audit of one run.
 
-    The runner's loop updates the per-step tallies as it audits each step;
-    a per-step maximum is None where it does not apply or no step passed."""
+    The runner's loop keeps the per-step tallies as it audits each step and
+    writes them here when it ends; a per-step maximum is None where it does
+    not apply or no step passed."""
 
     outcome: str  # CONVERGED | BOUNDED | BLOWUP | NUMERICAL_FAILURE
     reason: str = ""
@@ -113,45 +114,80 @@ class RunReport:
 @dataclass
 class Audit:
     """Functionals of one field that the runner's per-step audit computes
-    once: record() reuses its mass, entropy, linf and x1 c instead of
-    recomputing them, and the runner's bound audits its min and maxima."""
+    once, as record() receives them at a sample: it reuses their mass,
+    entropy, linf and x1 c instead of recomputing them."""
 
     mass: float
     entropy: float
     linf: float
     min: float
-    x1c: np.ndarray  # x1 c, the integrand of the first axial moment
     x1c_max: float
     marg_max: float | None  # max of the axial marginal; None on the interval
+    x1c: np.ndarray  # x1 c, the integrand of the first axial moment
 
 
-def axial_coordinate(grid) -> np.ndarray:
-    """Cell-center x1, shaped to broadcast against a field on the grid."""
-    return grid.axial.centers.reshape((-1,) + (1,) * (len(grid.shape) - 1))
+class AuditWorkspace:
+    """The buffers of runner.run's per-step audit and samples over fields
+    like c (make_state's column-major field), built once per run: x1 and
+    x1_pow (x1^(1/m), None at m = 1, where x1 c serves), the axial centre
+    of each cell laid out like c; x1c, x1 c of the last audit; tmp, for
+    c log c, x1^(1/m) c and |c|^p in turn; rise, c_{i+1} - c_i along the
+    flat column-major c, whose line ends hold -inf before a max over span
+    (all of rise on the cylinder, its N - 1 differences on the interval);
+    and on the interval faces, the four face buffers of dissipation_terms."""
+
+    def __init__(self, grid, c: np.ndarray, m: float):
+        n = grid.axial.N
+        self.x1 = np.tile(grid.axial.centers, c.size // n).reshape(c.shape, order="F")
+        x1_pow = self.x1 ** (1.0 / m)
+        self.x1_pow = None if np.array_equal(x1_pow, self.x1) else x1_pow
+        self.x1c, self.tmp = np.empty_like(c), np.empty_like(c)
+        self.rise = np.empty(c.size)
+        self.line_ends = self.rise[n - 1 :: n]
+        self.span = self.rise if c.ndim == 2 else self.rise[:-1]
+        self.faces = tuple(np.empty((4, n - 1))) if c.ndim == 1 else None
+
+
+def check_p_list(p_list) -> tuple:
+    """p_list as a tuple; ConfigError unless it names at least one exponent
+    (the dissipation residuals use p_list[0]), each finite and > 0, and
+    none twice (Records.lp is keyed by exponent)."""
+    p_list = tuple(p_list)
+    if not p_list or not all(math.isfinite(p) and p > 0 for p in p_list) or len(set(p_list)) < len(p_list):
+        raise ConfigError(f"p_list must name distinct exponents, each finite and > 0; got {list(p_list)}")
+    return p_list
 
 
 def axial_marginal(grid: GridCyl, c) -> np.ndarray:
     """Radial profile of the axial line integral of a cylinder field,
     m_j = sum_i h_i c_ij.  It obeys a discrete Neumann heat flow in rho, so
     its maximum never increases; it drives the x1 c <= M0 profile bound."""
-    return grid.axial.widths @ c
+    return grid.axial.widths.dot(c)
 
 
-def entropy_of(grid, c, cmin: float | None = None) -> float:
+def entropy_of(grid, c, cmin: float | None = None, out: np.ndarray | None = None) -> float:
     """Integral of c log c with the integrand extended by 0 at c = 0; cmin
-    is c.min() if known.  A NaN cell makes the integral NaN."""
+    is c.min() if known.  A NaN cell makes the integral NaN.  out, an array
+    shaped like the grid, takes the integrand of a positive field in place
+    of new arrays, and its integral skips integrate's checks."""
     c = np.asarray(c)
     if (c.min() if cmin is None else cmin) > 1e-300:  # the usual case: no cell needs the extension
-        return integrate(grid, c * np.log(c))
-    return integrate(grid, np.where(c <= 1e-300, 0.0, c * np.log(np.maximum(c, 1e-300))))
+        s = np.multiply(c, np.log(c, out=out), out=out)
+    else:
+        s = np.where(c <= 1e-300, 0.0, c * np.log(np.maximum(c, 1e-300)))
+    return integrate(grid, s) if out is None else quadrature(grid, s)
 
 
-def lp_norm(grid, c, p: float, cmin: float | None = None) -> float:
-    """(int |c|^p)^(1/p); cmin is c.min() if known, and |c| is c when cmin > 0."""
-    return integrate(grid, (np.asarray(c) if cmin is not None and cmin > 0.0 else np.abs(c)) ** p) ** (1.0 / p)
+def lp_norm(grid, c, p: float, cmin: float | None = None, out: np.ndarray | None = None) -> float:
+    """(int |c|^p)^(1/p); cmin is c.min() if known, and |c| is c when
+    cmin > 0.  out, an array shaped like the grid, takes |c| and |c|^p in
+    place of new arrays, and the integral skips integrate's checks."""
+    s = np.power(c if cmin is not None and cmin > 0.0 else np.abs(c, out=out), p, out=out)
+    return (integrate(grid, s) if out is None else quadrature(grid, s)) ** (1.0 / p)
 
 
-def dissipation_terms(grid: Grid1D, c, a: float, p: float) -> tuple[float, float, float, float]:
+def dissipation_terms(grid: Grid1D, c, a: float, p: float,
+                      out: tuple | None = None) -> tuple[float, float, float, float]:
     """(diss_s, coup_s, diss_p, coup_p) of a positive 1D field c at coupling
     a: the two sides of the entropy and L^p dissipation identities
 
@@ -163,20 +199,24 @@ def dissipation_terms(grid: Grid1D, c, a: float, p: float) -> tuple[float, float
     face the mean fm of its two cells.  The faces' differences sum to
     c[-1] - c[0].  The sums are taken in s = 2 fm, which saves passes:
     diss_s = 2 u.(dc/s), diss_p = 2 k u.y and coup_p = k a y.s, with
-    u = dc/d, y = dc s^(p-2) (no power at p = 2) and k = p(p-1) 2^(1-p)."""
-    dc = c[1:] - c[:-1]
-    s = c[1:] + c[:-1]
-    u = dc / grid.dist
-    y = dc if p == 2.0 else dc * s ** (p - 2.0)
+    u = dc/d, y = dc s^(p-2) (no power at p = 2) and k = p(p-1) 2^(1-p).
+    out, four arrays of N - 1 faces (AuditWorkspace.faces), holds dc, s,
+    u and then dc/s and y in place of new arrays."""
+    dc, s, u, q = np.empty((4, len(c) - 1)) if out is None else out
+    np.subtract(c[1:], c[:-1], out=dc)
+    np.add(c[1:], c[:-1], out=s)
+    np.divide(dc, grid.dist, out=u)
+    diss_s = 2.0 * float(u.dot(np.divide(dc, s, out=q)))
+    y = dc if p == 2.0 else np.multiply(dc, np.power(s, p - 2.0, out=q), out=q)
     k = p * (p - 1.0) * 2.0 ** (1.0 - p)
-    return 2.0 * float(u @ (dc / s)), a * float(c[-1] - c[0]), 2.0 * k * float(u @ y), k * a * float(y @ s)
+    return diss_s, a * float(c[-1] - c[0]), 2.0 * k * float(u.dot(y)), k * a * float(y.dot(s))
 
 
 _NO_TERMS = (math.nan,) * 4  # the dissipation terms of a sample that has none
 
 
 def record(records: Records, state, problem: ProblemSpec, dt: float, traces: tuple[float, float],
-           audit: Audit, xpow: float) -> None:
+           audit: Audit, xpow: float, work: AuditWorkspace | None = None) -> None:
     """Sample all monitored functionals of a 1D or cylinder state as the
     next row of records, with the L^p norms of its p_list.
 
@@ -186,15 +226,17 @@ def record(records: Records, state, problem: ProblemSpec, dt: float, traces: tup
     the state's max x1^(1/m) c, which the runner computes.  The dissipation
     terms, with p = p_list[0], are evaluated on the interval when the field
     is positive and finite (audit min > 0, linf < inf), and are NaN
-    otherwise.
+    otherwise.  work, the run's AuditWorkspace, lends the terms and the
+    norms its buffers in place of new arrays.
     """
-    grid = state.grid
+    grid, c = state.grid, state.c
+    faces, tmp = (None, None) if work is None else (work.faces, work.tmp)
     terms = _NO_TERMS
     if audit.min > 0.0 and audit.linf < math.inf and isinstance(grid, Grid1D):
-        terms = dissipation_terms(grid, state.c, state.a, records.p_list[0])
-    records.append(state.t, dt, audit.mass, audit.entropy, audit.linf, integrate(grid, audit.x1c),
+        terms = dissipation_terms(grid, c, state.a, records.p_list[0], faces)
+    records.append(state.t, dt, audit.mass, audit.entropy, audit.linf, quadrature(grid, audit.x1c),
                    state.a, -problem.chi * state.a / problem.domain.volume, traces[0], traces[1], xpow,
-                   *terms, lp=[lp_norm(grid, state.c, p, audit.min) for p in records.p_list])
+                   *terms, lp=[lp_norm(grid, c, p, audit.min, tmp) for p in records.p_list])
 
 
 def _pairs(records) -> tuple[np.ndarray, np.ndarray]:

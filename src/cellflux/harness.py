@@ -25,6 +25,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from .diagnostics import check_p_list
 from .grid import Grid1D, GridCyl, build_grid_1d, build_grid_cyl, integrate
 from .problem import ConfigError, DomainSpec, ProblemSpec
 from .runner import BLOWUP, NUMERICAL_FAILURE, StopRule, run
@@ -83,9 +84,7 @@ class RunConfig:
     out_dir: str = "out/run"
 
     def __post_init__(self):
-        # the dissipation residuals use p_list[0]
-        if not self.p_list or not all(math.isfinite(p) and p > 0 for p in self.p_list):
-            raise ConfigError(f"p_list must name exponents, each finite and > 0; got {list(self.p_list)}")
+        check_p_list(self.p_list)
         if any(math.isnan(t) for t in self.snapshot_times):  # a NaN has no place in sorted order
             raise ConfigError(f"snapshot_times must be numbers; got {list(self.snapshot_times)}")
 

@@ -3,14 +3,16 @@ solver1d.step, with solver1d.adapt_dt and solver1d.compute_a.
 
 The loop owns adaptive stepping, step rejection, outcome classification, and
 the per-step audits (mass drift, positivity, monotonicity, profile bounds,
-per-step entropy change), each on one Audit of one pass over the committed
+per-step entropy change), each on one audit of one pass over the committed
 field: one max and one min (a NaN or inf shows in one of them), mass and
-entropy by grid.integrate, x1 c once, and the cylinder's axial marginal.
-adapt_dt and each sample reuse it.  The loop's only products are traj and
-rep: per-step tallies go on the RunReport, each sample, its max x1^(1/m) c
-included, is one row of traj.records (a diagnostics.Records table, one
-float64 column per functional), and traj.fields holds only the fields
-snapshots.csv writes; no field is held for any check.
+entropy by grid.quadrature, x1 c once, and the cylinder's axial marginal,
+into the buffers of one AuditWorkspace built per run.  adapt_dt and each
+sample reuse it.  The loop's only products are traj and rep: it keeps the
+per-step tallies in locals and writes them onto the RunReport when it
+ends, each sample, its max x1^(1/m) c included, is one row of
+traj.records (a diagnostics.Records table, one float64 column per
+functional), and traj.fields holds only the fields snapshots.csv writes;
+no field is held for any check.
 _post_run, a function of traj and rep, adds the fits, the first-moment
 residual, on the interval the entropy and L^p dissipation residuals, and
 the thresholds problem.thresholds gives the run's law of f, each as
@@ -28,10 +30,12 @@ import numpy as np
 from . import solver1d
 from .diagnostics import (
     Audit,
+    AuditWorkspace,
     Records,
     RunReport,
     _running_max,
     axial_marginal,
+    check_p_list,
     decay_tail,
     dissipation_residuals,
     entropy_of,
@@ -40,7 +44,7 @@ from .diagnostics import (
     moment_residual,
     record,
 )
-from .grid import Grid1D, GridCyl, integrate
+from .grid import Grid1D, GridCyl, quadrature
 from .problem import ConfigError, ProblemSpec, thresholds
 from .solver1d import StepOptions, StepRejected
 
@@ -103,7 +107,7 @@ def _step_halving(problem: ProblemSpec, state, dt: float, opts: StepOptions):
 def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_list=(2.0,),
         snapshot_times=()):
     """March from c0 until convergence, blow-up detection, or t_end,
-    recording the L^p norms of the exponents in p_list.
+    recording the L^p norms of the exponents in p_list (check_p_list).
 
     Returns (Trajectory, RunReport).  Outcomes:
       CONVERGED          sup-deviation from the conserved mean fell below tol
@@ -126,51 +130,40 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
     """
     if not isinstance(grid, (Grid1D, GridCyl)):
         raise TypeError(f"not a grid: {type(grid)!r}")
+    p_list = check_p_list(p_list)
     cyl = isinstance(grid, GridCyl)
     robin = opts.trace_mode == "robin"
     state = solver1d.make_state(grid, c0)
-    x1 = grid.axial.centers
-    if cyl:
-        # the cylinder's field is audited as the solver's axial pass lays it
-        # out: the F-order ravel, its Nr axial lines of N cells end to end
-        x1, n = np.tile(x1, grid.Nr), grid.axial.N
-        rise = np.empty(x1.size)  # c_{i+1} - c_i along the lines
-        line_ends = rise[n - 1 :: n]  # differences across two lines, left out
-    x1_pow = x1 ** (1.0 / problem.m)
-    if np.array_equal(x1_pow, x1):
-        x1_pow = None  # m = 1: the audit's max of x1 c serves
+    # the audit's buffers, over the solver's column-major layout of the field
+    work = AuditWorkspace(grid, state.c, problem.m)
+    x1, x1c, tmp = work.x1, work.x1c, work.tmp
+    vmax, vmin = np.maximum.reduce, np.minimum.reduce  # c.max() and c.min() without their wrappers
 
     def rise_max(c) -> float:
         """max of c_{i+1} - c_i along the axis, over every axial line."""
-        if not cyl:
-            # np.max(np.diff(c)) without its overhead
-            return float((c[1:] - c[:-1]).max())
         flat = c.ravel(order="F")
-        np.subtract(flat[1:], flat[:-1], out=rise[:-1])
-        line_ends.fill(-math.inf)
-        return float(rise.max())
+        np.subtract(flat[1:], flat[:-1], out=work.rise[:-1])
+        work.line_ends.fill(-math.inf)
+        return float(vmax(work.span))
 
-    def audit(state) -> Audit:
-        """The Audit of the state's field.  The cylinder's mass is the
-        weighted sum of its axial marginal, so the marginal bound costs no
-        extra pass."""
-        c = state.c
-        cmax, cmin = float(c.max()), float(c.min())
+    def audit(c) -> tuple:
+        """The Audit fields of the field c but x1c, which is left in work.x1c.
+        The cylinder's mass is the weighted sum of its axial marginal, so the
+        marginal bound costs no extra pass."""
+        cmax, cmin = float(vmax(c, None)), float(vmin(c, None))
         if cyl:
             marg = axial_marginal(grid, c)
-            mass, marg_max = float(marg @ grid.vol), float(np.max(marg))
-            x1c = (x1 * c.ravel(order="F")).reshape(c.shape, order="F")
+            mass, marg_max = float(marg.dot(grid.vol)), float(vmax(marg))
         else:
-            mass, marg_max = integrate(grid, c), None
-            x1c = x1 * c
+            mass, marg_max = quadrature(grid, c), None
+        np.multiply(x1, c, out=x1c)
         # max(cmax, -cmin) is max |c|, and NaN (both extremes are) or inf
         # when c holds a NaN or an inf
-        return Audit(mass=mass, entropy=entropy_of(grid, c, cmin), linf=max(cmax, -cmin),
-                     min=cmin, x1c=x1c, x1c_max=float(x1c.max()), marg_max=marg_max)
+        return (mass, entropy_of(grid, c, cmin, tmp), max(cmax, -cmin), cmin, float(vmax(x1c, None)),
+                marg_max)
 
-    au = audit(state)
-    mass0 = au.mass
-    failure = _field_failure(au.linf, au.min)
+    mass0, ent, linf, cmin, _xmax, M0 = au = audit(state.c)
+    failure = _field_failure(linf, cmin)
     if failure is None and not mass0 > 0:
         raise ValueError("initial data must carry positive mass")
     mean = mass0 / problem.domain.volume
@@ -184,78 +177,77 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
     recs = traj.records
     want = sorted(snapshot_times)
 
-    # au is the audit of the current state in sample
-    def sample(dt: float):
-        first = len(recs) == 0
-        if x1_pow is None:
-            xpow = au.x1c_max
-        else:
-            xpow = float(np.max(x1_pow * (state.c.ravel(order="F") if cyl else state.c)))
-        record(recs, state, problem, dt, solver1d.end_traces(state), au, xpow)
+    def sample(dt: float, au: tuple):
+        """Record the current state, whose audit is au."""
+        first, x1_pow = len(recs) == 0, work.x1_pow
+        xpow = au[4] if x1_pow is None else float(vmax(np.multiply(x1_pow, state.c, out=tmp), None))
+        record(recs, state, problem, dt, solver1d.end_traces(state), Audit(*au, x1c), xpow, work)
         due = bisect_right(want, state.t)  # requested times now reached
         del want[:due]
         if first or due:  # the t = 0 field, then one entry per due time, all one copy
             traj.fields += [(state.t, state.c.copy())] * (first + due)
 
-    sample(0.0)
+    sample(0.0, au)
     if failure is not None:
         reason = f"{failure} in the initial data"
-        return traj, RunReport(outcome=NUMERICAL_FAILURE, reason=reason, min_c=au.min)
-    monotone = rise_max(state.c) <= 1e-12 * au.linf
-    # each per-step maximum starts at -inf, or None where it does not apply
-    rep = RunReport(outcome=BOUNDED, reason="reached t_end", min_c=au.min,
-                    entropy_step_increase_max=-math.inf, xc_max_ratio=-math.inf,
-                    monotone_violation_max=-math.inf if monotone else None,
-                    x1c_max_ratio=-math.inf if cyl else None,
-                    marginal_increase_max=-math.inf if cyl else None)
-    M0 = au.marg_max
+        return traj, RunReport(outcome=NUMERICAL_FAILURE, reason=reason, min_c=cmin)
+    monotone = rise_max(state.c) <= 1e-12 * linf
+    # the per-step tallies, written onto the report when the loop ends; each
+    # maximum starts at -inf, or is None where it does not apply
+    outcome, reason, T_detect = BOUNDED, "reached t_end", None
+    min_c, drift, a_sq, guard = cmin, 0.0, 0.0, 0
+    ent_inc = xc_ratio = -math.inf
+    mono = -math.inf if monotone else None
+    x1c_ratio = marg_inc = -math.inf if cyl else None
     last_dt = 0.0
 
     while state.t < stop.t_end - 1e-14:
-        dt = solver1d.adapt_dt(problem, state, opts, au.linf)
+        dt = solver1d.adapt_dt(problem, state, opts, linf)
         if dt <= opts.dt_min:
-            rep.outcome, rep.reason, rep.T_detect = BLOWUP, "dt reached its floor", state.t
+            outcome, reason, T_detect = BLOWUP, "dt reached its floor", state.t
             break
         try:
             state, dt = _step_halving(problem, state, min(dt, stop.t_end - state.t), opts)
         except StepRejected as e:
-            rep.outcome, rep.reason = NUMERICAL_FAILURE, f"step rejected down to the dt floor: {e}"
+            outcome, reason = NUMERICAL_FAILURE, f"step rejected down to the dt floor: {e}"
             break
-        last_dt = dt
-        prev, au = au, audit(state)
-        rep.min_c = min(rep.min_c, au.min)
-        failure = _field_failure(au.linf, au.min)
+        last_dt, ent_prev = dt, ent
+        mass, ent, linf, cmin, xmax, marg_max = au = audit(state.c)
+        min_c = min(min_c, cmin)
+        failure = _field_failure(linf, cmin)
         if failure is not None:
-            rep.outcome, rep.reason = NUMERICAL_FAILURE, failure
+            outcome, reason = NUMERICAL_FAILURE, failure
             break
 
-        c, linf = state.c, au.linf
-        rep.mass_drift_max = max(rep.mass_drift_max, abs(au.mass - mass0) / mass0)
-        rep.entropy_step_increase_max = max(rep.entropy_step_increase_max, au.entropy - prev.entropy)
+        drift = max(drift, abs(mass - mass0) / mass0)
+        ent_inc = max(ent_inc, ent - ent_prev)
         if monotone:
-            rep.monotone_violation_max = max(rep.monotone_violation_max, rise_max(c) / max(linf, 1e-300))
+            mono = max(mono, rise_max(state.c) / max(linf, 1e-300))
         # bitwise max(x1c_max) / M: dividing by M > 0 and rounding keep order
-        rep.xc_max_ratio = max(rep.xc_max_ratio, au.x1c_max / mass0)
+        xc_ratio = max(xc_ratio, xmax / mass0)
         if cyl:
-            rep.x1c_max_ratio = max(rep.x1c_max_ratio, au.x1c_max / M0)
-            rep.marginal_increase_max = max(rep.marginal_increase_max, au.marg_max - M0)
-        rep.a_sq_integral += state.a**2 * dt
-        rep.trace_guard_steps += robin and not all(state.robin_ends)
+            x1c_ratio = max(x1c_ratio, xmax / M0)
+            marg_inc = max(marg_inc, marg_max - M0)
+        a_sq += state.a**2 * dt
+        guard += robin and not all(state.robin_ends)
 
         if state.step_count % stop.sample_every == 0:
-            sample(dt)
+            sample(dt, au)
         if linf >= opts.blowup_linf_threshold:
-            rep.outcome, rep.reason = BLOWUP, "linf crossed the blow-up threshold"
-            rep.T_detect = state.t
+            outcome, reason, T_detect = BLOWUP, "linf crossed the blow-up threshold", state.t
             break
         if stop.converged_tol > 0.0 and linf - mean < stop.converged_tol:
-            if float(np.max(np.abs(c - mean))) < stop.converged_tol:
-                rep.outcome, rep.reason = CONVERGED, "sup-deviation below tolerance"
+            if float(vmax(np.abs(np.subtract(state.c, mean, out=tmp), out=tmp), None)) < stop.converged_tol:
+                outcome, reason = CONVERGED, "sup-deviation below tolerance"
                 break
 
-    rep.t_final, rep.steps = state.t, state.step_count
+    rep = RunReport(outcome=outcome, reason=reason, t_final=state.t, steps=state.step_count,
+                    T_detect=T_detect, entropy_step_increase_max=ent_inc, mass_drift_max=drift,
+                    min_c=min_c, monotone_violation_max=mono, xc_max_ratio=xc_ratio,
+                    x1c_max_ratio=x1c_ratio, marginal_increase_max=marg_inc, a_sq_integral=a_sq,
+                    trace_guard_steps=guard)
     if recs.t[-1] < state.t:
-        sample(last_dt)
+        sample(last_dt, au)
     _post_run(problem, grid, traj, rep)
     return traj, rep
 

@@ -7,8 +7,11 @@ the masked `np.where` integrand, x1 c and the axial marginal each on their
 own, and each sampled record from scratch.  Every domain integral is
 grid.integrate on both sides, so the run must give bitwise the same t, dt,
 a, linf, mass, entropy, phi and lp in every sample of traj.records (the audit's
-linf is the one adapt_dt uses, so dt pins it), and bitwise the same report
-fields built from them.  Only the cylinder's marginal fields agree to 1e-13
+linf is the one adapt_dt uses, so dt pins it), bitwise the dissipation terms
+the allocating dissipation_terms gives each positive interval sample (NaN
+for any other), and bitwise the same report fields built from them.  One
+case keeps exact zero cells in every field, so that each audit takes the
+entropy's np.where branch and each record the NaN terms.  Only the cylinder's marginal fields agree to 1e-13
 relative: the reference sums the axial marginal as np.sum over the axis, in
 another order than the runner's dot product.
 
@@ -33,19 +36,24 @@ import numpy as np
 import pytest
 
 from cellflux import harness, presets, runner, solver1d
-from cellflux.diagnostics import lp_norm
+from cellflux.diagnostics import dissipation_terms, lp_norm
 from cellflux.grid import GridCyl, integrate
 
 REL = 1e-13  # the marginal fields only
 
-# preset, stop-rule overrides giving a short run with at least 8 samples
+# preset, stop-rule and step-option overrides giving a short run with at
+# least 8 samples
 CASES = [
-    ("critical_mass_exact", {"t_end": 0.01}),
-    ("heat_decay", {"t_end": 0.01}),
-    ("cyl_blowup", {"t_end": 5e-5}),
-    ("cyl_reduction", {"t_end": 5e-3}),
-    ("absorbing_m2", {"t_end": 0.01}),  # m = 2: x1^(1/m) c differs from x1 c
+    ("critical_mass_exact", {"t_end": 0.01}, {}),
+    ("heat_decay", {"t_end": 0.01}, {}),
+    ("cyl_blowup", {"t_end": 5e-5}, {}),
+    ("cyl_reduction", {"t_end": 5e-3}, {}),
+    ("absorbing_m2", {"t_end": 0.01}, {}),  # m = 2: x1^(1/m) c differs from x1 c
+    # steps of 1e-9 leave most cells beyond the data's support exact zeros
+    # (what diffuses into them underflows), in every committed field
+    ("critical_mass_exact", {"t_end": 5e-8}, {"dt_max": 1e-9}),
 ]
+IDS = [f"{name}-stop{i}" for i, (name, _stop, _step) in enumerate(CASES[:-1])] + ["zero_cells"]
 
 
 def ref_entropy(grid, c):
@@ -157,10 +165,10 @@ def capture_states(monkeypatch):
     return committed
 
 
-@pytest.mark.parametrize("name,stop", CASES)
-def test_one_pass_audit_matches_separate_passes(monkeypatch, name, stop):
+@pytest.mark.parametrize("name,stop,step", CASES, ids=IDS)
+def test_one_pass_audit_matches_separate_passes(monkeypatch, name, stop, step):
     cfg = presets.preset_config(name)
-    cfg = replace(cfg, stop=replace(cfg.stop, **stop))
+    cfg = replace(cfg, stop=replace(cfg.stop, **stop), step=replace(cfg.step, **step))
     prob, opts = cfg.problem, cfg.step
     grid = cfg.grid.build(prob.domain)
     c0 = harness.build_initial(cfg.initial, grid, prob.domain, cfg.seed)
@@ -174,6 +182,8 @@ def test_one_pass_audit_matches_separate_passes(monkeypatch, name, stop):
     states = [state0] + [s for _dt, s in committed]
     dts = [0.0] + [dt for dt, _s in committed]
     by_t = {s.t: (dt, s) for dt, s in zip(dts, states)}
+    if step:  # the zero_cells case
+        assert all(s.c.min() == 0.0 for s in states)
 
     # records bitwise
     recs = traj.records
@@ -185,6 +195,12 @@ def test_one_pass_audit_matches_separate_passes(monkeypatch, name, stop):
         for key in ("mass", "entropy", "phi"):
             assert getattr(recs, key)[k] == want[key], key
         assert {p: col[k] for p, col in recs.lp.items()} == want["lp"]
+        terms = [float(getattr(recs, key)[k]) for key in ("diss_s", "coup_s", "diss_p", "coup_p")]
+        if isinstance(grid, GridCyl) or not s.c.min() > 0.0:
+            assert np.isnan(terms).all()
+        else:
+            want_terms = dissipation_terms(grid, s.c, s.a, cfg.p_list[0])
+            assert [x.hex() for x in terms] == [x.hex() for x in want_terms]
 
     # dt of every step from the separate-pass linf (no rejections, no t_end clamp)
     for prev, (dt, _s) in zip(states[:-1], committed):

@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 from cellflux.diagnostics import (
     COLUMNS,
     Audit,
+    AuditWorkspace,
     Records,
-    axial_coordinate,
     axial_marginal,
     decay_tail,
     dissipation_residuals,
+    dissipation_terms,
     entropy_of,
     fit_blowup,
     fit_decay,
@@ -30,6 +31,11 @@ from cellflux.presets import preset_config
 from cellflux.problem import DomainSpec, NonlinearitySpec, ProblemSpec
 from cellflux.runner import StopRule, run
 from cellflux.solver1d import StepOptions, end_traces, make_state
+
+
+def axial_coordinate(grid) -> np.ndarray:
+    """Cell-center x1, shaped to broadcast against a field on the grid."""
+    return grid.axial.centers.reshape((-1,) + (1,) * (len(grid.shape) - 1))
 
 
 def interval_problem(m=1.0, kind="signed_power", chi=1.0):
@@ -532,6 +538,64 @@ def test_lp_norm_given_the_min_is_bitwise_the_norm_of_abs(p, geometry):
     for field in (c, neg):
         assert lp_norm(g, field, p, cmin=float(field.min())).hex() == lp_norm(g, field, p).hex()
     assert lp_norm(g, neg, p) != lp_norm(g, c, p)
+
+
+def quadrature_at(g, field) -> float:
+    """The domain quadrature as matmuls, the form integrate had before it
+    called ndarray.dot."""
+    return float(g.axial.widths @ field @ g.vol) if isinstance(g, GridCyl) else float(g.widths @ field)
+
+
+def allocating_forms(g, c, a, p) -> list:
+    """Entropy, L^p norm and, for a positive interval field, the four
+    dissipation terms, each written as the allocating expressions that the
+    buffered forms replaced."""
+    if c.min() > 1e-300:
+        ent = quadrature_at(g, c * np.log(c))
+    else:
+        ent = quadrature_at(g, np.where(c <= 1e-300, 0.0, c * np.log(np.maximum(c, 1e-300))))
+    out = [ent, quadrature_at(g, (c if c.min() > 0.0 else np.abs(c)) ** p) ** (1.0 / p)]
+    if c.ndim == 1 and c.min() > 0.0:
+        dc, s = c[1:] - c[:-1], c[1:] + c[:-1]
+        u = dc / g.dist
+        y = dc if p == 2.0 else dc * s ** (p - 2.0)
+        k = p * (p - 1.0) * 2.0 ** (1.0 - p)
+        out += [2.0 * float(u @ (dc / s)), a * float(c[-1] - c[0]), 2.0 * k * float(u @ y),
+                k * a * float(y @ s)]
+    return out
+
+
+def buffered_forms(g, c, a, p, work) -> list:
+    """The same values through the buffers of one AuditWorkspace."""
+    cmin = float(c.min())
+    out = [entropy_of(g, c, cmin, work.tmp), lp_norm(g, c, p, cmin, work.tmp)]
+    if work.faces is not None and cmin > 0.0:
+        out += dissipation_terms(g, c, a, p, work.faces)
+    return out
+
+
+@given(cyl=st.booleans(), N=st.integers(2, 40), Nr=st.integers(2, 6), r=st.floats(1.0, 1.2),
+       p=st.sampled_from([1.5, 2.0, 3.0]), a=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_buffered_functionals_are_bitwise_the_allocating_ones(cyl, N, Nr, r, p, a, seed):
+    # a positive field, one with exact zero cells and one with a negative
+    # cell, laid out as make_state lays them out; one workspace serves all
+    # three in turn, twice, and each must get its own values, bitwise those
+    # of the allocating expressions and of the forms called without buffers
+    g = build_grid_cyl(1.0, 0.5, 3, N, Nr, r) if cyl else build_grid_1d(1.0, N, r)
+    rng = np.random.default_rng(seed)
+    fields = [make_state(g, rng.uniform(1e-3, 5.0, g.shape)).c for _ in range(3)]
+    fields[1][rng.random(g.shape) < 0.5] = 0.0
+    fields[2].flat[int(rng.integers(fields[2].size))] = -0.25
+    work = AuditWorkspace(g, fields[0], 1.0)
+    for c in fields + fields:
+        want = allocating_forms(g, c, a, p)
+        got = buffered_forms(g, c, a, p, work)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        plain = [entropy_of(g, c), lp_norm(g, c, p)]
+        if not cyl and c.min() > 0.0:
+            plain += dissipation_terms(g, c, a, p)
+        assert [x.hex() for x in plain] == [x.hex() for x in want]
 
 
 def test_entropy_bounded_below_by_constant_state():

@@ -269,6 +269,26 @@ def test_report_echoes_the_p_list_the_run_uses(tmp_path):
     assert config_from_dict(config_to_dict(cfg)).p_list == (3.0,)
 
 
+@pytest.mark.parametrize("p_list", [(), (math.nan,), (math.inf,), (-1.0,), (0.0,), (2.0, 2.0), (2, 3.0, 2.0)])
+def test_run_and_config_refuse_the_same_p_lists(tmp_path, p_list):
+    # one check, in RunConfig and in runner.run: an empty list used to die
+    # in record with an IndexError, NaN and -1 ran silently, and a repeated
+    # exponent wrote two identical lp columns
+    cfg = preset_config("heat_decay")
+    grid = cfg.grid.build(cfg.problem.domain)
+    c0 = build_initial(cfg.initial, grid, cfg.problem.domain, cfg.seed)
+    with pytest.raises(ConfigError, match="p_list"):
+        cellflux.runner.run(cfg.problem, grid, c0, cfg.step, cfg.stop, p_list)
+    with pytest.raises(ConfigError, match="p_list"):
+        config_from_dict({**MINIMAL, "p_list": list(p_list)})
+    if p_list == (2.0, 2.0):
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps({**MINIMAL, "p_list": [2, 2]}))
+        r = cli("run", "--config", str(bad), "--out", str(tmp_path / "out"))
+        assert r.returncode == 2 and "p_list" in r.stderr
+        assert not (tmp_path / "out").exists()
+
+
 def test_run_scenario_deterministic_bytes(tmp_path):
     cfg1 = quick_config(tmp_path / "a")
     cfg2 = quick_config(tmp_path / "b")
