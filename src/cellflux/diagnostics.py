@@ -111,30 +111,13 @@ class RunReport:
     thresholds: dict = field(default_factory=dict)
 
 
-@dataclass
-class Audit:
-    """Functionals of one field that the runner's per-step audit computes
-    once, as record() receives them at a sample: it reuses their mass,
-    entropy, linf and x1 c instead of recomputing them."""
-
-    mass: float
-    entropy: float
-    linf: float
-    min: float
-    x1c_max: float
-    marg_max: float | None  # max of the axial marginal; None on the interval
-    x1c: np.ndarray  # x1 c, the integrand of the first axial moment
-
-
 class AuditWorkspace:
     """The buffers of runner.run's per-step audit and samples over fields
     like c (make_state's column-major field), built once per run: x1 and
     x1_pow (x1^(1/m), None at m = 1, where x1 c serves), the axial centre
     of each cell laid out like c; x1c, x1 c of the last audit; tmp, for
-    c log c, x1^(1/m) c and |c|^p in turn; rise, c_{i+1} - c_i along the
-    flat column-major c, whose line ends hold -inf before a max over span
-    (all of rise on the cylinder, its N - 1 differences on the interval);
-    and on the interval faces, the four face buffers of dissipation_terms."""
+    c log c, x1^(1/m) c and |c|^p in turn; rise, for rise_max; and on the
+    interval faces, the four face buffers of dissipation_terms."""
 
     def __init__(self, grid, c: np.ndarray, m: float):
         n = grid.axial.N
@@ -144,8 +127,16 @@ class AuditWorkspace:
         self.x1c, self.tmp = np.empty_like(c), np.empty_like(c)
         self.rise = np.empty(c.size)
         self.line_ends = self.rise[n - 1 :: n]
-        self.span = self.rise if c.ndim == 2 else self.rise[:-1]
         self.faces = tuple(np.empty((4, n - 1))) if c.ndim == 1 else None
+
+    def rise_max(self, c) -> float:
+        """max of c_{i+1} - c_i along the axis, over every axial line: the
+        differences along the flat column-major c, with -inf at each line
+        end (on the interval, the one entry past its N - 1 differences)."""
+        flat = c.ravel(order="F")
+        np.subtract(flat[1:], flat[:-1], out=self.rise[:-1])
+        self.line_ends.fill(-math.inf)
+        return float(np.maximum.reduce(self.rise))
 
 
 def check_p_list(p_list) -> tuple:
@@ -216,27 +207,28 @@ _NO_TERMS = (math.nan,) * 4  # the dissipation terms of a sample that has none
 
 
 def record(records: Records, state, problem: ProblemSpec, dt: float, traces: tuple[float, float],
-           audit: Audit, xpow: float, work: AuditWorkspace | None = None) -> None:
+           audit: tuple, work: AuditWorkspace) -> None:
     """Sample all monitored functionals of a 1D or cylinder state as the
     next row of records, with the L^p norms of its p_list.
 
     traces are the state's (c_left, c_right), solver1d.end_traces(state).
-    audit is the state's mass, entropy, linf and x1 c as the runner's
-    per-step audit computed them; they are reused, not recomputed.  xpow is
-    the state's max x1^(1/m) c, which the runner computes.  The dissipation
-    terms, with p = p_list[0], are evaluated on the interval when the field
-    is positive and finite (audit min > 0, linf < inf), and are NaN
-    otherwise.  work, the run's AuditWorkspace, lends the terms and the
-    norms its buffers in place of new arrays.
+    audit is the runner's per-step audit of the state, (mass, entropy, linf,
+    min, max x1 c, max of the axial marginal), and work the run's
+    AuditWorkspace, which holds the state's x1 c from that audit; they are
+    reused, not recomputed.  The dissipation terms, with p = p_list[0], are
+    evaluated on the interval when the field is positive and finite
+    (min > 0, linf < inf), and are NaN otherwise.  The terms, the norms and
+    max x1^(1/m) c take work's buffers in place of new arrays.
     """
-    grid, c = state.grid, state.c
-    faces, tmp = (None, None) if work is None else (work.faces, work.tmp)
+    grid, c, tmp, x1_pow = state.grid, state.c, work.tmp, work.x1_pow
+    mass, entropy, linf, cmin, x1c_max, _marg_max = audit
+    xpow = x1c_max if x1_pow is None else float(np.maximum.reduce(np.multiply(x1_pow, c, out=tmp), None))
     terms = _NO_TERMS
-    if audit.min > 0.0 and audit.linf < math.inf and isinstance(grid, Grid1D):
-        terms = dissipation_terms(grid, c, state.a, records.p_list[0], faces)
-    records.append(state.t, dt, audit.mass, audit.entropy, audit.linf, quadrature(grid, audit.x1c),
+    if cmin > 0.0 and linf < math.inf and isinstance(grid, Grid1D):
+        terms = dissipation_terms(grid, c, state.a, records.p_list[0], work.faces)
+    records.append(state.t, dt, mass, entropy, linf, quadrature(grid, work.x1c),
                    state.a, -problem.chi * state.a / problem.domain.volume, traces[0], traces[1], xpow,
-                   *terms, lp=[lp_norm(grid, c, p, audit.min, tmp) for p in records.p_list])
+                   *terms, lp=[lp_norm(grid, c, p, cmin, tmp) for p in records.p_list])
 
 
 def _pairs(records) -> tuple[np.ndarray, np.ndarray]:

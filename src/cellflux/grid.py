@@ -22,26 +22,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PassGeometry:
-    """The dt-free factors of one advect-and-diffuse pass (solver1d) over
-    cells of widths w with conductance k at each interior face.  The pass's
-    face-flux system is symmetric positive definite: its diagonal is
-    inv_k + dt diag and its off-diagonal -dt off."""
-
-    inv_w: np.ndarray  # 1/w per cell
-    inv_k: np.ndarray  # 1/k per interior face
-    diag: np.ndarray  # 1/w_left + 1/w_right per interior face
-    off: np.ndarray  # 1/w of the cell between two adjacent faces, inv_w[1:-1]
-
-
-def pass_geometry(w: np.ndarray, inv_k: np.ndarray) -> PassGeometry:
-    """The frozen PassGeometry of cells of widths w and faces of
-    conductances 1/inv_k."""
-    inv_w = 1.0 / w
-    return PassGeometry(*(_freeze(x) for x in (inv_w, inv_k, inv_w[:-1] + inv_w[1:], inv_w[1:-1])))
-
-
-@dataclass(frozen=True)
 class Grid1D:
     """Cells on (0, L).  Widths grow geometrically by r away from x = 0
     (r = 1 is uniform), so grading refines the proven blow-up end."""
@@ -52,8 +32,7 @@ class Grid1D:
     interfaces: np.ndarray
     widths: np.ndarray
     centers: np.ndarray
-    dist: np.ndarray = field(repr=False)  # center-to-center gaps, N-1 interior faces
-    geom: PassGeometry = field(repr=False)  # of the axial pass, k = 1/dist
+    dist: np.ndarray = field(repr=False)  # center-to-center gaps, N-1 interior faces: 1/k of the axial pass
 
     @property
     def h_min(self) -> float:
@@ -98,7 +77,6 @@ def build_grid_1d(L: float, N: int, r: float = 1.0) -> Grid1D:
         widths=_freeze(widths),
         centers=_freeze(centers),
         dist=_freeze(dist),
-        geom=pass_geometry(widths, dist),
     )
 
 
@@ -114,7 +92,7 @@ class GridCyl:
     rho_interfaces: np.ndarray
     rho_centers: np.ndarray
     vol: np.ndarray  # radial volume weight per cell
-    rho_geom: PassGeometry = field(repr=False)  # of the radial pass, k = sigma_{n-2} rho^{n-2}/center gap
+    rho_inv_k: np.ndarray = field(repr=False)  # 1/k of the radial pass, k = sigma_{n-2} rho^{n-2}/center gap
 
     @cached_property  # solver1d.end_traces reads it on every cylinder sample
     def ball_volume(self) -> float:
@@ -149,7 +127,7 @@ def build_grid_cyl(
         rho_interfaces=_freeze(rho_if),
         rho_centers=_freeze(rho_centers),
         vol=_freeze(vol),
-        rho_geom=pass_geometry(vol, inv_k),
+        rho_inv_k=_freeze(inv_k),
     )
 
 

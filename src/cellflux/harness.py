@@ -70,6 +70,14 @@ class InitialConfig:
     noise_amp: float = 0.0
     values: list | None = None
 
+    def __post_init__(self):
+        if self.modes < 1:
+            raise ConfigError(f"modes must be >= 1, got {self.modes}")
+        for name in ("mass", "mean", "amp", "k", "width", "radial_amp", "noise_amp"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+
 
 @dataclass
 class RunConfig:
@@ -85,6 +93,8 @@ class RunConfig:
 
     def __post_init__(self):
         check_p_list(self.p_list)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if any(math.isnan(t) for t in self.snapshot_times):  # a NaN has no place in sorted order
             raise ConfigError(f"snapshot_times must be numbers; got {list(self.snapshot_times)}")
 
@@ -96,31 +106,26 @@ def _axial_cell_averages(grid1d: Grid1D, antiderivative) -> np.ndarray:
 
 def build_initial(cfg: InitialConfig, grid, domain: DomainSpec, seed: int = 0) -> np.ndarray:
     """Exact cell averages of the requested family, mass-normalized where the
-    family is specified by mass."""
+    family is specified by mass.  Finite data whose integral is not > 0 are
+    a ConfigError, whatever the family; non-finite custom values are the
+    runner's to classify (NUMERICAL_FAILURE)."""
     cyl = isinstance(grid, GridCyl)
     ax = grid.axial
     L = domain.L
     shape = grid.shape
+    needs = {"custom": "values", "constant": "mass", "cosine": "mean", "concentration": "mass", "step": "mass"}
+    if cfg.family not in needs:
+        raise ConfigError(f"unknown initial-data family {cfg.family!r}")
+    if getattr(cfg, needs[cfg.family]) is None:
+        raise ConfigError(f"{cfg.family} initial data requires '{needs[cfg.family]}'")
 
     if cfg.family == "custom":
-        if cfg.values is None:
-            raise ConfigError("custom initial data requires 'values'")
-        c = np.asarray(cfg.values, dtype=float)
+        c = np.array(cfg.values, dtype=float)
         if c.shape != shape:
             raise ConfigError(f"custom values shape {c.shape} does not match grid {shape}")
-        # non-finite values are the runner's to classify (NUMERICAL_FAILURE)
-        if np.isfinite(c).all() and not integrate(grid, c) > 0:
-            raise ConfigError("initial data has no mass")
-        return c.copy()
-
-    if cfg.family == "constant":
-        if cfg.mass is None:
-            raise ConfigError("constant initial data requires 'mass'")
-        return np.full(shape, cfg.mass / domain.volume)
-
-    if cfg.family == "cosine":
-        if cfg.mean is None:
-            raise ConfigError("cosine initial data requires 'mean'")
+    elif cfg.family == "constant":
+        c = np.full(shape, cfg.mass / domain.volume)
+    elif cfg.family == "cosine":
         w = cfg.modes * math.pi / L
         prof = _axial_cell_averages(ax, lambda x: cfg.mean * x + cfg.amp * np.sin(w * x) / w)
         if cfg.noise_amp > 0.0:
@@ -129,33 +134,25 @@ def build_initial(cfg: InitialConfig, grid, domain: DomainSpec, seed: int = 0) -
             prof = prof + noise - integrate(ax, noise) / L  # mass-preserving
         if np.any(prof < 0):
             raise ConfigError("cosine data went negative; reduce amp/noise_amp")
-        return np.tile(prof[:, None], (1, grid.Nr)) if cyl else prof
-
-    if cfg.family == "concentration":
-        if cfg.mass is None:
-            raise ConfigError("concentration initial data requires 'mass'")
-        k = cfg.k
-        # antiderivative of k (1 - k x)_+^2 is -(1 - k x)_+^3 / 3
-        prof = _axial_cell_averages(ax, lambda x: -np.clip(1.0 - k * x, 0.0, None) ** 3 / 3.0)
-    elif cfg.family == "step":
-        if cfg.mass is None:
-            raise ConfigError("step initial data requires 'mass'")
-        w = cfg.width
-        prof = _axial_cell_averages(ax, lambda x: np.minimum(x, w))
-    else:
-        raise ConfigError(f"unknown initial-data family {cfg.family!r}")
-
-    if cyl:
-        if not 0.0 <= cfg.radial_amp <= 1.0:
-            raise ConfigError("radial_amp must lie in [0, 1]")
-        radial = 1.0 + cfg.radial_amp * np.cos(math.pi * grid.rho_centers / grid.R)
-        c = prof[:, None] * radial[None, :]
-    else:
-        c = prof
-    total = integrate(grid, c)
-    if not total > 0:
+        c = np.tile(prof[:, None], (1, grid.Nr)) if cyl else prof
+    else:  # an axial profile, times a radial one on the cylinder, scaled to mass
+        if cfg.family == "concentration":
+            k = cfg.k
+            # antiderivative of k (1 - k x)_+^2 is -(1 - k x)_+^3 / 3
+            prof = _axial_cell_averages(ax, lambda x: -np.clip(1.0 - k * x, 0.0, None) ** 3 / 3.0)
+        else:
+            w = cfg.width
+            prof = _axial_cell_averages(ax, lambda x: np.minimum(x, w))
+        if cyl:
+            if not 0.0 <= cfg.radial_amp <= 1.0:
+                raise ConfigError("radial_amp must lie in [0, 1]")
+            radial = 1.0 + cfg.radial_amp * np.cos(math.pi * grid.rho_centers / grid.R)
+            prof = prof[:, None] * radial[None, :]
+        total = integrate(grid, prof)
+        c = prof * (cfg.mass / total) if total > 0 else prof
+    if np.isfinite(c).all() and not integrate(grid, c) > 0:
         raise ConfigError("initial data has no mass")
-    return c * (cfg.mass / total)
+    return c
 
 
 # ---------------------------------------------------------------------------

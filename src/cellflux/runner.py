@@ -29,7 +29,6 @@ import numpy as np
 
 from . import solver1d
 from .diagnostics import (
-    Audit,
     AuditWorkspace,
     Records,
     RunReport,
@@ -139,15 +138,9 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
     x1, x1c, tmp = work.x1, work.x1c, work.tmp
     vmax, vmin = np.maximum.reduce, np.minimum.reduce  # c.max() and c.min() without their wrappers
 
-    def rise_max(c) -> float:
-        """max of c_{i+1} - c_i along the axis, over every axial line."""
-        flat = c.ravel(order="F")
-        np.subtract(flat[1:], flat[:-1], out=work.rise[:-1])
-        work.line_ends.fill(-math.inf)
-        return float(vmax(work.span))
-
     def audit(c) -> tuple:
-        """The Audit fields of the field c but x1c, which is left in work.x1c.
+        """(mass, entropy, linf, min, max x1 c, max of the axial marginal or
+        None on the interval) of the field c, with x1 c left in work.x1c.
         The cylinder's mass is the weighted sum of its axial marginal, so the
         marginal bound costs no extra pass."""
         cmax, cmin = float(vmax(c, None)), float(vmin(c, None))
@@ -179,9 +172,8 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
 
     def sample(dt: float, au: tuple):
         """Record the current state, whose audit is au."""
-        first, x1_pow = len(recs) == 0, work.x1_pow
-        xpow = au[4] if x1_pow is None else float(vmax(np.multiply(x1_pow, state.c, out=tmp), None))
-        record(recs, state, problem, dt, solver1d.end_traces(state), Audit(*au, x1c), xpow, work)
+        first = len(recs) == 0
+        record(recs, state, problem, dt, solver1d.end_traces(state), au, work)
         due = bisect_right(want, state.t)  # requested times now reached
         del want[:due]
         if first or due:  # the t = 0 field, then one entry per due time, all one copy
@@ -191,7 +183,7 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
     if failure is not None:
         reason = f"{failure} in the initial data"
         return traj, RunReport(outcome=NUMERICAL_FAILURE, reason=reason, min_c=cmin)
-    monotone = rise_max(state.c) <= 1e-12 * linf
+    monotone = work.rise_max(state.c) <= 1e-12 * linf
     # the per-step tallies, written onto the report when the loop ends; each
     # maximum starts at -inf, or is None where it does not apply
     outcome, reason, T_detect = BOUNDED, "reached t_end", None
@@ -222,7 +214,7 @@ def run(problem: ProblemSpec, grid, c0, opts: StepOptions, stop: StopRule, p_lis
         drift = max(drift, abs(mass - mass0) / mass0)
         ent_inc = max(ent_inc, ent - ent_prev)
         if monotone:
-            mono = max(mono, rise_max(state.c) / max(linf, 1e-300))
+            mono = max(mono, work.rise_max(state.c) / max(linf, 1e-300))
         # bitwise max(x1c_max) / M: dividing by M > 0 and rounding keep order
         xc_ratio = max(xc_ratio, xmax / mass0)
         if cyl:

@@ -15,10 +15,11 @@ Layout of one step, the same in both geometries:
     explicit first-order upwind advection, J = -a c_upwind (upwind side
     picked by the sign of a), plus backward-Euler diffusion
     F = (y_{i+1} - y_i)/dist of the new field y; on the cylinder a second
-    pass diffuses along rho on c.T (GridCyl.rho_geom, no advection).  On a
-    given grid a pass's system depends on dt alone, so each pass keeps the
-    LDL^T factors of the last dt it solved at in its Workspace
-    (State.work), and a step at that same dt only back-substitutes (dpttrs),
+    pass diffuses along rho on c.T (GridCyl.vol and rho_inv_k, no
+    advection).  On a given grid a pass's system depends on dt alone: its
+    Workspace (State.work) holds the dt-free factors and the LDL^T factors
+    of the last dt it solved at, and a step at that same dt only
+    back-substitutes (dpttrs),
   * every boundary interface flux is identically zero.  That, and not the
     Robin traces, is what conserves mass: the committed update is assembled
     from the face fluxes, so the telescoping sum is exact to roundoff.
@@ -58,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .grid import Grid1D, GridCyl, PassGeometry
+from .grid import Grid1D, GridCyl
 from .problem import HOMOGENEOUS, ConfigError, NonlinearitySpec, ProblemSpec, eval_f
 
 
@@ -156,8 +157,9 @@ class _Bound:
 
 class Workspace:
     """The buffers of one advect-and-diffuse pass (_advect_diffuse) over
-    fields shaped like c, K lines of n cells along axis 0 (one line for an
-    (n,) field), laid end to end in the column-major order of c:
+    cells of widths w with conductance k = 1/inv_k at each interior face,
+    for fields shaped like c, K lines of n cells along axis 0 (one line for
+    an (n,) field), laid end to end in the column-major order of c:
 
       pad     the face fluxes of all lines, a zero, then per line its
               n - 1 faces and a line-end entry that is zero at each commit
@@ -165,24 +167,29 @@ class Workspace:
       T       the (n - 1, K) faces in pad, LAPACK's b at ldb = n
               (rhs itself for one line)
       ends    the line-end entries of pad (None for one line)
-      d, e    the bands of the one (n - 1)-face system all lines share
-      inv_k   geom's 1/k per face and inv_w its 1/w per cell, each tiled
-              over the lines (line ends of inv_k hold 0); scale = dt inv_w
+      inv_k   1/k per face and inv_w 1/w per cell, each tiled over the
+              lines (line ends of inv_k hold 0); scale = dt inv_w
+      d, e    the bands of the one (n - 1)-face system all lines share,
+              line_inv_k + dt diag and -dt off: the dt-free factors of
+              one line, 1/k per face, 1/w_left + 1/w_right per face and
+              1/w of the cell between two adjacent faces
       lapack  the LAPACK arguments bound to d, e and T
 
     dt is the dt whose LDL^T factors d and e hold, or None when they hold
     none."""
 
-    def __init__(self, geom: PassGeometry, c: np.ndarray):
+    def __init__(self, w: np.ndarray, inv_k: np.ndarray, c: np.ndarray):
         n, lines = len(c), 1 if c.ndim == 1 else c.shape[1]
+        inv_w = 1.0 / w
+        self.diag, self.off, self.line_inv_k = inv_w[:-1] + inv_w[1:], inv_w[1:-1], inv_k
         self.pad = np.zeros(n * lines + 1)
         self.rhs = self.pad[1:-1]
         if c.ndim == 1:
-            self.T, self.inv_k, self.inv_w, self.ends = self.rhs, geom.inv_k, geom.inv_w, None
+            self.T, self.inv_k, self.inv_w, self.ends = self.rhs, inv_k, inv_w, None
         else:
             self.T = self.pad[1:].reshape((n, lines), order="F")[:-1]
-            self.inv_k = np.tile(np.append(geom.inv_k, 0.0), lines)[:-1]
-            self.inv_w = np.tile(geom.inv_w, lines)
+            self.inv_k = np.tile(np.append(inv_k, 0.0), lines)[:-1]
+            self.inv_w = np.tile(inv_w, lines)
             self.ends = self.pad[n::n]  # the line-end entries
         self.d, self.e = np.empty(n - 1), np.empty(n - 2)
         self.scale = np.empty(n * lines)
@@ -217,9 +224,10 @@ def make_state(grid: Grid1D | GridCyl, c0) -> State:
     c = np.array(c0, dtype=float, order="F")
     if c.shape != grid.shape:
         raise ValueError(f"initial data shape {c.shape} does not match grid {grid.shape}")
-    work = (Workspace(grid.axial.geom, c),)
+    ax = grid.axial
+    work = (Workspace(ax.widths, ax.dist, c),)
     if c.ndim == 2:
-        work += (Workspace(grid.rho_geom, c.T),)
+        work += (Workspace(grid.vol, grid.rho_inv_k, c.T),)
     return State(grid=grid, c=c, work=work)
 
 
@@ -361,14 +369,12 @@ def solve_banded(d: np.ndarray, e: np.ndarray, b: np.ndarray, factored: bool = F
     return b
 
 
-def _advect_diffuse(c, dt, geom: PassGeometry, ws: Workspace, a=0.0, h_min=math.inf):
+def _advect_diffuse(c, dt, ws: Workspace, a=0.0, h_min=math.inf):
     """One conservative advect-and-diffuse pass along axis 0 of c, an (N,)
-    or (N, K) array of cell averages over the cells of geom, the pass's
-    dt-free factors (grid.PassGeometry), in the buffers of ws, a Workspace
-    built on geom for fields like c.  When ws holds the factors of dt, the
-    system is only back-substituted; else the bands of dt are factored in
-    ws.  Returns the updated array, a new one laid out like c (Fortran or C
-    order).
+    or (N, K) array of cell averages, in ws, the pass's Workspace for fields
+    like c.  When ws holds the factors of dt, the system is only
+    back-substituted; else the bands of dt are factored in ws.  Returns the
+    updated array, a new one laid out like c (Fortran or C order).
 
     Rejects (StepRejected) an advective CFL violation dt |a| > h_min.  The
     face flux is T = J + F: explicit upwind advection J = -a c_up (upwind
@@ -397,14 +403,12 @@ def _advect_diffuse(c, dt, geom: PassGeometry, ws: Workspace, a=0.0, h_min=math.
     factored = ws.dt == dt
     if not factored:
         ws.dt = None  # until dptsv has factored the new bands
-        np.multiply(dt, geom.diag, out=ws.d)
-        np.add(geom.inv_k, ws.d, out=ws.d)
-        np.multiply(-dt, geom.off, out=ws.e)
+        np.multiply(dt, ws.diag, out=ws.d)
+        np.add(ws.line_inv_k, ws.d, out=ws.d)
+        np.multiply(-dt, ws.off, out=ws.e)
         np.multiply(dt, ws.inv_w, out=ws.scale)
-    T = solve_banded(ws.d, ws.e, ws.T, factored, ws.lapack)
+    solve_banded(ws.d, ws.e, ws.T, factored, ws.lapack)  # in place, in ws.pad
     ws.dt = dt
-    if T is not ws.T:  # commit what the solve returned
-        ws.T[...] = T
     if ws.ends is not None:
         ws.ends.fill(0.0)
     # the sum is NaN or inf whenever an entry is (inf - inf is NaN)
@@ -424,13 +428,11 @@ def step(problem: ProblemSpec, state: State, dt: float, opts: StepOptions) -> St
     advective CFL violation dt |a| > h_min, or on a degenerate solve."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    grid = state.grid
-    ax = grid.axial
     a = compute_a(problem, state, opts)
-    c = _advect_diffuse(state.c, dt, ax.geom, state.work[0], a, ax.h_min)
+    c = _advect_diffuse(state.c, dt, state.work[0], a, state.grid.axial.h_min)
     if c.ndim == 2:
-        c = _advect_diffuse(c.T, dt, grid.rho_geom, state.work[1]).T
-    return State(grid, c, state.t + dt, a, state.step_count + 1, state.robin_ends, state.work)
+        c = _advect_diffuse(c.T, dt, state.work[1]).T
+    return State(state.grid, c, state.t + dt, a, state.step_count + 1, state.robin_ends, state.work)
 
 
 def adapt_dt(problem: ProblemSpec, state: State, opts: StepOptions, linf: float | None = None) -> float:

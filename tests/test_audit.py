@@ -289,7 +289,11 @@ def test_rejections_down_to_the_dt_floor_are_a_numerical_failure(monkeypatch, na
         opts = replace(opts, picard_max_iters=1)
         said = "coupling iteration on a did not converge"
     else:
-        monkeypatch.setattr(solver1d, "solve_banded", lambda d, e, b, *bind: np.full_like(b, np.nan))
+        def nan_solve(d, e, b, *bind):  # "solves" in place, as solve_banded does
+            b.fill(np.nan)
+            return b
+
+        monkeypatch.setattr(solver1d, "solve_banded", nan_solve)
         said = "tridiagonal solve produced non-finite values"
     grid = cfg.grid.build(cfg.problem.domain)
     c0 = harness.build_initial(cfg.initial, grid, cfg.problem.domain, cfg.seed)

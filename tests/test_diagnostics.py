@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from cellflux.diagnostics import (
     COLUMNS,
-    Audit,
     AuditWorkspace,
     Records,
     axial_marginal,
@@ -61,22 +60,22 @@ def table(t, **cols):
 # --- record ----------------------------------------------------------------
 
 
-def audit_of(state) -> Audit:
-    """The Audit the runner's per-step audit makes of a state."""
-    c = state.c
-    x1c = axial_coordinate(state.grid) * c
-    return Audit(mass=integrate(state.grid, c), entropy=entropy_of(state.grid, c),
-                 linf=float(np.max(np.abs(c))), min=float(np.min(c)), x1c=x1c,
-                 x1c_max=float(np.max(x1c)),
-                 marg_max=float(np.max(axial_marginal(state.grid, c)))
-                 if isinstance(state.grid, GridCyl) else None)
+def audit_of(state, m=1.0) -> tuple:
+    """(audit, work): the tuple the runner's per-step audit makes of a
+    state, and an AuditWorkspace at m that holds the state's x1 c."""
+    grid, c = state.grid, state.c
+    work = AuditWorkspace(grid, c, m)
+    x1c = np.multiply(axial_coordinate(grid), c, out=work.x1c)
+    marg_max = float(np.max(axial_marginal(grid, c))) if isinstance(grid, GridCyl) else None
+    return (integrate(grid, c), entropy_of(grid, c), float(np.max(np.abs(c))), float(np.min(c)),
+            float(np.max(x1c)), marg_max), work
 
 
 def sample(state, problem, p_list=(2.0,)):
-    """The one-row Records that record() makes of a state, with the audit
-    and traces the runner passes."""
+    """The one-row Records that record() makes of a state, with the audit,
+    workspace and traces the runner passes."""
     recs = Records(p_list)
-    record(recs, state, problem, 0.0, end_traces(state), audit_of(state), 0.0)
+    record(recs, state, problem, 0.0, end_traces(state), *audit_of(state, problem.m))
     assert len(recs) == 1
     return recs
 
@@ -88,7 +87,7 @@ def sampled(grid, ts, cs, a_vals, p=2.0):
     for t, c, a in zip(ts, cs, a_vals):
         s = make_state(grid, c)
         s.t, s.a = t, a
-        record(recs, s, interval_problem(), 0.0, end_traces(s), audit_of(s), 0.0)
+        record(recs, s, interval_problem(), 0.0, end_traces(s), *audit_of(s))
     return recs
 
 
@@ -120,6 +119,21 @@ def test_record_cylinder_mass_and_velocity():
     assert r.mass[0] == pytest.approx(math.pi, rel=1e-13)
     # u = -chi a / |Omega|
     assert r.u[0] == pytest.approx(3.0 * 2.0 / math.pi, rel=1e-13)
+
+
+@pytest.mark.parametrize("m", [1.0, 2.0])
+@pytest.mark.parametrize("geometry", ["interval", "cylinder"])
+def test_record_takes_xpow_as_the_max_of_x1_to_the_1_over_m_times_c(geometry, m):
+    # record computes max x1^(1/m) c in the workspace's buffers, and at
+    # m = 1 takes the audit's max x1 c; either way bitwise the expression
+    if geometry == "interval":
+        g, dom = build_grid_1d(1.0, 64, 1.05), DomainSpec(geometry="interval", L=1.0)
+    else:
+        g, dom = build_grid_cyl(1.0, 0.5, 3, 64, 6, 1.05), DomainSpec(geometry="cylinder", L=1.0, R=0.5, n=3)
+    s = make_state(g, np.random.default_rng(5).uniform(1e-3, 5.0, g.shape))
+    r = sample(s, ProblemSpec(nonlinearity=NonlinearitySpec(kind="signed_power", m=m), domain=dom))
+    want = float(np.max(axial_coordinate(g) ** (1.0 / m) * s.c))
+    assert r.xpow[0].hex() == want.hex()
 
 
 def test_records_columns_grow_and_select():

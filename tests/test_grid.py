@@ -1,11 +1,12 @@
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellflux.grid import GridCyl, PassGeometry, build_grid_1d, build_grid_cyl, integrate
+from cellflux import solver1d
+from cellflux.grid import GridCyl, build_grid_1d, build_grid_cyl, integrate
 from cellflux.harness import run_config
 from cellflux.presets import preset_config
 from cellflux.problem import ConfigError
@@ -104,30 +105,35 @@ def test_refinement_leaves_constant_integral_unchanged():
         assert integrate(g, np.full(N, 2.0)) == pytest.approx(2.0 * math.pi, rel=1e-12)
 
 
-def pass_geometries(g):
-    return [g.axial.geom, g.rho_geom] if isinstance(g, GridCyl) else [g.geom]
-
-
-def test_pass_geometry_holds_the_band_factors():
+def test_grid_holds_each_pass_s_conductances_read_only():
     g = build_grid_cyl(1.0, 1.0, 3, 8, 5, 1.1)
-    assert np.array_equal(g.axial.geom.inv_k, g.axial.dist)  # k = 1/dist
+    assert np.array_equal(g.axial.dist, np.diff(g.axial.centers))  # 1/k of the axial faces
     k_rho = 2.0 * math.pi * g.rho_interfaces[1:-1] / np.diff(g.rho_centers)  # sigma_1 rho over the gap
-    assert np.allclose(g.rho_geom.inv_k, 1.0 / k_rho, rtol=1e-15, atol=0.0)
-    for geom, w in ((g.axial.geom, g.axial.widths), (g.rho_geom, g.vol)):
-        assert np.array_equal(geom.inv_w, 1.0 / w)
-        assert np.array_equal(geom.diag, 1.0 / w[:-1] + 1.0 / w[1:])
-        assert np.array_equal(geom.off, 1.0 / w[1:-1])
-        assert not any(getattr(geom, f.name).flags.writeable for f in fields(PassGeometry))
+    assert np.allclose(g.rho_inv_k, 1.0 / k_rho, rtol=1e-15, atol=0.0)
+    for a in (g.axial.widths, g.axial.dist, g.vol, g.rho_inv_k):
+        assert not a.flags.writeable
 
 
 @pytest.mark.parametrize("preset,t_end", [("critical_mass_exact", 0.01), ("cyl_blowup", 1e-4)])
-def test_runs_leave_the_stored_band_factors_unchanged(preset, t_end):
+def test_runs_leave_the_stored_band_factors_unchanged(monkeypatch, preset, t_end):
     # the LAPACK solve overwrites its bands in place, so a pass that handed
-    # it a stored factor would corrupt every later step
+    # it a stored factor would corrupt every later step: after a run, each
+    # pass's dt-free factors and the grid arrays they are built from are
+    # those of a fresh build
     cfg = preset_config(preset)
+    real_step, states = solver1d.step, []
+    monkeypatch.setattr(solver1d, "step", lambda problem, state, *args: states.append(state)
+                        or real_step(problem, state, *args))
     grid, _traj, rep = run_config(replace(cfg, stop=replace(cfg.stop, t_end=t_end)))
     assert rep.steps > 10
-    fresh = cfg.grid.build(cfg.problem.domain)
-    for got, want in zip(pass_geometries(grid), pass_geometries(fresh)):
-        for f in fields(PassGeometry):
-            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+    fresh = solver1d.make_state(cfg.grid.build(cfg.problem.domain), states[-1].c)
+    assert len(states[-1].work) == len(fresh.work) == 1 + isinstance(grid, GridCyl)
+    for got, want in zip(states[-1].work, fresh.work):
+        for name in ("line_inv_k", "diag", "off", "inv_k", "inv_w"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    new = fresh.grid
+    pairs = [(grid.axial.widths, new.axial.widths), (grid.axial.dist, new.axial.dist)]
+    if isinstance(grid, GridCyl):
+        pairs += [(grid.vol, new.vol), (grid.rho_inv_k, new.rho_inv_k)]
+    for got, want in pairs:
+        assert np.array_equal(got, want)

@@ -588,7 +588,16 @@ def cli(*args):
     )
 
 
-def test_cli_run_and_exit_codes(tmp_path):
+def cli_in_process(capsys, *args):
+    """cli(*args) run through cellflux.cli.main in this process, without an
+    interpreter start-up: its exit code, stdout and stderr."""
+    code = cellflux_cli.main(list(args))
+    out = capsys.readouterr()
+    return SimpleNamespace(returncode=code, stdout=out.out, stderr=out.err)
+
+
+def test_cli_run_and_exit_codes(tmp_path, capsys):
+    # one run end to end through `python -m cellflux.cli`, the rest in process
     p = tmp_path / "cfg.json"
     doc = dict(MINIMAL)
     doc["stop"] = {"t_end": 0.01}
@@ -600,14 +609,14 @@ def test_cli_run_and_exit_codes(tmp_path):
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"problem": {"viscosity": 1}}))
-    r = cli("run", "--config", str(bad))
+    r = cli_in_process(capsys, "run", "--config", str(bad))
     assert r.returncode == 2
     assert "viscosity" in r.stderr
 
-    r = cli("run", "--config", str(tmp_path / "missing.json"))
+    r = cli_in_process(capsys, "run", "--config", str(tmp_path / "missing.json"))
     assert r.returncode == 2
 
-    r = cli("run", "--config", str(tmp_path))  # a directory
+    r = cli_in_process(capsys, "run", "--config", str(tmp_path))  # a directory
     assert r.returncode == 2
     assert r.stderr.startswith("error: ")
 
@@ -628,7 +637,7 @@ def test_cli_run_and_exit_codes(tmp_path):
     ]):
         bad = tmp_path / f"malformed{i}.json"
         bad.write_text(json.dumps({**doc, **extra}))
-        r = cli("run", "--config", str(bad))
+        r = cli_in_process(capsys, "run", "--config", str(bad))
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith("error: ") and key in r.stderr
 
@@ -642,7 +651,7 @@ def test_cli_run_and_exit_codes(tmp_path):
         "stop": {"t_end": 1.0, "sample_every": 10},
         "out_dir": str(tmp_path / "blow_out"),
     }))
-    r = cli("run", "--config", str(blow))
+    r = cli_in_process(capsys, "run", "--config", str(blow))
     assert r.returncode == 0
     assert "BLOWUP" in r.stdout
 
@@ -653,7 +662,7 @@ def test_cli_run_and_exit_codes(tmp_path):
     ([4.0, 0.0, 0.0, -1.0], 3, "negativity beyond tolerance"),
     ([0.0, 0.0, 0.0, 0.0], 2, "error: initial data has no mass"),
 ])
-def test_cli_bad_custom_data_exit_codes(tmp_path, values, code, said):
+def test_cli_bad_custom_data_exit_codes(tmp_path, capsys, values, code, said):
     # bad initial data end as a classified failure (3) or a config error
     # (2), never as a traceback (1)
     p = tmp_path / "custom.json"
@@ -663,11 +672,33 @@ def test_cli_bad_custom_data_exit_codes(tmp_path, values, code, said):
         "stop": {"t_end": 0.01},
         "out_dir": str(tmp_path / "o"),
     }))
-    r = cli("run", "--config", str(p))
+    r = cli_in_process(capsys, "run", "--config", str(p))
     assert r.returncode == code, r.stderr
     assert said in r.stdout + r.stderr
     if code == 3:
         assert "NUMERICAL_FAILURE" in r.stdout and "after 0 steps" in r.stdout
+
+
+@pytest.mark.parametrize("initial, seed, said", [
+    ({"family": "constant", "mass": 0.0}, 0, "initial data has no mass"),
+    ({"family": "cosine", "mean": 0.0}, 0, "initial data has no mass"),
+    ({"family": "constant", "mass": -1.0}, 0, "initial data has no mass"),
+    ({"family": "concentration", "mass": -1.0}, 0, "initial data has no mass"),
+    ({"family": "step", "mass": 1.0, "width": 0.0}, 0, "initial data has no mass"),
+    ({"family": "cosine", "mean": 1.0, "modes": 0}, 0, "modes must be >= 1"),
+    ({"family": "cosine", "mean": 1.0, "noise_amp": 0.01}, -1, "seed must be >= 0"),
+    ({"family": "constant", "mass": math.inf}, 0, "mass must be finite"),
+    ({"family": "cosine", "mean": math.nan}, 0, "mean must be finite"),
+])
+def test_cli_malformed_initial_data_is_a_config_error(tmp_path, capsys, initial, seed, said):
+    # each of these once ended in a traceback (1) or as a NUMERICAL_FAILURE
+    # (3); all are config errors (2), with no output written
+    p = tmp_path / "initial.json"
+    p.write_text(json.dumps({"grid": {"N": 8}, "initial": initial, "seed": seed, "stop": {"t_end": 0.01},
+                             "out_dir": str(tmp_path / "o")}))
+    r = cli_in_process(capsys, "run", "--config", str(p))
+    assert r.returncode == 2 and r.stderr.startswith("error: ") and said in r.stderr, r.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_nan_initial_cell_records_nan_entropy():

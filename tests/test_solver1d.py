@@ -304,7 +304,7 @@ def advect_diffuse_reference(c, dt, widths, k, a=0.0, h_min=math.inf):
 
 def random_passes(seed):
     """A random graded cylinder grid and the three kinds of pass the
-    steppers make: (field, widths, k, geometry, h_min) for an (N,) field
+    steppers make: (field, widths, k, 1/k, h_min) for an (N,) field
     and an (N, K) Fortran-ordered field along the axis, and the transpose of
     the latter along rho (the radial call)."""
     rng = np.random.default_rng(seed)
@@ -314,14 +314,14 @@ def random_passes(seed):
                        N, Nr, float(rng.uniform(1.0, 1.1)))
     ax = g.axial
     c = np.asfortranarray(rng.random((N, Nr)) * 10.0 ** rng.uniform(-3, 3, size=Nr))
-    axial = (ax.widths, 1.0 / ax.dist, ax.geom, ax.h_min)
-    radial = (g.vol, radial_conductance(g), g.rho_geom, float(g.vol.min()))
+    axial = (ax.widths, 1.0 / ax.dist, ax.dist, ax.h_min)
+    radial = (g.vol, radial_conductance(g), g.rho_inv_k, float(g.vol.min()))
     return rng, [(c[:, 0].copy(),) + axial, (c,) + axial, (c.T,) + radial]
 
 
 @pytest.mark.parametrize("seed", range(16))
 def test_advect_diffuse_matches_the_reference_pass(seed):
-    # the pass built from the grid's stored factors, solving the symmetric
+    # the pass built from its workspace's dt-free factors, solving the symmetric
     # face-flux system by dptsv and committing it as one divergence of a
     # zero-ended flux buffer, against the pass that rebuilt its nonsymmetric
     # bands every call, solved them by dgtsv and committed by two slice
@@ -330,11 +330,11 @@ def test_advect_diffuse_matches_the_reference_pass(seed):
     # nonsymmetric system's diagonal
     rng, passes = random_passes(seed)
     eps = np.finfo(float).eps
-    for c, widths, k, geom, h_min in passes:
+    for c, widths, k, inv_k, h_min in passes:
         dt = h_min ** 2 * 10.0 ** rng.uniform(-2, 3)
-        ws = Workspace(geom, c)  # the second a solves on the first one's factors
+        ws = Workspace(widths, inv_k, c)  # the second a solves on the first one's factors
         for a in (0.0, float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 1.0) * h_min / dt)):
-            got = _advect_diffuse(c, dt, geom, ws, a, h_min)
+            got = _advect_diffuse(c, dt, ws, a, h_min)
             want = advect_diffuse_reference(c, dt, widths, k, a, h_min)
             assert got.shape == c.shape and got.flags.f_contiguous == c.flags.f_contiguous
             scale = 1.0 + dt * float(np.max(k * (1.0 / widths[:-1] + 1.0 / widths[1:])))
@@ -349,13 +349,29 @@ def test_advect_diffuse_matches_the_reference_pass(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_advect_diffuse_keeps_data_constant_along_the_axis_bitwise(seed):
     _rng, passes = random_passes(seed)
-    for c, _widths, _k, geom, h_min in passes:
+    for c, widths, _k, inv_k, h_min in passes:
         flat = c.copy(order="K")
         flat[:] = c[:1]
-        assert np.array_equal(_advect_diffuse(flat, 1e3 * h_min**2, geom, Workspace(geom, flat)), flat)
+        assert np.array_equal(_advect_diffuse(flat, 1e3 * h_min**2, Workspace(widths, inv_k, flat)), flat)
 
 
-def pass_2d_reference(c, dt, geom, a=0.0):
+@pytest.mark.parametrize("seed", range(8))
+def test_workspace_factors_are_bitwise_their_formulas(seed):
+    # each pass's dt-free factors, as its Workspace computes them from the
+    # cell widths and the faces' 1/k, on random graded grids: one line's
+    # bands, and 1/k and 1/w tiled over the lines with 0 at each line end
+    _rng, passes = random_passes(seed)
+    for c, widths, _k, inv_k, _h_min in passes:
+        ws, inv_w = Workspace(widths, inv_k, c), 1.0 / widths
+        lines = 1 if c.ndim == 1 else c.shape[1]
+        assert ws.line_inv_k.tobytes() == inv_k.tobytes()
+        assert ws.diag.tobytes() == (inv_w[:-1] + inv_w[1:]).tobytes()
+        assert ws.off.tobytes() == inv_w[1:-1].tobytes()
+        assert ws.inv_w.tobytes() == np.tile(inv_w, lines).tobytes()
+        assert ws.inv_k.tobytes() == np.tile(np.append(inv_k, 0.0), lines)[:-1].tobytes()
+
+
+def pass_2d_reference(c, dt, widths, inv_k, a=0.0):
     """The advect-and-diffuse pass as it ran before its lines were laid end
     to end: the right-hand side, the upwind term and the commit on the
     (N, K) array itself, with 1/k and dt/w broadcast as [:, None] columns,
@@ -365,13 +381,13 @@ def pass_2d_reference(c, dt, geom, a=0.0):
     T = np.empty(c[1:].shape, order="F")
     np.subtract(c[1:], c[:-1], out=T)
     if a != 0.0:
-        T += (c[:-1] if a >= 0.0 else c[1:]) * (-a * geom.inv_k)[col]
-    d, e = geom.inv_k + dt * geom.diag, -dt * geom.off
+        T += (c[:-1] if a >= 0.0 else c[1:]) * (-a * inv_k)[col]
+    d, e = spd_bands(widths, inv_k, dt)
     T, info = dptsv(d, scipy_e(e), T)[2:]
     assert info == 0
     pad = np.zeros((len(c) + 1,) + c.shape[1:])
     pad[1:-1] = T
-    return c + (dt * geom.inv_w)[col] * (pad[1:] - pad[:-1])
+    return c + (dt * (1.0 / widths))[col] * (pad[1:] - pad[:-1])
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -382,15 +398,15 @@ def test_flat_pass_is_bitwise_the_2d_pass(seed):
     # factors and then twice on the factors its workspace kept, and once
     # more after a dt that factored afresh
     rng, passes = random_passes(seed)
-    for c, _widths, _k, geom, h_min in passes:
-        ws, reused = Workspace(geom, c), []
+    for c, widths, _k, inv_k, h_min in passes:
+        ws, reused = Workspace(widths, inv_k, c), []
         dt1, dt2 = (h_min**2 * 10.0 ** rng.uniform(-2, 3) for _ in range(2))
         for dt in (dt1, dt1, dt2, dt1):
             speed = float(rng.uniform(0.05, 1.0)) * h_min / dt
             for a in (0.0, speed, -speed):
                 reused.append(ws.dt == dt)
-                got = _advect_diffuse(c, dt, geom, ws, a, h_min)
-                want = pass_2d_reference(c, dt, geom, a)
+                got = _advect_diffuse(c, dt, ws, a, h_min)
+                want = pass_2d_reference(c, dt, widths, inv_k, a)
                 assert got.shape == c.shape and got.flags.f_contiguous == c.flags.f_contiguous
                 assert got.tobytes(order="C") == want.tobytes(order="C")
                 assert not np.shares_memory(got, c)
@@ -473,10 +489,12 @@ def scipy_reference(d, e, b):
     return scipy.linalg.solveh_banded(np.vstack([d, np.append(e, 0.0)]), b, lower=True)
 
 
-def spd_bands(geom, dt):
-    """(d, e) of the symmetric face-flux system of a pass, as it hands them
-    to solve_banded."""
-    return geom.inv_k + dt * geom.diag, -dt * geom.off
+def spd_bands(widths, inv_k, dt):
+    """(d, e) of the symmetric face-flux system of a pass over cells of the
+    given widths with 1/k = inv_k at each face, as it hands them to
+    solve_banded."""
+    inv_w = 1.0 / widths
+    return inv_k + dt * (inv_w[:-1] + inv_w[1:]), -dt * inv_w[1:-1]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -491,7 +509,7 @@ def test_solve_banded_bitwise_equal_to_scipy_on_graded_grids(seed):
     g = build_grid_1d(float(rng.uniform(0.5, 2.0)), N, float(rng.uniform(1.0, 1.05)))
     dt = 10.0 ** rng.uniform(-7, -2)
     for shape in ((N - 1,), (N - 1, int(rng.integers(2, 9)))):
-        d, e = spd_bands(g.geom, dt)
+        d, e = spd_bands(g.widths, g.dist, dt)
         b = np.asfortranarray(rng.standard_normal(shape))
         expect = scipy_reference(d, e, b)
         got = solve_banded(d, e, b.copy(order="F"))
@@ -515,7 +533,7 @@ def test_solve_banded_bitwise_multi_rhs_radial_in_place(seed):
     g = build_grid_cyl(1.0, float(rng.uniform(0.5, 2.0)), int(rng.integers(2, 5)), Nx, Nr,
                        float(rng.uniform(1.0, 1.05)))
     dt = 10.0 ** rng.uniform(-7, -2)
-    d, e = spd_bands(g.rho_geom, dt)
+    d, e = spd_bands(g.vol, g.rho_inv_k, dt)
     b = rng.standard_normal((Nx, Nr - 1)).T
     rhs = b.copy(order="F")
     expect = scipy_reference(d, e, b)
@@ -533,11 +551,12 @@ def test_solve_banded_one_face_system():
         got = solve_banded(np.array([4.0]), np.zeros(0), b.copy(order="F"))
         assert got.shape == b.shape and np.array_equal(got, b / 4.0)
     g = build_grid_cyl(1.0, 1.0, 3, 2, 2)
-    for geom, widths, k in ((g.axial.geom, g.axial.widths, 1.0 / g.axial.dist),
-                            (g.rho_geom, g.vol, radial_conductance(g))):
-        assert geom.off.size == 0
+    for widths, inv_k, k in ((g.axial.widths, g.axial.dist, 1.0 / g.axial.dist),
+                             (g.vol, g.rho_inv_k, radial_conductance(g))):
+        d, e = spd_bands(widths, inv_k, 1e-3)
+        assert e.size == 0
         b = np.array([0.7])
-        got = solve_banded(*spd_bands(geom, 1e-3), b.copy())
+        got = solve_banded(d, e, b.copy())
         assert_solves_the_nonsymmetric_system(got, widths, k, 1e-3, b)
 
 
@@ -547,7 +566,8 @@ def test_solve_banded_factored_bitwise_equal_to_a_fresh_dptsv(shape):
     # step's unfactored call overwrote with their LDL^T factors
     rng = np.random.default_rng(7)
     g = build_grid_cyl(1.0, 1.0, 3, 2 if shape == "one face" else 200, 12, 1.03)
-    d0, e0 = spd_bands(g.rho_geom if shape == "fortran in place" else g.axial.geom, 3e-4)
+    d0, e0 = spd_bands(*((g.vol, g.rho_inv_k) if shape == "fortran in place" else (g.axial.widths, g.axial.dist)),
+                       3e-4)
     n = len(d0)
     rhs = (n, 5) if shape == "fortran in place" else (n,)
     d, e = d0.copy(), e0.copy()
@@ -568,10 +588,10 @@ def test_solve_banded_reaches_columns_through_a_leading_dimension_above_n(seed):
     # copies; the ldb - n entries below each column are left as they were
     rng = np.random.default_rng(200 + seed)
     g = build_grid_cyl(1.0, 1.0, 3, int(rng.integers(2, 300)), int(rng.integers(3, 30)), float(rng.uniform(1.0, 1.05)))
-    geom = g.axial.geom if seed % 2 else g.rho_geom
-    n, k = len(geom.diag), int(rng.integers(2, 20))
+    widths, inv_k = (g.axial.widths, g.axial.dist) if seed % 2 else (g.vol, g.rho_inv_k)
+    n, k = len(inv_k), int(rng.integers(2, 20))
     ldb = n + (1 if seed < 2 else int(rng.integers(2, 9)))
-    d0, e0 = spd_bands(geom, 10.0 ** rng.uniform(-7, -2))
+    d0, e0 = spd_bands(widths, inv_k, 10.0 ** rng.uniform(-7, -2))
     d, e = d0.copy(), e0.copy()
     for factored in (False, True):
         buf = np.asfortranarray(rng.standard_normal((ldb, k)))
@@ -674,7 +694,8 @@ def test_pass_rejects_a_non_finite_right_hand_side(geometry, bad):
     # last face, and +inf in an inner cell +inf and -inf at its two faces
     g = build_grid_cyl(1.0, 1.0, 3, 12, 6)
     c = np.asfortranarray(1.0 + np.random.default_rng(0).random(g.shape))
-    c, geom = (c[:, 0].copy(), g.axial.geom) if geometry == "interval" else (c.T, g.rho_geom)
+    c, widths, inv_k = (c[:, 0].copy(), g.axial.widths, g.axial.dist) if geometry == "interval" else (
+        c.T, g.vol, g.rho_inv_k)
     n = len(c)
     cell, value = {"nan": (n // 2, math.nan), "lone +inf": (n - 1, math.inf),
                    "+inf and -inf": (n // 2, math.inf)}[bad]
@@ -682,7 +703,7 @@ def test_pass_rejects_a_non_finite_right_hand_side(geometry, bad):
     rhs = c[1:] - c[:-1]
     assert np.isposinf(rhs).any() == (bad != "nan") and np.isneginf(rhs).any() == (bad == "+inf and -inf")
     with pytest.raises(StepRejected, match="non-finite"):
-        _advect_diffuse(c, 1e-3, geom, Workspace(geom, c))
+        _advect_diffuse(c, 1e-3, Workspace(widths, inv_k, c))
 
 
 # --- factors reused across steps --------------------------------------------
@@ -804,19 +825,22 @@ def test_a_step_rejected_after_its_solve_retries_as_a_fresh_state_would(monkeypa
 
 @pytest.mark.parametrize("geometry", ["interval", "radial"])
 def test_a_failed_factorization_clears_the_workspace_dt(geometry):
-    # bands that are not positive definite (1/k negated) make dptsv fail
-    # (info > 0) part way through overwriting d and e: the workspace then
-    # holds no factors, so a pass at the dt it held before factors afresh
+    # a negative dt makes the bands indefinite (1/k + dt diag < 0), so
+    # dptsv fails (info > 0) after overwriting d and e in the one workspace
+    # the passes share: it then holds no factors, and a pass at the dt it
+    # held before factors afresh
     g = build_grid_cyl(1.0, 1.0, 3, 12, 6)
     c = np.asfortranarray(1.0 + np.random.default_rng(1).random(g.shape))
-    c, geom = (c[:, 0].copy(), g.axial.geom) if geometry == "interval" else (c.T, g.rho_geom)
-    ws = Workspace(geom, c)
-    want = _advect_diffuse(c, 1e-3, geom, ws)
+    c, widths, inv_k = (c[:, 0].copy(), g.axial.widths, g.axial.dist) if geometry == "interval" else (
+        c.T, g.vol, g.rho_inv_k)
+    ws = Workspace(widths, inv_k, c)
+    want = _advect_diffuse(c, 1e-3, ws)
     assert ws.dt == 1e-3
+    assert (ws.line_inv_k - ws.diag < 0.0).any()  # the bands at dt = -1
     with pytest.raises(StepRejected, match="LAPACK info"):
-        _advect_diffuse(c, 2e-3, replace(geom, inv_k=-geom.inv_k), ws)
+        _advect_diffuse(c, -1.0, ws)
     assert ws.dt is None
-    got = _advect_diffuse(c, 1e-3, geom, ws)
+    got = _advect_diffuse(c, 1e-3, ws)
     assert ws.dt == 1e-3 and got.tobytes() == want.tobytes()
     assert not np.shares_memory(got, ws.pad) and not np.shares_memory(got, ws.T)
 

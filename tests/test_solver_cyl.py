@@ -132,15 +132,26 @@ def test_cyl_reduction_gate_fails_on_one_perturbed_sample(column, at, delta):
     assert not ok, msgs
 
 
-def test_cyl_reduction_gate_fails_off_a_unit_cross_section():
-    # the reduction map is worked out for a unit cross-section only: at
-    # R = 1, n = 2 (B = 2) the gate says so and fails
+@pytest.mark.parametrize("m,M", [(1.0, 0.9), (2.0, 0.1)])
+@pytest.mark.parametrize("n,B", [(2, 2.0), (3, math.pi)])
+def test_cyl_reduction_gate_holds_at_any_cross_section_volume(n, B, m, M):
+    # at R = 1 the cross-section is (-1, 1) (B = 2) or the unit disk
+    # (B = pi): the run shadows the interval run of mass M B^(1/m - 1).
+    # M is small enough that neither the CFL limit nor the blow-up clamp
+    # binds, so dt stays dt_max and the sample times agree bitwise.  Judged
+    # against a config of mass M B, whose interval run has the wrong mass,
+    # the gate fails
     cfg = presets.preset_config("cyl_reduction")
-    domain = replace(cfg.problem.domain, R=1.0)
-    cfg = replace(cfg, problem=replace(cfg.problem, domain=domain), stop=replace(cfg.stop, t_end=1e-3))
+    problem = replace(cfg.problem, nonlinearity=replace(cfg.problem.nonlinearity, m=m),
+                      domain=replace(cfg.problem.domain, R=1.0, n=n))
+    cfg = replace(cfg, problem=problem, initial=replace(cfg.initial, mass=M), stop=replace(cfg.stop, t_end=1e-3))
+    assert problem.domain.cross_section_volume == pytest.approx(B, rel=1e-15)
     _grid, traj, rep = harness.run_config(cfg)
     ok, msgs = presets.judge("cyl_reduction", cfg, traj, rep)
-    assert not ok and "only for a unit cross-section, not B = 2" in msgs[0], msgs
+    assert ok and "over 5 samples" in msgs[0], msgs
+    wrong = replace(cfg, initial=replace(cfg.initial, mass=M * B))
+    ok, msgs = presets.judge("cyl_reduction", wrong, traj, rep)
+    assert not ok, msgs
 
 
 def test_x1_independent_data_reduces_to_radial_heat():
